@@ -158,28 +158,16 @@ def is_psd(X: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     return min_eigenvalue(X) >= -tol.psd_slack
 
 
-def moore_penrose(M: np.ndarray, tol: Tolerances = DEFAULT_TOL, *, hermitian: bool = False) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with ``tol.eig_zero`` relative cutoff.
+def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """Thin SVD ``V = U diag(s) Vh`` cut to the singular values above ``tol.eig_zero * s[0]``.
 
-    Singular values below ``tol.eig_zero`` times the largest singular value
-    are treated as exact zeros, so the result acts as the inverse on the
-    row/column support only.
+    The kept factors carry the numerical rank (``len(s)``), the projector
+    onto the column span (``U U^dag``) and the pseudoinverse
+    (``Vh^dag diag(1/s) U^dag``), all with one cutoff.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {M.shape}")
-    return np.linalg.pinv(M, rcond=tol.eig_zero, hermitian=hermitian)
-
-
-def numerical_rank(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank with the same relative singular-value cutoff as :func:`moore_penrose`."""
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.eig_zero * s[0]))
+    U, s, Vh = np.linalg.svd(V, full_matrices=False)
+    r = int(np.count_nonzero(s > tol.eig_zero * s[0])) if s.size else 0
+    return U[:, :r], s[:r], Vh[:r]
 
 
 def span_projector(operators, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -195,10 +183,5 @@ def span_projector(operators, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     d = ops[0].shape[0]
     if any(op.shape != (d, d) for op in ops):
         raise ValueError("operators must share one dimension")
-    V = np.stack([vectorize(op) for op in ops], axis=1)
-    U, s, _ = np.linalg.svd(V, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((d * d, d * d), dtype=complex)
-    r = int(np.count_nonzero(s > tol.eig_zero * s[0]))
-    Ur = U[:, :r]
-    return Ur @ dagger(Ur)
+    U, _, _ = truncated_svd(np.stack([vectorize(op) for op in ops], axis=1), tol)
+    return U @ dagger(U)

@@ -2,14 +2,17 @@
 
 A POVM with outcomes ``P_1 .. P_N`` is stored as a stacked ``(N, d, d)``
 complex array.  Viewed as HS vectors the outcomes form a frame for their
-span; the frame operator, its pseudoinverse (canonical dual) and the
-shifted duals built from an arbitrary operator list provide the linear
-machinery used by the estimation routines.
+span: the columns of the d^2 x N design matrix ``V``.  One truncated SVD
+of ``V``, cached on the POVM, gives the span rank, the span projector and
+the canonical dual ``(V^+)^dag``; the shifted duals built from an
+arbitrary operator list complete the linear machinery used by the
+estimation routines.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -20,10 +23,8 @@ from .hs import (
     as_operator,
     dagger,
     hs_norm,
-    moore_penrose,
-    numerical_rank,
     span_projector,
-    vectorize,
+    truncated_svd,
 )
 
 
@@ -115,6 +116,9 @@ class Povm:
         self.elements = mats
         self.labels = labels
         self.tol = tol
+        # Ensemble -> (optimal dual elements, outcome probabilities), filled
+        # by ``processing``; an entry lives no longer than its ensemble
+        self.by_ensemble = weakref.WeakKeyDictionary()
 
     @property
     def dim(self) -> int:
@@ -131,17 +135,28 @@ class Povm:
 
     @cached_property
     def design_matrix(self) -> np.ndarray:
-        """d^2 x N matrix whose columns are the vectorized elements."""
-        return np.stack([vectorize(m) for m in self.elements], axis=1)
+        """d^2 x N matrix whose columns are the vectorized elements (read-only)."""
+        return self.elements.reshape(len(self), -1).T
+
+    @cached_property
+    def _svd(self):
+        return truncated_svd(self.design_matrix, self.tol)
+
+    def svd(self, tol: Tolerances | None = None):
+        """Truncated SVD ``U, s, Vh`` of the design matrix; cached at the POVM's own ``tol``."""
+        if tol is None or tol == self.tol:
+            return self._svd
+        return truncated_svd(self.design_matrix, tol)
 
     @cached_property
     def span_projector(self) -> np.ndarray:
         """Orthogonal projector onto the HS span of the elements."""
-        return span_projector(self.elements, self.tol)
+        U = self._svd[0]
+        return U @ dagger(U)
 
     @cached_property
     def span_rank(self) -> int:
-        return numerical_rank(self.design_matrix, self.tol)
+        return len(self._svd[1])
 
     def probabilities(self, rho) -> np.ndarray:
         """Outcome probabilities ``Tr[rho P_i]`` under the state ``rho``."""
@@ -204,9 +219,11 @@ class DualFrame:
     """
 
     def __init__(self, elements, povm: Povm):
-        mats = np.stack([as_operator(e) for e in elements])
+        mats = np.array(elements, dtype=complex)
         if mats.shape != povm.elements.shape:
             raise ValueError("dual frame must match the POVM outcome-for-outcome")
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("dual frame entries must be finite")
         mats.setflags(write=False)
         self.elements = mats
         self.povm = povm
@@ -226,28 +243,21 @@ class DualFrame:
 
     def resolution_residual(self) -> float:
         """Norm of ``sum_i |D_i><P_i| - Pi_span``; zero for an exact dual."""
-        W = np.stack([vectorize(m) for m in self.elements], axis=1)
+        W = self.elements.reshape(len(self), -1).T
         resolution = W @ dagger(self.povm.design_matrix)
         return float(np.linalg.norm(resolution - self.povm.span_projector))
 
 
-def frame_operator(P: Povm) -> np.ndarray:
-    """HS frame operator ``F = sum_i |P_i><P_i|`` as a d^2 x d^2 matrix."""
-    V = P.design_matrix
-    return V @ dagger(V)
-
-
 def canonical_dual(P: Povm, tol: Tolerances | None = None) -> DualFrame:
-    """Canonical dual frame ``Delta_i = F^+ |P_i>``.
+    """Canonical dual frame ``Delta_i = F^+ |P_i>``, with ``F = V V^dag`` the frame operator.
 
-    ``F^+`` is the pseudoinverse of the frame operator, acting as the
-    inverse on the span of the POVM elements.
+    Computed as the columns of ``(V^+)^dag = U diag(1/s) Vh`` from the
+    truncated SVD of the design matrix ``V``, which cuts V's singular values
+    at ``tol.eig_zero`` like the span projector does; forming ``F`` would
+    square the condition number and drop directions the span keeps.
     """
-    tol = tol or P.tol
-    F = frame_operator(P)
-    Fp = moore_penrose(0.5 * (F + dagger(F)), tol, hermitian=True)
-    duals = (Fp @ P.design_matrix).T.reshape(P.elements.shape)
-    return DualFrame(duals, P)
+    U, s, Vh = P.svd(tol)
+    return DualFrame(((U / s) @ Vh).T.reshape(P.elements.shape), P)
 
 
 def alternate_dual(P: Povm, canonical: DualFrame, Y) -> DualFrame:
@@ -260,8 +270,7 @@ def alternate_dual(P: Povm, canonical: DualFrame, Y) -> DualFrame:
     Ymats = np.stack([as_operator(y) for y in Y])
     if Ymats.shape != P.elements.shape:
         raise ValueError("need one Y operator per POVM element")
-    W = np.stack([vectorize(m) for m in canonical.elements], axis=1)
-    M = np.conj(W).T @ P.design_matrix  # M[i, j] = <Delta_i|P_j>
+    M = np.conj(canonical.elements.reshape(len(P), -1)) @ P.design_matrix  # <Delta_i|P_j>
     shifted = canonical.elements + Ymats - np.tensordot(M, Ymats, axes=(1, 0))
     return DualFrame(shifted, P)
 
@@ -286,8 +295,7 @@ def is_r_infocomplete(P: Povm, operators, tol: Tolerances | None = None) -> bool
 
 def is_infocomplete(P: Povm, tol: Tolerances | None = None) -> bool:
     """Full informational completeness: the elements span all of HS space."""
-    tol = tol or P.tol
-    return numerical_rank(P.design_matrix, tol) == P.dim ** 2
+    return len(P.svd(tol)[1]) == P.dim ** 2
 
 
 def rank_one_refinement(P: Povm, tol: Tolerances | None = None) -> Povm:

@@ -6,6 +6,15 @@ outcome statistics estimates ``<X> = Tr[rho X]`` whenever
 this module builds them, evaluates single-state and ensemble-averaged
 statistical errors, and computes the dual frame that minimizes the
 ensemble error together with the corresponding minimum.
+
+The ensemble-optimal dual is the canonical dual of the weighted frame
+``P_i / sqrt(pi_i)``, rescaled by ``1 / sqrt(pi_i)``: ``D_i = G^+ P_i / pi_i``
+with ``G = sum_i |P_i><P_i| / pi_i`` and ``pi_i`` the barycenter probability
+of outcome i.  It comes from one truncated SVD of ``V diag(pi^-1/2)``, is
+cached on the POVM per ensemble, and ``min_error`` reads its coefficients
+from that cache.  Outcomes with ``pi_i <= tol.eig_zero`` cannot influence
+the ensemble error: they keep their canonical duals, the others absorb the
+difference, and a :class:`DegenerateMetricWarning` is raised.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, as_operator, dagger, moore_penrose, vectorize
+from .hs import DEFAULT_TOL, Tolerances, as_operator, dagger, truncated_svd, vectorize
 from .povm import DualFrame, Povm, canonical_dual
 
 
@@ -151,8 +160,7 @@ def processing_from_dual(D: DualFrame, X, tol: Tolerances | None = None) -> Proc
     residual = _span_residual(P, X)
     if residual > tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
-    coeffs = np.array([np.vdot(m, X) for m in D.elements])
-    return ProcessingFunction(X, coeffs)
+    return ProcessingFunction(X, np.conj(D.elements.reshape(len(D), -1)) @ X.reshape(-1))
 
 
 def estimate(P: Povm, c: ProcessingFunction, rho) -> float:
@@ -180,70 +188,71 @@ def ensemble_error(P: Povm, c: ProcessingFunction, ensemble: Ensemble) -> float:
     )
 
 
+def _optimal(P: Povm, ensemble: Ensemble, tol: Tolerances):
+    """Optimal dual elements and barycenter probabilities; cached on P per ensemble at ``P.tol``."""
+    cache = P.by_ensemble if tol == P.tol else {}
+    if ensemble not in cache:
+        pi = metric_diagonal(P, ensemble).diag
+        live = pi > tol.eig_zero
+        V = P.design_matrix
+        root = np.sqrt(pi[live])
+        U, s, Vh = truncated_svd(V[:, live] / root, tol)
+        weighted = (U / s) @ Vh / root  # W_L in the docstring of optimal_dual
+        if np.all(live):
+            duals = weighted
+        else:
+            duals = canonical_dual(P, tol).elements.reshape(len(P), -1).T.copy()
+            duals[:, live] = weighted - duals[:, ~live] @ (dagger(V[:, ~live]) @ weighted)
+        duals = duals.T.reshape(P.elements.shape)
+        duals.setflags(write=False)
+        cache[ensemble] = (duals, pi)
+    duals, pi = cache[ensemble]
+    dead = int(np.count_nonzero(pi <= tol.eig_zero))
+    if dead:
+        warnings.warn(
+            f"{dead} outcome(s) have zero probability under the ensemble barycenter; "
+            "they keep their canonical duals and the other outcomes absorb the difference",
+            DegenerateMetricWarning,
+            stacklevel=3,
+        )
+    return duals, pi
+
+
 def optimal_dual(P: Povm, ensemble: Ensemble, tol: Tolerances | None = None) -> DualFrame:
     """Dual frame minimizing the ensemble error for every span-contained target.
 
-    Starting from the canonical dual ``Delta``, the minimizer is
+    With ``pi_i = Tr[rho_E P_i]`` the barycenter outcome probabilities and
+    ``G = sum_i |P_i><P_i| / pi_i`` the weighted frame operator, the
+    minimizer is ``D_i = G^+ P_i / pi_i``, the canonical dual of the frame
+    ``P_i / sqrt(pi_i)`` rescaled by ``1 / sqrt(pi_i)``.  It is read off one
+    truncated SVD of ``V diag(pi^-1/2)`` and cached on ``P`` per ensemble.
 
-        ``D_i = Delta_i - sum_j ([(1-M) pi (1-M)]^+ pi)_{ij} Delta_j``
-
-    with ``M_ij = Tr[Delta_i P_j]`` and ``pi`` the diagonal matrix of
-    barycenter outcome probabilities.  Outcomes with vanishing probability
-    cannot influence the ensemble error; they are left at their canonical
-    value and excluded from the correction, with a warning.
+    Outcomes with ``pi_i <= tol.eig_zero`` (the dead set D) cannot
+    influence the ensemble error.  They keep their canonical duals
+    ``Delta_D``, with a :class:`DegenerateMetricWarning`, and the live
+    outcomes L take ``D_L = W_L - Delta_D (V_D^dag W_L)``, where ``W_L`` is
+    the weighted canonical dual of the live outcomes alone.
     """
-    tol = tol or P.tol
-    delta = canonical_dual(P, tol)
-    pi = metric_diagonal(P, ensemble)
-    live = pi.diag > tol.eig_zero
-    if not np.all(live):
-        warnings.warn(
-            f"{int(np.count_nonzero(~live))} outcome(s) have zero probability under "
-            "the ensemble barycenter; they are excluded from the optimal-dual "
-            "correction and their coefficients are unconstrained",
-            DegenerateMetricWarning,
-            stacklevel=2,
-        )
-    W = np.stack([vectorize(m) for m in delta.elements], axis=1)
-    M = np.conj(W).T @ P.design_matrix  # M[i, j] = Tr[Delta_i P_j]
-    one_minus = np.eye(len(P)) - M
-    pi_live = np.where(live, pi.diag, 0.0)
-    bracket = one_minus @ np.diag(pi_live) @ one_minus
-    # For linearly independent elements M is the identity and the bracket
-    # vanishes identically; a purely relative singular-value cutoff would
-    # then invert rounding noise, so the cutoff is floored at the metric
-    # scale (max pi_ii >= 1/N for outcome probabilities).
-    U, s, Vh = np.linalg.svd(bracket)
-    scale = max(float(s[0]) if s.size else 0.0, float(pi_live.max()))
-    inv_s = np.where(s > tol.eig_zero * scale, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    correction = (np.conj(Vh).T * inv_s) @ np.conj(U).T * pi_live[np.newaxis, :]
-    # zero-probability outcomes keep their canonical duals untouched
-    correction[~live, :] = 0.0
-    duals = delta.elements - np.tensordot(correction, delta.elements, axes=(1, 0))
-    return DualFrame(duals, P)
+    return DualFrame(_optimal(P, ensemble, tol or P.tol)[0], P)
 
 
 def min_error(P: Povm, ensemble: Ensemble, X, tol: Tolerances | None = None) -> float:
     """Minimum ensemble error over all processing functions for target X.
 
-    Computed from the compact form ``<X| G^+ |X> - avg_j <X>_{rho_j}^2``
-    with ``G = sum_i |P_i><P_i| / pi_ii``; the optimal dual achieves it.
+    The ensemble error of the optimal dual, ``sum_i pi_i |<D_i|X>|^2 -
+    avg_j <X>_{rho_j}^2``, with the duals taken from the per-ensemble
+    cache of :func:`optimal_dual`, so each further target costs one
+    N x d^2 product.  When every outcome has positive probability this is
+    ``<X| G^+ |X> - avg_j <X>_{rho_j}^2``.  Zero-probability outcomes keep
+    their canonical coefficients, as in :func:`optimal_dual`, with the same
+    warning; for linearly independent elements those coefficients are the
+    only ones possible.
     """
     tol = tol or P.tol
     X = as_operator(X)
     residual = _span_residual(P, X)
     if residual > tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
-    pi = metric_diagonal(P, ensemble)
-    live = pi.diag > tol.eig_zero
-    if not np.all(live):
-        warnings.warn(
-            "zero-probability outcomes are omitted from the minimum-error form",
-            DegenerateMetricWarning,
-            stacklevel=2,
-        )
-    V = P.design_matrix[:, live]
-    G = (V / pi.diag[live]) @ dagger(V)
-    x = vectorize(X)
-    value = float(np.real(np.vdot(x, moore_penrose(G, tol, hermitian=True) @ x)))
-    return value - ensemble.second_moment(X)
+    duals, pi = _optimal(P, ensemble, tol)
+    c = np.conj(duals.reshape(len(P), -1)) @ X.reshape(-1)
+    return float(np.dot(np.abs(c) ** 2, pi)) - ensemble.second_moment(X)

@@ -51,6 +51,15 @@ def random_povm(d, n, rng, rank_one=False):
     return Povm(np.einsum("ab,nbc,cd->nad", inv_sqrt, raw, inv_sqrt))
 
 
+def ill_conditioned_minimal_povm():
+    """Fixed d=3, 9-outcome informationally complete POVM with cond(V) about 8e5.
+
+    Its frame operator ``F = V V^dag`` has condition number about 6e11, past
+    the ``eig_zero`` cutoff, while V itself keeps all nine directions.
+    """
+    return random_povm(3, 9, np.random.default_rng(2858))
+
+
 def random_planar_rank_one_povm(n, rng):
     """Rank-one qubit POVM with every Bloch vector in the x-y plane.
 

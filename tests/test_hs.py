@@ -15,11 +15,10 @@ from povmlab.hs import (
     is_psd,
     kron_action,
     min_eigenvalue,
-    moore_penrose,
-    numerical_rank,
     span_projector,
     swap_operator,
     swap_transpose,
+    truncated_svd,
     vectorize,
 )
 
@@ -99,7 +98,8 @@ class TestPseudoinverseAndSpans:
     def test_moore_penrose_identities(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(5, 3)) @ rng.normal(size=(3, 5))  # rank 3
-        Ap = moore_penrose(A)
+        U, s, Vh = truncated_svd(A)
+        Ap = (Vh.conj().T / s) @ U.conj().T
         assert np.allclose(A @ Ap @ A, A, atol=1e-10)
         assert np.allclose(Ap @ A @ Ap, Ap, atol=1e-10)
 
@@ -107,7 +107,7 @@ class TestPseudoinverseAndSpans:
         rng = np.random.default_rng(4)
         A = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 6))
         A = A + 1e-13 * rng.normal(size=(6, 6))
-        assert numerical_rank(A) == 2
+        assert len(truncated_svd(A)[1]) == 2
 
     def test_span_projector_is_projector_onto_span(self):
         rng = np.random.default_rng(5)

@@ -35,6 +35,8 @@ from povmlab.standard import (
     trine_povm,
 )
 
+from helpers import ill_conditioned_minimal_povm, random_ensemble, random_povm
+
 I2 = np.eye(2)
 
 
@@ -301,6 +303,16 @@ class TestBlur:
         assert blur.epsilon_star == pytest.approx(0.0, abs=1e-10)
         assert blur.inflation == pytest.approx(1.0, abs=1e-9)
         assert_allclose(blur.markov.m, m.m, atol=1e-8)
+
+    def test_ill_conditioned_source(self):
+        # column i of the Markov matrix sums to (1 - eps) Tr[D_i] + eps, so
+        # the optimal dual's trace error must stay inside lin_solve
+        P = ill_conditioned_minimal_povm()
+        rng = np.random.default_rng(10)
+        blur = blur_for_post_processing(P, random_povm(3, 3, rng), random_ensemble(3, 3, rng))
+        realized = apply_post_processing(P, blur.markov)
+        for a, b in zip(realized.elements, blur.blurred.elements):
+            assert_allclose(a, b, atol=FEASIBILITY_RESIDUAL)
 
     def test_target_outside_span_rejected(self):
         with pytest.raises(OutsideSpanError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from povmlab.hs import vectorize
+from povmlab.hs import Tolerances, vectorize
 from povmlab.povm import (
     NotCompleteError,
     NotPositiveError,
@@ -12,7 +12,6 @@ from povmlab.povm import (
     ZeroElementWarning,
     alternate_dual,
     canonical_dual,
-    frame_operator,
     is_infocomplete,
     is_r_infocomplete,
     povm_report,
@@ -23,7 +22,15 @@ from povmlab.povm import (
 )
 from povmlab.standard import TETRAHEDRON, projective_povm, sic_povm, trine_povm
 
-from helpers import SX, SY, SZ, random_hermitian, random_povm, random_state
+from helpers import (
+    SX,
+    SY,
+    SZ,
+    ill_conditioned_minimal_povm,
+    random_hermitian,
+    random_povm,
+    random_state,
+)
 
 
 class TestValidation:
@@ -76,15 +83,16 @@ class TestFrameOperator:
     def test_sic_frame_eigenvalues(self):
         # symmetric tetrahedral frame: one eigenvalue 1/2 on the identity
         # direction, triply degenerate 1/6 on the traceless directions
-        F = frame_operator(sic_povm())
-        vals = np.sort(np.linalg.eigvalsh(F))
+        # the eigenvalues of F = V V^dag are the squared singular values of V
+        vals = np.sort(sic_povm().svd()[1] ** 2)
         assert np.allclose(vals, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12)
 
     def test_frame_operator_is_gram_of_design_matrix(self):
         rng = np.random.default_rng(1)
         P = random_povm(3, 5, rng)
         V = P.design_matrix
-        assert np.allclose(frame_operator(P), V @ V.conj().T)
+        F = sum(np.outer(vectorize(m), vectorize(m).conj()) for m in P.elements)
+        assert np.allclose(F, V @ V.conj().T)
 
 
 class TestCanonicalDual:
@@ -110,6 +118,17 @@ class TestCanonicalDual:
         assert P.span_rank == 4
         D = canonical_dual(P)
         assert np.allclose([np.trace(m) for m in D.elements], 1.0, atol=1e-9)
+
+    def test_ill_conditioned_frame_keeps_every_direction(self):
+        # cond(V) ~ 8e5: cutting the eigenvalues of F instead of the singular
+        # values of V drops a direction and leaves a residual of about 1
+        P = ill_conditioned_minimal_povm()
+        assert np.linalg.cond(P.design_matrix) > 1e5
+        assert P.span_rank == 9
+        D = canonical_dual(P)
+        assert D.resolution_residual() <= P.tol.lin_solve
+        traces = np.einsum("ikk->i", D.elements)
+        assert np.max(np.abs(traces - 1.0)) <= P.tol.lin_solve
 
     def test_reconstruction_from_probabilities(self):
         rng = np.random.default_rng(4)
@@ -161,6 +180,12 @@ class TestInfocompleteness:
         P = projective_povm("z")
         assert not is_infocomplete(P)
         assert P.span_rank == 2
+
+    def test_other_tolerance_cuts_without_the_cache(self):
+        # the smallest singular value of V is about 1e-6 of the largest
+        P = ill_conditioned_minimal_povm()
+        assert not is_infocomplete(P, Tolerances(eig_zero=1e-4))
+        assert is_infocomplete(P) and P.span_rank == 9
 
     def test_relative_completeness(self):
         P = projective_povm("z")

@@ -1,9 +1,11 @@
 """Processing functions, statistical errors, and the ensemble-optimal dual."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from povmlab.hs import moore_penrose, vectorize
+from povmlab.hs import Tolerances, vectorize
 from povmlab.povm import canonical_dual
 from povmlab.processing import (
     DegenerateMetricWarning,
@@ -28,6 +30,7 @@ from povmlab.standard import (
 from helpers import (
     SX,
     SZ,
+    ill_conditioned_minimal_povm,
     random_ensemble,
     random_hermitian,
     random_povm,
@@ -45,7 +48,7 @@ def reference_optimal_dual(P, ensemble):
     pi = metric_diagonal(P, ensemble).diag
     V = P.design_matrix
     G = (V / pi) @ V.conj().T
-    Gp = moore_penrose(G, hermitian=True)
+    Gp = np.linalg.pinv(G, rcond=1e-10, hermitian=True)
     out = []
     for i, m in enumerate(P.elements):
         out.append((Gp @ vectorize(m)).reshape(P.dim, P.dim) / pi[i])
@@ -199,6 +202,26 @@ class TestOptimalDual:
                 improved += 1
         assert improved > 0
 
+    def test_cached_per_ensemble_at_own_tolerance(self):
+        rng = np.random.default_rng(12)
+        P = random_povm(2, 6, rng)
+        E = random_ensemble(2, 3, rng)
+        optimal_dual(P, E, Tolerances(eig_zero=1e-8))
+        assert len(P.by_ensemble) == 0
+        D = optimal_dual(P, E)
+        assert len(P.by_ensemble) == 1
+        assert np.array_equal(optimal_dual(P, E).elements, D.elements)
+        del E
+        gc.collect()
+        assert len(P.by_ensemble) == 0
+
+    def test_ill_conditioned_frame(self):
+        P = ill_conditioned_minimal_povm()
+        D = optimal_dual(P, random_ensemble(3, 3, np.random.default_rng(9)))
+        assert D.resolution_residual() <= P.tol.lin_solve
+        traces = np.einsum("ikk->i", D.elements)
+        assert np.max(np.abs(traces - 1.0)) <= P.tol.lin_solve
+
     def test_degenerate_metric_warns(self):
         P = projective_povm("z")
         dead_end = Ensemble([1.0], [np.diag([1.0, 0.0])])
@@ -221,6 +244,21 @@ class TestMinError:
             X = random_hermitian(2, rng)
             c = processing_from_dual(optimal_dual(P, E), X)
             assert min_error(P, E, X) == pytest.approx(ensemble_error(P, c, E), abs=1e-9)
+
+    def test_zero_probability_outcome_keeps_optimal_dual_error(self):
+        # nine linearly independent rank-one elements: the coefficients are
+        # unique, so the optimal dual's error is the only achievable value
+        rng = np.random.default_rng(0)
+        P = random_povm(3, 9, rng, rank_one=True)
+        assert P.span_rank == 9
+        psi = np.linalg.eigh(P.elements[0])[1][:, 0]  # in the kernel of P_0
+        E = Ensemble([1.0], [np.outer(psi, psi.conj())])
+        X = random_hermitian(3, rng, scale=0.1)
+        with pytest.warns(DegenerateMetricWarning):
+            c = processing_from_dual(optimal_dual(P, E), X)
+        with pytest.warns(DegenerateMetricWarning):
+            value = min_error(P, E, X)
+        assert value == pytest.approx(ensemble_error(P, c, E), abs=1e-9)
 
     def test_outside_span_raises(self):
         with pytest.raises(OutsideSpanError):
