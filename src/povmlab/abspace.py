@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hs import DEFAULT_TOL, Tolerances, dagger, hs_norm, vectorize
 from .povm import Observable, Povm
@@ -81,7 +80,7 @@ def vandermonde_recovery(X: Observable, tol: Tolerances = DEFAULT_TOL) -> Vander
             IllConditionedWarning,
             stacklevel=2,
         )
-    W = scipy.linalg.solve(V, np.eye(s)) if s > 1 else np.ones((1, 1))
+    W = np.linalg.solve(V, np.eye(s)) if s > 1 else np.ones((1, 1))
     return VandermondeRecovery(observable=X, W=W, condition=condition)
 
 

@@ -42,7 +42,12 @@ from .processing import (
     processing_from_dual,
     statistical_error,
 )
-from .qubit import noise_quantities, optimal_four_outcome, optimal_three_outcome
+from .qubit import (
+    DegenerateNoiseError,
+    noise_quantities,
+    optimal_four_outcome,
+    optimal_three_outcome,
+)
 from .serialize import (
     ParseError,
     SchemaError,
@@ -147,16 +152,20 @@ def _meta(tol: Tolerances, seed: int) -> dict:
     }
 
 
-def _write_output(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CommandError(EXIT_PARSE, f"{path}: {exc.strerror or exc}") from None
 
 
 def _emit(args, payload: dict) -> None:
-    _write_output(args, dump_json(payload))
+    _write_output(args.out, dump_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +420,26 @@ def cmd_qubit_sweep(args, tol: Tolerances, seed: int) -> int:
         "# tolerances: "
         + " ".join(f"{k}={v:g}" for k, v in meta["tolerances"].items()),
         f"# seed: {seed}",
-        "theta,B,Gamma,Delta,total_error,bound,gap",
     ]
+    rows, skipped = [], []
     for theta in thetas:
         for family in families:
             P = _optimal_family(family, float(theta), tol)
-            s = noise_quantities(P, ensemble, float(theta), tol)
+            try:
+                s = noise_quantities(P, ensemble, float(theta), tol)
+            except DegenerateNoiseError:
+                if theta not in skipped:
+                    skipped.append(theta)
+                continue
             row = (s.theta, s.B, s.Gamma, s.Delta, s.total_error, s.bound,
                    s.total_error - s.bound)
-            lines.append(",".join(_format_float(x) for x in row))
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            rows.append(",".join(_format_float(x) for x in row))
+    if skipped:
+        lines.append("# skipped (degenerate): " + " ".join(_format_float(t) for t in skipped))
+    lines.append("theta,B,Gamma,Delta,total_error,bound,gap")
+    _write_output(args.csv, "\n".join(lines + rows) + "\n")
+    if not rows:
+        raise CommandError(EXIT_INVALID, "every angle in --thetas gives a degenerate noise matrix")
     return EXIT_OK
 
 
@@ -442,7 +456,8 @@ def cmd_simulate(args, tol: Tolerances, seed: int) -> int:
     mean, variance = empirical_estimate(run, c, tol)
     predicted = statistical_error(P, c, rho)
     exact = float(np.real(np.trace(rho @ as_operator(X))))
-    se = float(np.sqrt(predicted / (run.n_ex - 1))) if run.n_ex > 1 else 0.0
+    # standard error of the mean of n draws with the known variance ``predicted``
+    se = float(np.sqrt(predicted / run.n_ex))
     z = (mean - exact) / se if se > 0 else 0.0
     payload = {
         "meta": _meta(tol, seed),

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .hs import DEFAULT_TOL, Tolerances, as_operator, dagger, vectorize
 from .povm import Observable, Povm, spectral_povm
@@ -30,6 +29,17 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+
+def linprog(cost, **constraints):
+    """Minimize ``cost @ x`` over ``x >= 0`` with HiGHS at :data:`_LP_OPTIONS`.
+
+    scipy is imported here, on the first call, so that only callers that
+    solve an LP pay for loading it.
+    """
+    from scipy.optimize import linprog as highs
+
+    return highs(cost, **constraints, bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
 
 
 class MarkovMatrix:
@@ -169,10 +179,7 @@ def find_post_processing(Q: Povm, P: Povm, tol: Tolerances = DEFAULT_TOL) -> Pos
 
     cost = np.zeros(n_var)
     cost[-1] = 1.0
-    res = linprog(
-        cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=[(0.0, None)] * n_var, method="highs", options=_LP_OPTIONS,
-    )
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
     if not res.success:  # pragma: no cover - the LP is always feasible
         raise RuntimeError(f"post-processing LP failed: {res.message}")
     m = res.x[:-1].reshape(n_out, n_in)
@@ -319,7 +326,8 @@ def unbias(blur: BlurResult, observed, observable: Observable | None = None):
     samples can produce out-of-range values even for a faithful model.
     """
     eps = blur.epsilon_star
-    assert eps < 1.0, "blur weight is always below one by construction"
+    if not eps < 1.0:
+        raise ValueError(f"blur weight {eps!r} leaves nothing to unbias; it must be below 1")
     observed = np.asarray(observed, dtype=float)
     M = blur.markov.rows
     if observed.shape != (M,):
@@ -469,10 +477,7 @@ def find_joint_measurement(
                 np.einsum("ab,iba->i", X.projectors[h], P.elements)
             )
             cost[h * n_in:(h + 1) * n_in] = -overlaps  # maximize alignment
-        res = linprog(
-            cost, A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * n_var,
-            method="highs", options=_LP_OPTIONS,
-        )
+        res = linprog(cost, A_eq=A_eq, b_eq=b_eq)
         if not res.success:
             return JointMeasurementResult(False, certificates, idx, False)
         m = np.clip(res.x.reshape(n_out, n_in), 0.0, None)

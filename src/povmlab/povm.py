@@ -22,7 +22,6 @@ from .hs import (
     Tolerances,
     as_operator,
     dagger,
-    hs_norm,
     span_projector,
     truncated_svd,
 )
@@ -72,17 +71,18 @@ class Povm:
 
     def __init__(self, elements, *, labels=None, tol: Tolerances = DEFAULT_TOL,
                  validate: bool = True, drop_zero: bool = True):
-        mats = np.stack([as_operator(e) for e in elements])
-        if mats.shape[1] != mats.shape[2]:
-            raise ValueError("POVM elements must be square")
+        mats = np.array(elements, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(f"operator must be a square matrix, got shape {mats.shape[1:]}")
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("operator entries must be finite")
         if labels is not None:
             labels = list(labels)
             if len(labels) != mats.shape[0]:
                 raise ValueError("one label per element required")
 
         if drop_zero:
-            norms = np.array([hs_norm(m) for m in mats])
-            keep = norms > tol.psd_slack
+            keep = np.linalg.norm(mats, axis=(1, 2)) > tol.psd_slack
             if not np.all(keep):
                 warnings.warn(
                     f"dropping {int(np.count_nonzero(~keep))} zero element(s)",
@@ -96,18 +96,16 @@ class Povm:
             raise ValueError("POVM needs at least one nonzero element")
 
         if validate:
-            worst_index, worst_eig = -1, np.inf
-            for i, m in enumerate(mats):
-                deviation = float(np.linalg.norm(m - dagger(m)))
-                if deviation > tol.lin_solve:
-                    raise ValueError(
-                        f"element {i} is not self-adjoint (deviation {deviation:.3e})"
-                    )
-                lo = float(np.linalg.eigvalsh(0.5 * (m + dagger(m)))[0])
-                if lo < worst_eig:
-                    worst_index, worst_eig = i, lo
-            if worst_eig < -tol.psd_slack:
-                raise NotPositiveError(worst_index, worst_eig)
+            deviations, lowest = _element_figures(mats)
+            not_self_adjoint = np.flatnonzero(deviations > tol.lin_solve)
+            if not_self_adjoint.size:
+                i = int(not_self_adjoint[0])
+                raise ValueError(
+                    f"element {i} is not self-adjoint (deviation {deviations[i]:.3e})"
+                )
+            worst = int(np.argmin(lowest))
+            if lowest[worst] < -tol.psd_slack:
+                raise NotPositiveError(worst, float(lowest[worst]))
             residual = float(np.linalg.norm(mats.sum(axis=0) - np.eye(mats.shape[1])))
             if residual > tol.lin_solve:
                 raise NotCompleteError(residual)
@@ -171,36 +169,40 @@ def validate_povm(elements, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
     return Povm(elements, labels=labels, tol=tol)
 
 
+def _element_figures(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per element of a stacked ``(N, d, d)`` array: the self-adjointness
+    deviation ``||m - m^dag||`` and the minimum eigenvalue of ``(m + m^dag)/2``."""
+    adjoints = np.conj(np.transpose(mats, (0, 2, 1)))
+    deviations = np.linalg.norm(mats - adjoints, axis=(1, 2))
+    lowest = np.linalg.eigvalsh(0.5 * (mats + adjoints))[:, 0]
+    return deviations, lowest
+
+
 def povm_report(elements, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Non-raising validity report used by the command-line front end."""
     mats = [as_operator(e) for e in elements]
     d = mats[0].shape[0]
-    report: dict = {"dim": d, "n_elements": len(mats), "issues": []}
-    kept = []
-    for i, m in enumerate(mats):
-        if m.shape != (d, d):
-            report["issues"].append({"index": i, "problem": "dimension mismatch"})
-            continue
-        if hs_norm(m) <= tol.psd_slack:
-            report["issues"].append({"index": i, "problem": "zero element (dropped)"})
-            continue
-        deviation = float(np.linalg.norm(m - dagger(m)))
-        if deviation > tol.lin_solve:
-            report["issues"].append(
-                {"index": i, "problem": "not self-adjoint", "deviation": deviation}
-            )
-            continue
-        lo = float(np.linalg.eigvalsh(0.5 * (m + dagger(m)))[0])
-        if lo < -tol.psd_slack:
-            report["issues"].append(
-                {"index": i, "problem": "not positive", "min_eigenvalue": lo}
-            )
-            continue
-        kept.append(m)
-    if kept:
-        residual = float(np.linalg.norm(sum(kept) - np.eye(d)))
-    else:
-        residual = float(np.linalg.norm(np.eye(d)))
+    issues = {i: {"index": i, "problem": "dimension mismatch"}
+              for i, m in enumerate(mats) if m.shape != (d, d)}
+    same = [i for i in range(len(mats)) if i not in issues]
+    stack = np.stack([mats[i] for i in same])
+    zero = np.linalg.norm(stack, axis=(1, 2)) <= tol.psd_slack
+    deviations, lowest = _element_figures(stack)
+    kept = np.zeros(len(same), dtype=bool)
+    for k, i in enumerate(same):
+        if zero[k]:
+            issues[i] = {"index": i, "problem": "zero element (dropped)"}
+        elif deviations[k] > tol.lin_solve:
+            issues[i] = {"index": i, "problem": "not self-adjoint",
+                         "deviation": float(deviations[k])}
+        elif lowest[k] < -tol.psd_slack:
+            issues[i] = {"index": i, "problem": "not positive",
+                         "min_eigenvalue": float(lowest[k])}
+        else:
+            kept[k] = True
+    residual = float(np.linalg.norm(stack[kept].sum(axis=0) - np.eye(d)))
+    report: dict = {"dim": d, "n_elements": len(mats),
+                    "issues": [issues[i] for i in sorted(issues)]}
     report["completeness_residual"] = residual
     report["valid"] = not report["issues"] and residual <= tol.lin_solve
     # "zero element" entries alone do not invalidate the POVM

@@ -36,6 +36,10 @@ class NotIsotropicError(ValueError):
     """The ensemble barycenter is not the maximally mixed state."""
 
 
+class DegenerateNoiseError(ValueError):
+    """The noise matrix is singular: the POVM cannot estimate both rotated targets."""
+
+
 class ZeroAlphaWarning(UserWarning):
     """Trace-zero elements were dropped before forming the noise quantities."""
 
@@ -168,6 +172,8 @@ def noise_quantities(
     ------
     NotIsotropicError
         If the ensemble barycenter differs from 1/2.
+    DegenerateNoiseError
+        If ``B*Gamma - Delta^2`` vanishes, as at the ends of (0, pi/2).
     ValueError
         If some element leaves the x-y plane; the scalar reduction does
         not apply then (use the general minimum-error routine instead).
@@ -198,7 +204,7 @@ def noise_quantities(
     Delta = -2.0 * float(np.sum(beta * gamma / alpha))
     Dtm = B * Gamma - Delta ** 2
     if Dtm <= tol.eig_zero:
-        raise ValueError(
+        raise DegenerateNoiseError(
             "degenerate noise matrix (B*Gamma - Delta^2 ~ 0); the POVM cannot "
             "estimate both rotated targets"
         )

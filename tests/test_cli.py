@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from helpers import SZ, bloch_state, random_povm
 from povmlab.cli import main
 from povmlab.postproc import t1_identify
-from povmlab.qubit import optimal_B
+from povmlab.qubit import DegeneratePovmWarning, optimal_B
 from povmlab.serialize import (
     ensemble_to_json,
     observable_to_json,
@@ -376,6 +376,38 @@ class TestQubit:
         assert code == 0
         assert "theta,B,Gamma,Delta,total_error,bound,gap" in out
 
+    def test_sweep_skips_degenerate_endpoints(self, capsys):
+        with pytest.warns(DegeneratePovmWarning):
+            code, out, err = run(
+                capsys, ["qubit", "sweep", "--thetas", f"0:{np.pi / 2!r}:3"]
+            )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[3] == f"# skipped (degenerate): 0 {np.pi / 2!r}"
+        assert lines[4] == "theta,B,Gamma,Delta,total_error,bound,gap"
+        rows = [[float(x) for x in line.split(",")] for line in lines[5:]]
+        assert len(rows) == 2  # the middle angle, both families
+        for row in rows:
+            assert row[0] == pytest.approx(np.pi / 4)
+            assert abs(row[6]) < 1e-9
+
+    def test_sweep_all_degenerate(self, capsys):
+        with pytest.warns(DegeneratePovmWarning):
+            code, out, err = run(capsys, ["qubit", "sweep", "--thetas", "0:0:1"])
+        assert code == 2
+        assert out.splitlines()[-2:] == [
+            "# skipped (degenerate): 0", "theta,B,Gamma,Delta,total_error,bound,gap"
+        ]
+        assert err.startswith("povmlab: ") and err.count("\n") == 1
+
+    def test_sweep_csv_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run(
+            capsys, ["qubit", "sweep", "--thetas", "0.3:1.2:2", "--csv", str(target)]
+        )
+        assert code == 1 and out == ""
+        assert err == f"povmlab: {target}: No such file or directory\n"
+
     @pytest.mark.parametrize("spec", ["0.3:1.2", "a:b:3", "0.3:1.2:0"])
     def test_sweep_bad_range(self, capsys, spec):
         code, out, err = run(capsys, ["qubit", "sweep", "--thetas", spec])
@@ -402,6 +434,18 @@ class TestSimulate:
         assert payload["variance"] == pytest.approx(
             payload["predicted_error"], rel=0.05
         )
+
+    def test_z_score_is_standard_error_of_the_mean(self, capsys, sic_file, state_file, sz_file):
+        n = 1000
+        code, payload = run_json(
+            capsys,
+            ["simulate", "--povm", sic_file, "--state", state_file, "--x", sz_file,
+             "--n", str(n), "--seed", "7"],
+        )
+        assert code == 0
+        exact = float(np.real(np.trace(bloch_state([0.1, 0.2, 0.3]) @ SZ)))
+        se = np.sqrt(payload["predicted_error"] / n)
+        assert payload["z_score"] == pytest.approx((payload["mean"] - exact) / se, rel=1e-12)
 
     def test_ensemble_dual_option(self, capsys, sic_file, state_file, sz_file):
         code, payload = run_json(
@@ -440,6 +484,14 @@ class TestOutputFile:
         assert code == 0 and out == ""
         payload = json.loads(target.read_text())
         assert payload["n_elements"] == 4
+
+    def test_out_unwritable(self, capsys, sic_file, tmp_path):
+        target = tmp_path / "missing" / "dual.json"
+        code, out, err = run(
+            capsys, ["dual", "--povm", sic_file, "--out", str(target)]
+        )
+        assert code == 1 and out == ""
+        assert err == f"povmlab: {target}: No such file or directory\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,90 @@
+"""Import cost: only the linear programs load scipy.
+
+The frame math, sampling and most command-line verbs run on numpy alone;
+scipy (HiGHS) is imported on the first call of ``postproc.linprog``, the
+single entry point both post-processing LPs go through.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import povmlab
+from povmlab import postproc
+from povmlab.serialize import observable_to_json, povm_to_json, save_json_file
+from povmlab.standard import pauli_observable, projective_povm, sic_povm
+
+SRC = str(Path(povmlab.__file__).resolve().parent.parent)
+
+# Runs in a fresh interpreter: the scipy modules loaded after importing
+# the CLI and running three verbs, then after one post-processing LP.
+SCRIPT = """
+import json, sys
+import povmlab, povmlab.cli
+from povmlab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+sic, a, b, out = sys.argv[1:5]
+codes = [
+    main(["qubit", "optimal", "--theta", "0.7", "--out", out]),
+    main(["abspace", "check", "--povm", sic, "--A", a, "--B", b, "--out", out]),
+    main(["dual", "--povm", sic, "--out", out]),
+]
+after_verbs = scipy_modules()
+from povmlab.postproc import find_post_processing
+from povmlab.standard import projective_povm, sic_povm
+find_post_processing(projective_povm("z"), sic_povm())
+print(json.dumps({"codes": codes, "after_verbs": after_verbs, "after_lp": scipy_modules()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    files = []
+    for name, doc in [("sic.json", povm_to_json(sic_povm())),
+                      ("a.json", observable_to_json(pauli_observable("x"))),
+                      ("b.json", observable_to_json(pauli_observable("y")))]:
+        save_json_file(str(tmp / name), doc)
+        files.append(str(tmp / name))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, *files, str(tmp / "out.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_verbs_load_no_scipy(loaded):
+    assert loaded["codes"] == [0, 0, 0]
+    assert loaded["after_verbs"] == []
+
+
+def test_post_processing_lp_loads_scipy_optimize(loaded):
+    assert "scipy.optimize" in loaded["after_lp"]
+
+
+def test_both_lps_call_the_module_linprog(monkeypatch):
+    calls = []
+    original = postproc.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(postproc, "linprog", counting)
+    postproc.find_post_processing(projective_povm("z"), sic_povm())
+    assert len(calls) == 1
+    result = postproc.find_joint_measurement(
+        sic_povm(), [pauli_observable("x"), pauli_observable("z")]
+    )
+    assert result.feasible
+    assert len(calls) == 3  # one LP per observable

@@ -1,5 +1,7 @@
 """Tests for classical post-processing: Markov maps, cleanness, smearing, blurring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -346,6 +348,11 @@ class TestUnbias:
         with pytest.warns(UserWarning, match="clamping"):
             recovered = unbias(blur, np.array([1.0, 0.0]))
         assert_allclose(recovered, [1.0, 0.0], atol=1e-12)
+
+    def test_blur_weight_of_one_rejected(self):
+        blur = dataclasses.replace(self._z_blur(), epsilon_star=1.0)
+        with pytest.raises(ValueError, match="blur weight"):
+            unbias(blur, np.array([0.5, 0.5]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="observed frequencies"):

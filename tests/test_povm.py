@@ -70,6 +70,32 @@ class TestValidation:
         assert np.allclose(probs, direct)
         assert probs.sum() == pytest.approx(1.0)
 
+    def test_report_and_constructor_agree_with_loop_reference(self):
+        rng = np.random.default_rng(12)
+        elements = np.array(random_povm(3, 7, rng).elements)
+        elements[2, 0, 1] += 0.3  # not self-adjoint
+        elements[5] -= 0.4 * np.eye(3)  # most negative
+        elements[6] -= 0.2 * np.eye(3)
+        with pytest.raises(ValueError, match="element 2 is not self-adjoint"):
+            Povm(elements)
+        report = povm_report(list(elements) + [np.eye(2)])
+        assert [(i["index"], i["problem"]) for i in report["issues"]] == [
+            (2, "not self-adjoint"), (5, "not positive"), (6, "not positive"),
+            (7, "dimension mismatch"),
+        ]
+        m = elements[2]
+        assert report["issues"][0]["deviation"] == pytest.approx(
+            np.linalg.norm(m - m.conj().T), rel=1e-15
+        )
+        lowest = [np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] for m in elements]
+        assert report["issues"][1]["min_eigenvalue"] == lowest[5]
+        assert report["issues"][2]["min_eigenvalue"] == lowest[6]
+        elements[2] = 0.5 * (elements[2] + elements[2].conj().T)
+        with pytest.raises(NotPositiveError) as exc:
+            Povm(elements)
+        assert exc.value.index == 5
+        assert exc.value.min_eigenvalue == lowest[5]
+
     def test_report_flags_problems(self):
         report = povm_report([np.diag([1.0, 0.5]), np.diag([0.0, 0.2])])
         assert not report["valid"]
