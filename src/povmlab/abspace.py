@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, dagger, hs_norm, vectorize
+from .hs import Tolerances, dagger, hs_norm, vectorize
 from .povm import Observable, Povm
 
 
@@ -62,7 +62,7 @@ class VandermondeRecovery:
         return self.W.T @ moments
 
 
-def vandermonde_recovery(X: Observable, tol: Tolerances = DEFAULT_TOL) -> VandermondeRecovery:
+def vandermonde_recovery(X: Observable) -> VandermondeRecovery:
     """Invert the Vandermonde system on the clustered spectrum of X.
 
     Emits :class:`IllConditionedWarning` for spectra that are large
@@ -73,7 +73,7 @@ def vandermonde_recovery(X: Observable, tol: Tolerances = DEFAULT_TOL) -> Vander
     s = len(x)
     V = np.vander(x, N=s, increasing=True)  # V[k, j] = x_k^j
     condition = float(np.linalg.cond(V)) if s > 1 else 1.0
-    if s > 12 or condition > 1.0 / tol.eig_zero:
+    if s > 12 or condition > 1.0 / X.tol.eig_zero:
         warnings.warn(
             f"Vandermonde system of size {s} has condition number {condition:.3e}; "
             "recovered probabilities may be inaccurate",
@@ -97,9 +97,9 @@ class ABSpace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def contains(self, X, tol: Tolerances = DEFAULT_TOL) -> bool:
+    def contains(self, X) -> bool:
         v = vectorize(np.asarray(X, dtype=complex))
-        return float(np.linalg.norm(v - self.projector @ v)) <= tol.lin_solve
+        return float(np.linalg.norm(v - self.projector @ v)) <= self.a.tol.lin_solve
 
 
 def _orthonormalize(candidates, tol: Tolerances) -> list[np.ndarray]:
@@ -124,12 +124,12 @@ def _orthonormalize(candidates, tol: Tolerances) -> list[np.ndarray]:
     return basis
 
 
-def ab_space(A: Observable, B: Observable, tol: Tolerances = DEFAULT_TOL) -> ABSpace:
+def ab_space(A: Observable, B: Observable) -> ABSpace:
     """Build ``Span{A^n, B^n}`` with an orthonormal basis and its projector.
 
     The candidate order is the identity, then ascending powers of A, then
     ascending powers of B, so rebuilding with the same inputs gives the
-    identical basis.
+    identical basis.  Dependent candidates are cut at ``A.tol``.
     """
     if A.dim != B.dim:
         raise ValueError("observables must act on the same space")
@@ -137,7 +137,7 @@ def ab_space(A: Observable, B: Observable, tol: Tolerances = DEFAULT_TOL) -> ABS
     candidates = [np.eye(d, dtype=complex)]
     candidates.extend(independent_powers(A)[1:])
     candidates.extend(independent_powers(B)[1:])
-    basis = _orthonormalize(candidates, tol)
+    basis = _orthonormalize(candidates, A.tol)
     stacked = np.stack(basis)
     vecs = np.stack([vectorize(b) for b in basis], axis=1)
     projector = vecs @ dagger(vecs)
@@ -146,7 +146,7 @@ def ab_space(A: Observable, B: Observable, tol: Tolerances = DEFAULT_TOL) -> ABS
     return ABSpace(a=A, b=B, basis=stacked, projector=projector)
 
 
-def is_ab_infocomplete(P: Povm, S: ABSpace, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
     """Does the span of P contain the whole power subspace?
 
     When true, the statistics of P determine every moment of A and of B,
@@ -154,14 +154,14 @@ def is_ab_infocomplete(P: Povm, S: ABSpace, tol: Tolerances = DEFAULT_TOL) -> bo
     """
     Pi_S = S.projector
     Pi_P = P.span_projector
-    return float(np.linalg.norm(Pi_S @ Pi_P - Pi_S)) <= tol.lin_solve
+    return float(np.linalg.norm(Pi_S @ Pi_P - Pi_S)) <= P.tol.lin_solve
 
 
-def is_minimal_ab_infocomplete(P: Povm, S: ABSpace, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_minimal_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
     """AB-infocomplete with nothing to spare: Span(P) equals the power subspace."""
     return (
-        is_ab_infocomplete(P, S, tol)
-        and float(np.linalg.norm(P.span_projector - S.projector)) <= tol.lin_solve
+        is_ab_infocomplete(P, S)
+        and float(np.linalg.norm(P.span_projector - S.projector)) <= P.tol.lin_solve
     )
 
 
@@ -175,7 +175,7 @@ class ProjectionResult:
     failures: list  # (index, min eigenvalue) for non-positive projections
 
 
-def project_povm(P: Povm, S: ABSpace, tol: Tolerances = DEFAULT_TOL) -> ProjectionResult:
+def project_povm(P: Povm, S: ABSpace) -> ProjectionResult:
     """Project every element of P onto the subspace, checking positivity.
 
     The projections always sum to the identity (the identity lies in the
@@ -190,13 +190,13 @@ def project_povm(P: Povm, S: ABSpace, tol: Tolerances = DEFAULT_TOL) -> Projecti
     for i, q in enumerate(projected):
         herm = 0.5 * (q + dagger(q))
         lo = float(np.linalg.eigvalsh(herm)[0])
-        if lo < -tol.psd_slack:
+        if lo < -P.tol.psd_slack:
             failures.append((i, lo))
     if failures:
         return ProjectionResult(False, None, projected, failures)
     return ProjectionResult(
         True,
-        Povm(projected, labels=P.labels, tol=tol),
+        Povm(projected, labels=P.labels, tol=P.tol),
         projected,
         [],
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -247,7 +248,7 @@ def _dual_payload(P, D, tol: Tolerances, seed: int) -> dict:
 
 def cmd_dual(args, tol: Tolerances, seed: int) -> int:
     P = _load_povm(args.povm, tol)
-    D = canonical_dual(P, tol)
+    D = canonical_dual(P)
     _emit(args, _dual_payload(P, D, tol, seed))
     return EXIT_OK
 
@@ -255,7 +256,7 @@ def cmd_dual(args, tol: Tolerances, seed: int) -> int:
 def cmd_optimal_dual(args, tol: Tolerances, seed: int) -> int:
     P = _load_povm(args.povm, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
-    D = optimal_dual(P, ensemble, tol)
+    D = optimal_dual(P, ensemble)
     payload = _dual_payload(P, D, tol, seed)
     payload["metric"] = metric_diagonal(P, ensemble).diag.tolist()
     _emit(args, payload)
@@ -266,7 +267,7 @@ def cmd_min_error(args, tol: Tolerances, seed: int) -> int:
     P = _load_povm(args.povm, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
     X = _load_target(args.x, tol)
-    value = min_error(P, ensemble, X, tol)
+    value = min_error(P, ensemble, X)
     _emit(args, {"meta": _meta(tol, seed), "min_error": value})
     return EXIT_OK
 
@@ -277,12 +278,12 @@ def cmd_infocheck(args, tol: Tolerances, seed: int) -> int:
         "meta": _meta(tol, seed),
         "dim": P.dim,
         "span_rank": P.span_rank,
-        "infocomplete": is_infocomplete(P, tol),
+        "infocomplete": is_infocomplete(P),
     }
     verdict = payload["infocomplete"]
     if args.r:
         operators = [_load_target(f, tol) for f in args.r]
-        payload["r_infocomplete"] = is_r_infocomplete(P, operators, tol)
+        payload["r_infocomplete"] = is_r_infocomplete(P, operators)
         verdict = payload["r_infocomplete"]
     _emit(args, payload)
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -291,7 +292,7 @@ def cmd_infocheck(args, tol: Tolerances, seed: int) -> int:
 def cmd_postproc_check(args, tol: Tolerances, seed: int) -> int:
     Q = _load_povm(args.q, tol)
     P = _load_povm(args.p, tol)
-    search = find_post_processing(Q, P, tol)
+    search = find_post_processing(Q, P)
     payload = {
         "meta": _meta(tol, seed),
         "feasible": search.feasible,
@@ -307,7 +308,7 @@ def cmd_postproc_blur(args, tol: Tolerances, seed: int) -> int:
     P = _load_povm(args.p, tol)
     Q = _load_povm(args.q, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
-    blur = blur_for_post_processing(P, Q, ensemble, tol)
+    blur = blur_for_post_processing(P, Q, ensemble)
     payload = {
         "meta": _meta(tol, seed),
         "epsilon_star": blur.epsilon_star,
@@ -323,7 +324,7 @@ def cmd_postproc_blur(args, tol: Tolerances, seed: int) -> int:
 def cmd_postproc_joint(args, tol: Tolerances, seed: int) -> int:
     P = _load_povm(args.povm, tol)
     observables = [_load_observable(f, tol) for f in args.x]
-    result = find_joint_measurement(P, observables, tol)
+    result = find_joint_measurement(P, observables)
     payload = {
         "meta": _meta(tol, seed),
         "feasible": result.feasible,
@@ -345,7 +346,7 @@ def cmd_postproc_joint(args, tol: Tolerances, seed: int) -> int:
 def cmd_abspace_build(args, tol: Tolerances, seed: int) -> int:
     A = _load_observable(args.A, tol)
     B = _load_observable(args.B, tol)
-    space = ab_space(A, B, tol)
+    space = ab_space(A, B)
     payload = {
         "meta": _meta(tol, seed),
         "span_dim": space.dim,
@@ -359,12 +360,12 @@ def cmd_abspace_check(args, tol: Tolerances, seed: int) -> int:
     P = _load_povm(args.povm, tol)
     A = _load_observable(args.A, tol)
     B = _load_observable(args.B, tol)
-    space = ab_space(A, B, tol)
-    ab_ok = is_ab_infocomplete(P, space, tol)
+    space = ab_space(A, B)
+    ab_ok = is_ab_infocomplete(P, space)
     payload = {
         "meta": _meta(tol, seed),
         "ab_infocomplete": ab_ok,
-        "minimal": is_minimal_ab_infocomplete(P, space, tol),
+        "minimal": is_minimal_ab_infocomplete(P, space),
         "span_dim": space.dim,
     }
     _emit(args, payload)
@@ -379,7 +380,7 @@ def _optimal_family(family: str, theta: float, tol: Tolerances):
 
 def cmd_qubit_optimal(args, tol: Tolerances, seed: int) -> int:
     P = _optimal_family(args.family, args.theta, tol)
-    summary = noise_quantities(P, six_state_ensemble(tol), args.theta, tol)
+    summary = noise_quantities(P, six_state_ensemble(tol), args.theta)
     payload = povm_to_json(P)
     payload["meta"] = _meta(tol, seed)
     payload["summary"] = {
@@ -426,7 +427,7 @@ def cmd_qubit_sweep(args, tol: Tolerances, seed: int) -> int:
         for family in families:
             P = _optimal_family(family, float(theta), tol)
             try:
-                s = noise_quantities(P, ensemble, float(theta), tol)
+                s = noise_quantities(P, ensemble, float(theta))
             except DegenerateNoiseError:
                 if theta not in skipped:
                     skipped.append(theta)
@@ -448,11 +449,11 @@ def cmd_simulate(args, tol: Tolerances, seed: int) -> int:
     rho = _load_state(args.state, tol)
     X = _load_target(args.x, tol)
     if args.ensemble:
-        D = optimal_dual(P, _load_ensemble(args.ensemble, P.dim, tol), tol)
+        D = optimal_dual(P, _load_ensemble(args.ensemble, P.dim, tol))
     else:
-        D = canonical_dual(P, tol)
-    c = processing_from_dual(D, X, tol)
-    run = sample(P, rho, args.n, seed, tol=tol)
+        D = canonical_dual(P)
+    c = processing_from_dual(D, X)
+    run = sample(P, rho, args.n, seed)
     mean, variance = empirical_estimate(run, c, tol)
     predicted = statistical_error(P, c, rho)
     exact = float(np.real(np.trace(rho @ as_operator(X))))
@@ -592,8 +593,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """One stderr line per warning, without the source location."""
+    return f"povmlab: warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # formatting, not showing, is replaced: a recorder such as
+    # ``warnings.catch_warnings(record=True)`` still receives every warning
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         tol, seed = _resolve_options(args)
         return args.func(args, tol, seed)
@@ -609,6 +618,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"povmlab: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

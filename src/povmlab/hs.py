@@ -76,86 +76,9 @@ def vectorize(X: np.ndarray) -> np.ndarray:
     return X.reshape(-1)
 
 
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`; requires a perfect-square length."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a flat vector, got shape {v.shape}")
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"length {v.size} is not a perfect square")
-    return v.reshape(d, d)
-
-
-def hs_inner(X: np.ndarray, Y: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product ``Tr[X^dag Y]`` (conjugate-linear in X)."""
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
-    if X.shape != Y.shape:
-        raise ValueError(f"dimension mismatch: {X.shape} vs {Y.shape}")
-    return complex(np.vdot(X, Y))
-
-
 def hs_norm(X: np.ndarray) -> float:
-    """Frobenius norm, i.e. the norm induced by :func:`hs_inner`."""
+    """Frobenius norm, i.e. the norm induced by the HS inner product."""
     return float(np.linalg.norm(X))
-
-
-def swap_transpose(X: np.ndarray) -> np.ndarray:
-    """Transpose of ``X``; the action of the HS swap operator on |X>."""
-    return np.asarray(X, dtype=complex).T.copy()
-
-
-def swap_operator(d: int) -> np.ndarray:
-    """Dense d^2 x d^2 matrix E with ``E @ vectorize(X) == vectorize(X.T)``.
-
-    E exchanges the two tensor factors: ``E (|phi> (x) |psi>) = |psi> (x) |phi>``.
-    """
-    E = np.zeros((d * d, d * d))
-    for m in range(d):
-        for n in range(d):
-            E[m * d + n, n * d + m] = 1.0
-    return E
-
-
-def kron_action(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Apply the superoperator ``A (x) B`` to |X>, i.e. return ``A X B^T``."""
-    A = as_operator(A)
-    B = as_operator(B)
-    X = as_operator(X)
-    if not (A.shape == B.shape == X.shape):
-        raise ValueError("A, B and X must share one dimension")
-    return A @ X @ B.T
-
-
-def hermitian_part(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + dagger(X))
-
-
-def is_hermitian(X: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    X = as_operator(X)
-    return float(np.linalg.norm(X - dagger(X))) <= tol.lin_solve
-
-
-def min_eigenvalue(X: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``X``."""
-    return float(np.linalg.eigvalsh(hermitian_part(as_operator(X)))[0])
-
-
-def is_psd(X: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Check positive semidefiniteness of a self-adjoint operator.
-
-    Raises
-    ------
-    ValueError
-        If ``X`` is not self-adjoint within ``tol.lin_solve``; positivity
-        is only meaningful for self-adjoint operators.
-    """
-    X = as_operator(X)
-    deviation = float(np.linalg.norm(X - dagger(X)))
-    if deviation > tol.lin_solve:
-        raise ValueError(f"operator is not self-adjoint (deviation {deviation:.3e})")
-    return min_eigenvalue(X) >= -tol.psd_slack
 
 
 def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):

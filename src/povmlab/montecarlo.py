@@ -50,13 +50,15 @@ class SampleRun:
         return self.counts / self.n_ex
 
 
-def outcome_distribution(P: Povm, rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def outcome_distribution(P: Povm, rho) -> np.ndarray:
     """Validated Born-rule distribution ``Tr[rho P_i]``.
 
-    Raises if the probabilities miss unit total by more than ``lin_solve``
-    or go negative beyond ``psd_slack``; negativity within slack is
-    clamped to zero and the vector renormalized, with a warning.
+    Raises if the probabilities miss unit total by more than
+    ``P.tol.lin_solve`` or go negative beyond ``P.tol.psd_slack``;
+    negativity within slack is clamped to zero and the vector
+    renormalized, with a warning.
     """
+    tol = P.tol
     rho = as_operator(rho)
     probs = P.probabilities(rho)
     if abs(float(probs.sum()) - 1.0) > tol.lin_solve:
@@ -95,20 +97,18 @@ def _uniform_stream(seed: int, start: int, stop: int) -> np.ndarray:
     return gen.random(stop - start)
 
 
-def sample_range(P: Povm, rho, start: int, stop: int, seed: int,
-                 tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def sample_range(P: Povm, rho, start: int, stop: int, seed: int) -> np.ndarray:
     """Counts from draws ``[start, stop)`` of the seeded outcome stream."""
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
-    probs = outcome_distribution(P, rho, tol)
+    probs = outcome_distribution(P, rho)
     edges = np.cumsum(probs)
     edges[-1] = 1.0  # guard against rounding so every uniform lands in range
     outcomes = np.searchsorted(edges, _uniform_stream(seed, start, stop), side="right")
     return np.bincount(outcomes, minlength=len(P)).astype(np.int64)
 
 
-def sample(P: Povm, rho, n_ex: int, seed: int, *,
-           chunk_size: int | None = None, tol: Tolerances = DEFAULT_TOL) -> SampleRun:
+def sample(P: Povm, rho, n_ex: int, seed: int, *, chunk_size: int | None = None) -> SampleRun:
     """``n_ex`` i.i.d. Born-rule draws; deterministic given the seed.
 
     ``chunk_size`` bounds the memory of the uniform buffer; the counts do
@@ -120,7 +120,7 @@ def sample(P: Povm, rho, n_ex: int, seed: int, *,
         chunk_size = n_ex
     counts = np.zeros(len(P), dtype=np.int64)
     for start in range(0, n_ex, chunk_size):
-        counts += sample_range(P, rho, start, min(start + chunk_size, n_ex), seed, tol)
+        counts += sample_range(P, rho, start, min(start + chunk_size, n_ex), seed)
     return SampleRun(seed=seed, n_ex=n_ex, counts=counts)
 
 
@@ -163,15 +163,14 @@ def empirical_estimate(run: SampleRun, c: ProcessingFunction,
     return mean, max(variance, 0.0)
 
 
-def stream_variance(P: Povm, rho, c: ProcessingFunction,
-                    tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
+def stream_variance(P: Povm, rho, c: ProcessingFunction) -> tuple[float, float]:
     """Population variance and fourth central moment of the processed stream.
 
     ``var = E[c^2] - E[c]^2`` is the predicted per-measurement error;
     ``mu4`` feeds :func:`variance_band` for acceptance bands on the
     empirical variance.
     """
-    probs = outcome_distribution(P, rho, tol)
+    probs = outcome_distribution(P, rho)
     values = np.asarray(c.coefficients).real
     mean = float(np.dot(values, probs))
     centered = values - mean

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, as_operator, dagger, vectorize
+from .hs import DEFAULT_TOL, Tolerances, dagger, vectorize
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, optimal_dual
 
@@ -139,7 +139,7 @@ class PostProcessingSearch:
     residual: float
 
 
-def find_post_processing(Q: Povm, P: Povm, tol: Tolerances = DEFAULT_TOL) -> PostProcessingSearch:
+def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
     """Search for a Markov matrix ``m`` with ``Q_j = sum_i m(j|i) P_i``.
 
     The linear program minimizes the largest entrywise synthesis residual
@@ -187,22 +187,22 @@ def find_post_processing(Q: Povm, P: Povm, tol: Tolerances = DEFAULT_TOL) -> Pos
     m /= m.sum(axis=0, keepdims=True)
     residual = float(np.max(np.abs(A @ m.T - b))) if n_rows else 0.0
     if residual <= FEASIBILITY_RESIDUAL:
-        return PostProcessingSearch(True, MarkovMatrix(m, tol=tol), residual)
+        return PostProcessingSearch(True, MarkovMatrix(m, tol=P.tol), residual)
     return PostProcessingSearch(False, None, residual)
 
 
-def is_post_processing_of(Q: Povm, P: Povm, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_post_processing_of(Q: Povm, P: Povm) -> bool:
     """True when ``Q`` can be simulated classically from the statistics of ``P``."""
-    return find_post_processing(Q, P, tol).feasible
+    return find_post_processing(Q, P).feasible
 
 
-def is_clean(P: Povm, tol: Tolerances | None = None) -> bool:
+def is_clean(P: Povm) -> bool:
     """All elements rank one: no measurement strictly refines P.
 
     Rank-one POVMs are exactly the maximal ones under the post-processing
     pseudo-order, so this cheap spectral test characterizes cleanness.
     """
-    tol = tol or P.tol
+    tol = P.tol
     for m in P.elements:
         lam = np.linalg.eigvalsh(0.5 * (m + dagger(m)))
         cutoff = max(tol.eig_zero * lam[-1], tol.psd_slack)
@@ -211,14 +211,16 @@ def is_clean(P: Povm, tol: Tolerances | None = None) -> bool:
     return True
 
 
-def smear_out(Q: Povm, c: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, MarkovMatrix]:
+def smear_out(Q: Povm, c: np.ndarray) -> tuple[Povm, MarkovMatrix]:
     """Shift-and-rescale a processing array into a genuine post-processing.
 
     ``c[i, j]`` are coefficients with ``sum_i c[i, j] P_i = Q_j`` and rows
     summing to one.  With ``a_j = max_i max(0, -c[i, j])`` and
     ``t = 1 + sum_j a_j`` the smeared POVM ``(Q_j + a_j 1)/t`` is a genuine
     post-processing of P with Markov entries ``(c[i, j] + a_j)/t``.
+    Both are built at ``Q.tol``.
     """
+    tol = Q.tol
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[1] != len(Q):
         raise ValueError("coefficient array must have one column per target outcome")
@@ -262,12 +264,7 @@ def minimal_blur(c_min: float, n_outcomes: int) -> float:
     return -n_outcomes * c_bar / (1.0 - n_outcomes * c_bar)
 
 
-def blur_for_post_processing(
-    P: Povm,
-    Q: Povm,
-    ensemble: Ensemble,
-    tol: Tolerances = DEFAULT_TOL,
-) -> BlurResult:
+def blur_for_post_processing(P: Povm, Q: Povm, ensemble: Ensemble) -> BlurResult:
     """Blur ``Q`` just enough that it becomes a post-processing of ``P``.
 
     The optimal dual of P under the ensemble provides coefficients
@@ -276,8 +273,10 @@ def blur_for_post_processing(
     all coefficients nonnegative at ``eps* = minimal_blur(...)``; the
     resulting conditional probabilities realize the blurred target
     exactly, at the price of inflating statistical errors by
-    ``1/(1-eps*)^2`` after unbiasing.
+    ``1/(1-eps*)^2`` after unbiasing.  The blurred POVM and its Markov
+    matrix are built at ``P.tol``.
     """
+    tol = P.tol
     if P.dim != Q.dim:
         raise ValueError("POVMs must act on the same space")
     Pi = P.span_projector
@@ -286,7 +285,7 @@ def blur_for_post_processing(
         residual = float(np.linalg.norm(v - Pi @ v))
         if residual > tol.lin_solve:
             raise OutsideSpanError(residual, f"target element {j}")
-    D = optimal_dual(P, ensemble, tol)
+    D = optimal_dual(P, ensemble)
     c = np.real(
         np.einsum("iab,jba->ij", np.conj(np.transpose(D.elements, (0, 2, 1))), Q.elements)
     )
@@ -362,24 +361,24 @@ def unbias(blur: BlurResult, observed, observable: Observable | None = None):
     return recovered
 
 
-def convex_union(P: Povm, Q: Povm, lam: float, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def convex_union(P: Povm, Q: Povm, lam: float) -> Povm:
     """Random choice between measurements: elements ``lam P_i`` then ``(1-lam) Q_j``."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
     if P.dim != Q.dim:
         raise ValueError("POVMs must act on the same space")
     elements = [lam * m for m in P.elements] + [(1.0 - lam) * m for m in Q.elements]
-    return Povm(elements, tol=tol)
+    return Povm(elements, tol=P.tol)
 
 
-def is_imperfect_measurement_of(P: Povm, X: Observable, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_imperfect_measurement_of(P: Povm, X: Observable) -> bool:
     """Is every outcome of P a classically noisy readout of the observable X?
 
     Equivalent formulations: P is a post-processing of the spectral POVM
     of X, or every element of P is a function of X (commutes with X and
     lies in the span of its spectral projectors).
     """
-    return find_post_processing(P, spectral_povm(X), tol).feasible
+    return find_post_processing(P, spectral_povm(X)).feasible
 
 
 @dataclass(frozen=True)
@@ -413,12 +412,13 @@ def _function_of_constraints(X: Observable, P: Povm):
     return np.vstack([np.real(W), np.imag(W)])
 
 
-def looks_like_convex_union(P: Povm, observables, tol: Tolerances = DEFAULT_TOL) -> bool:
+def looks_like_convex_union(P: Povm, observables) -> bool:
     """Every element of P proportional to a spectral projector of some observable.
 
     Such POVMs arise from randomly choosing which observable to measure,
     and their joint-measurement certificates are automatic.
     """
+    tol = P.tol
     for m in P.elements:
         matched = False
         t = float(np.real(np.trace(m)))
@@ -437,11 +437,7 @@ def looks_like_convex_union(P: Povm, observables, tol: Tolerances = DEFAULT_TOL)
     return True
 
 
-def find_joint_measurement(
-    P: Povm,
-    observables,
-    tol: Tolerances = DEFAULT_TOL,
-) -> JointMeasurementResult:
+def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
     """Joint-measurement certificates for several observables from one POVM.
 
     For each observable ``X`` with spectrum size ``s`` the LP searches a
@@ -452,6 +448,7 @@ def find_joint_measurement(
     first ``s`` processed elements and the spectral projectors; constant
     columns in the returned map flag certificates that ignore the data.
     """
+    tol = P.tol
     observables = list(observables)
     certificates = []
     n_in = len(P)
@@ -495,5 +492,5 @@ def find_joint_measurement(
             )
         )
     return JointMeasurementResult(
-        True, certificates, None, looks_like_convex_union(P, observables, tol)
+        True, certificates, None, looks_like_convex_union(P, observables)
     )

@@ -140,11 +140,9 @@ class Povm:
     def _svd(self):
         return truncated_svd(self.design_matrix, self.tol)
 
-    def svd(self, tol: Tolerances | None = None):
-        """Truncated SVD ``U, s, Vh`` of the design matrix; cached at the POVM's own ``tol``."""
-        if tol is None or tol == self.tol:
-            return self._svd
-        return truncated_svd(self.design_matrix, tol)
+    def svd(self):
+        """Truncated SVD ``U, s, Vh`` of the design matrix, cut at ``self.tol`` and cached."""
+        return self._svd
 
     @cached_property
     def span_projector(self) -> np.ndarray:
@@ -162,11 +160,6 @@ class Povm:
         if rho.shape != (self.dim, self.dim):
             raise ValueError("state dimension mismatch")
         return np.real(np.einsum("ab,iba->i", rho, self.elements))
-
-
-def validate_povm(elements, tol: Tolerances = DEFAULT_TOL, labels=None) -> Povm:
-    """Build a :class:`Povm`, raising a descriptive error when invalid."""
-    return Povm(elements, labels=labels, tol=tol)
 
 
 def _element_figures(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,15 +243,15 @@ class DualFrame:
         return float(np.linalg.norm(resolution - self.povm.span_projector))
 
 
-def canonical_dual(P: Povm, tol: Tolerances | None = None) -> DualFrame:
+def canonical_dual(P: Povm) -> DualFrame:
     """Canonical dual frame ``Delta_i = F^+ |P_i>``, with ``F = V V^dag`` the frame operator.
 
     Computed as the columns of ``(V^+)^dag = U diag(1/s) Vh`` from the
     truncated SVD of the design matrix ``V``, which cuts V's singular values
-    at ``tol.eig_zero`` like the span projector does; forming ``F`` would
+    at ``P.tol.eig_zero`` like the span projector does; forming ``F`` would
     square the condition number and drop directions the span keeps.
     """
-    U, s, Vh = P.svd(tol)
+    U, s, Vh = P.svd()
     return DualFrame(((U / s) @ Vh).T.reshape(P.elements.shape), P)
 
 
@@ -283,24 +276,23 @@ def symmetrize_dual(D: DualFrame) -> DualFrame:
     return DualFrame(sym, D.povm)
 
 
-def is_r_infocomplete(P: Povm, operators, tol: Tolerances | None = None) -> bool:
+def is_r_infocomplete(P: Povm, operators) -> bool:
     """Does ``Span(operators)`` sit inside the span of the POVM elements?
 
     When true, every expectation ``Tr[rho R]`` with R in the given span is
     recoverable from the statistics of P.
     """
-    tol = tol or P.tol
-    Pi_R = span_projector(operators, tol)
+    Pi_R = span_projector(operators, P.tol)
     Pi_P = P.span_projector
-    return float(np.linalg.norm(Pi_R @ Pi_P - Pi_R)) <= tol.lin_solve
+    return float(np.linalg.norm(Pi_R @ Pi_P - Pi_R)) <= P.tol.lin_solve
 
 
-def is_infocomplete(P: Povm, tol: Tolerances | None = None) -> bool:
+def is_infocomplete(P: Povm) -> bool:
     """Full informational completeness: the elements span all of HS space."""
-    return len(P.svd(tol)[1]) == P.dim ** 2
+    return P.span_rank == P.dim ** 2
 
 
-def rank_one_refinement(P: Povm, tol: Tolerances | None = None) -> Povm:
+def rank_one_refinement(P: Povm) -> Povm:
     """Split every element into its rank-one eigen-pieces.
 
     Each ``P_i`` with spectral decomposition ``sum_k lam_k |v_k><v_k|``
@@ -308,7 +300,7 @@ def rank_one_refinement(P: Povm, tol: Tolerances | None = None) -> Povm:
     refined POVM reproduces P by merging outcomes, and every element of
     the refinement is rank one.
     """
-    tol = tol or P.tol
+    tol = P.tol
     pieces = []
     labels = []
     for i, m in enumerate(P.elements):

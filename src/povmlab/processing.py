@@ -12,9 +12,10 @@ The ensemble-optimal dual is the canonical dual of the weighted frame
 with ``G = sum_i |P_i><P_i| / pi_i`` and ``pi_i`` the barycenter probability
 of outcome i.  It comes from one truncated SVD of ``V diag(pi^-1/2)``, is
 cached on the POVM per ensemble, and ``min_error`` reads its coefficients
-from that cache.  Outcomes with ``pi_i <= tol.eig_zero`` cannot influence
-the ensemble error: they keep their canonical duals, the others absorb the
-difference, and a :class:`DegenerateMetricWarning` is raised.
+from that cache.  Outcomes with ``pi_i <= P.tol.eig_zero`` cost nothing in
+the ensemble error, so their coefficients are left free: the live outcomes
+are weighted off the span of the dead ones, the dead duals complete the
+resolution, and a :class:`DegenerateMetricWarning` is raised.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances, as_operator, dagger, truncated_svd, vectorize
-from .povm import DualFrame, Povm, canonical_dual
+from .povm import DualFrame, Povm
 
 
 class OutsideSpanError(ValueError):
@@ -105,15 +106,19 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class MetricMatrix:
-    """Diagonal metric ``pi_ii = Tr[rho_E P_i]`` used by the optimal dual."""
+    """Diagonal metric ``pi_ii = Tr[rho_E P_i]`` used by the optimal dual.
+
+    Entries below ``-tol.psd_slack`` are rejected; smaller negatives are clipped to zero.
+    """
 
     diag: np.ndarray
+    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
         if d.ndim != 1:
             raise ValueError("metric diagonal must be a vector")
-        if np.any(d < -DEFAULT_TOL.psd_slack):
+        if np.any(d < -self.tol.psd_slack):
             raise ValueError("metric entries are probabilities and cannot be negative")
         d = np.clip(d, 0.0, None)
         d.setflags(write=False)
@@ -126,7 +131,7 @@ class MetricMatrix:
 
 def metric_diagonal(P: Povm, ensemble: Ensemble) -> MetricMatrix:
     """Outcome probabilities of ``P`` under the ensemble barycenter."""
-    return MetricMatrix(P.probabilities(ensemble.barycenter))
+    return MetricMatrix(P.probabilities(ensemble.barycenter), P.tol)
 
 
 @dataclass(frozen=True)
@@ -152,13 +157,12 @@ def _span_residual(P: Povm, X: np.ndarray) -> float:
     return float(np.linalg.norm(v - P.span_projector @ v))
 
 
-def processing_from_dual(D: DualFrame, X, tol: Tolerances | None = None) -> ProcessingFunction:
+def processing_from_dual(D: DualFrame, X) -> ProcessingFunction:
     """Coefficients ``c_i = Tr[D_i^dag X]`` for a span-contained target X."""
     X = as_operator(X)
     P = D.povm
-    tol = tol or P.tol
     residual = _span_residual(P, X)
-    if residual > tol.lin_solve:
+    if residual > P.tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
     return ProcessingFunction(X, np.conj(D.elements.reshape(len(D), -1)) @ X.reshape(-1))
 
@@ -188,37 +192,38 @@ def ensemble_error(P: Povm, c: ProcessingFunction, ensemble: Ensemble) -> float:
     )
 
 
-def _optimal(P: Povm, ensemble: Ensemble, tol: Tolerances):
-    """Optimal dual elements and barycenter probabilities; cached on P per ensemble at ``P.tol``."""
-    cache = P.by_ensemble if tol == P.tol else {}
-    if ensemble not in cache:
+def _optimal(P: Povm, ensemble: Ensemble):
+    """Optimal dual elements and barycenter probabilities; cached on P per ensemble."""
+    tol = P.tol
+    if ensemble not in P.by_ensemble:
         pi = metric_diagonal(P, ensemble).diag
         live = pi > tol.eig_zero
-        V = P.design_matrix
+        V_L, V_D = P.design_matrix[:, live], P.design_matrix[:, ~live]
+        U_D, s_D, Vh_D = truncated_svd(V_D, tol)
         root = np.sqrt(pi[live])
-        U, s, Vh = truncated_svd(V[:, live] / root, tol)
-        weighted = (U / s) @ Vh / root  # W_L in the docstring of optimal_dual
-        if np.all(live):
-            duals = weighted
-        else:
-            duals = canonical_dual(P, tol).elements.reshape(len(P), -1).T.copy()
-            duals[:, live] = weighted - duals[:, ~live] @ (dagger(V[:, ~live]) @ weighted)
+        A = V_L / root
+        U, s, Vh = truncated_svd(A - U_D @ (dagger(U_D) @ A), tol)  # Q V_L diag(pi_L^-1/2)
+        duals = np.empty(P.design_matrix.shape, dtype=complex)
+        duals[:, live] = (U / s) @ Vh / root
+        W_D = (U_D / s_D) @ Vh_D  # (V_D^+)^dag, inside the span, so Pi W_D = W_D
+        duals[:, ~live] = W_D - duals[:, live] @ (dagger(V_L) @ W_D)
         duals = duals.T.reshape(P.elements.shape)
         duals.setflags(write=False)
-        cache[ensemble] = (duals, pi)
-    duals, pi = cache[ensemble]
+        P.by_ensemble[ensemble] = (duals, pi)
+    duals, pi = P.by_ensemble[ensemble]
     dead = int(np.count_nonzero(pi <= tol.eig_zero))
     if dead:
         warnings.warn(
             f"{dead} outcome(s) have zero probability under the ensemble barycenter; "
-            "they keep their canonical duals and the other outcomes absorb the difference",
+            "their coefficients cost nothing and take the minimum-norm values "
+            "that complete the dual",
             DegenerateMetricWarning,
             stacklevel=3,
         )
     return duals, pi
 
 
-def optimal_dual(P: Povm, ensemble: Ensemble, tol: Tolerances | None = None) -> DualFrame:
+def optimal_dual(P: Povm, ensemble: Ensemble) -> DualFrame:
     """Dual frame minimizing the ensemble error for every span-contained target.
 
     With ``pi_i = Tr[rho_E P_i]`` the barycenter outcome probabilities and
@@ -227,32 +232,32 @@ def optimal_dual(P: Povm, ensemble: Ensemble, tol: Tolerances | None = None) -> 
     ``P_i / sqrt(pi_i)`` rescaled by ``1 / sqrt(pi_i)``.  It is read off one
     truncated SVD of ``V diag(pi^-1/2)`` and cached on ``P`` per ensemble.
 
-    Outcomes with ``pi_i <= tol.eig_zero`` (the dead set D) cannot
-    influence the ensemble error.  They keep their canonical duals
-    ``Delta_D``, with a :class:`DegenerateMetricWarning`, and the live
-    outcomes L take ``D_L = W_L - Delta_D (V_D^dag W_L)``, where ``W_L`` is
-    the weighted canonical dual of the live outcomes alone.
+    Outcomes with ``pi_i <= P.tol.eig_zero`` (the dead set D) cost nothing
+    in the ensemble error, so their coefficients are free, and a
+    :class:`DegenerateMetricWarning` is raised.  With ``Q`` the projector
+    off ``span(V_D)``, the live outcomes L take ``D_L^dag =
+    diag(pi_L^-1/2) (Q V_L diag(pi_L^-1/2))^+`` and the dead ones the
+    minimum-norm completion ``D_D^dag = V_D^+ (Pi - V_L D_L^dag)``, with
+    ``Pi`` the span projector.  When every outcome is live, ``Q = 1``.
     """
-    return DualFrame(_optimal(P, ensemble, tol or P.tol)[0], P)
+    return DualFrame(_optimal(P, ensemble)[0], P)
 
 
-def min_error(P: Povm, ensemble: Ensemble, X, tol: Tolerances | None = None) -> float:
+def min_error(P: Povm, ensemble: Ensemble, X) -> float:
     """Minimum ensemble error over all processing functions for target X.
 
     The ensemble error of the optimal dual, ``sum_i pi_i |<D_i|X>|^2 -
     avg_j <X>_{rho_j}^2``, with the duals taken from the per-ensemble
     cache of :func:`optimal_dual`, so each further target costs one
     N x d^2 product.  When every outcome has positive probability this is
-    ``<X| G^+ |X> - avg_j <X>_{rho_j}^2``.  Zero-probability outcomes keep
-    their canonical coefficients, as in :func:`optimal_dual`, with the same
-    warning; for linearly independent elements those coefficients are the
-    only ones possible.
+    ``<X| G^+ |X> - avg_j <X>_{rho_j}^2``.  Zero-probability outcomes
+    cost nothing, so their coefficients are left free, as in
+    :func:`optimal_dual`, with the same warning.
     """
-    tol = tol or P.tol
     X = as_operator(X)
     residual = _span_residual(P, X)
-    if residual > tol.lin_solve:
+    if residual > P.tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
-    duals, pi = _optimal(P, ensemble, tol)
+    duals, pi = _optimal(P, ensemble)
     c = np.conj(duals.reshape(len(P), -1)) @ X.reshape(-1)
     return float(np.dot(np.abs(c) ** 2, pi)) - ensemble.second_moment(X)

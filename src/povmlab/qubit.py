@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, as_operator
+from .hs import DEFAULT_TOL, Tolerances
 from .povm import Povm
 from .processing import Ensemble
 
@@ -77,16 +77,15 @@ class BlochPovm:
         return self.coefficients.shape[0]
 
     @classmethod
-    def from_povm(cls, P: Povm, tol: Tolerances | None = None) -> "BlochPovm":
+    def from_povm(cls, P: Povm) -> "BlochPovm":
         if P.dim != 2:
             raise ValueError("Bloch coordinates exist for qubit POVMs only")
-        tol = tol or P.tol
         rows = []
         for m in P.elements:
             rows.append(
                 [float(np.real(np.trace(m @ basis))) / 2.0 for basis in (_ID,) + _PAULIS]
             )
-        return cls(np.array(rows), tol=tol)
+        return cls(np.array(rows), tol=P.tol)
 
     def to_povm(self) -> Povm:
         elements = [
@@ -95,11 +94,11 @@ class BlochPovm:
         ]
         return Povm(elements, tol=self.tol)
 
-    def is_rank_one(self, slack: float = 1e-9) -> bool:
-        """All elements rank one: Bloch radius equal to alpha."""
+    def is_rank_one(self) -> bool:
+        """All elements rank one: Bloch radius equal to alpha within ``self.tol.lin_solve``."""
         alpha = self.coefficients[:, 0]
         radius = np.linalg.norm(self.coefficients[:, 1:], axis=1)
-        return bool(np.all(np.abs(radius - alpha) <= slack))
+        return bool(np.all(np.abs(radius - alpha) <= self.tol.lin_solve))
 
 
 def sigma_pm(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -145,24 +144,15 @@ class NoiseSummary:
     bound: float
 
 
-def _second_moment(ensemble: Ensemble, X: np.ndarray) -> float:
-    vals = np.real(np.einsum("jab,ba->j", ensemble.states, X))
-    return float(np.dot(ensemble.weights, vals ** 2))
-
-
-def noise_quantities(
-    P,
-    ensemble: Ensemble,
-    theta: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> NoiseSummary:
+def noise_quantities(P, ensemble: Ensemble, theta: float) -> NoiseSummary:
     """Noise quantities and joint error of a planar POVM at angle ``theta``.
 
     Parameters
     ----------
     P:
         :class:`BlochPovm` or qubit :class:`~povmlab.povm.Povm` with all
-        elements in the x-y plane (``delta_i = 0``).
+        elements in the x-y plane (``delta_i = 0``); its ``tol`` sets
+        every threshold.
     ensemble:
         State ensemble whose barycenter must be the maximally mixed state.
     theta:
@@ -179,7 +169,8 @@ def noise_quantities(
         not apply then (use the general minimum-error routine instead).
     """
     if isinstance(P, Povm):
-        P = BlochPovm.from_povm(P, tol)
+        P = BlochPovm.from_povm(P)
+    tol = P.tol
     if float(np.linalg.norm(ensemble.barycenter - 0.5 * _ID)) > tol.lin_solve:
         raise NotIsotropicError(
             "noise quantities assume an isotropic ensemble (barycenter 1/2)"
@@ -212,8 +203,8 @@ def noise_quantities(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneratePovmWarning)
         s_plus, s_minus = sigma_pm(theta)
-    m_plus = _second_moment(ensemble, s_plus)
-    m_minus = _second_moment(ensemble, s_minus)
+    m_plus = ensemble.second_moment(s_plus)
+    m_minus = ensemble.second_moment(s_minus)
     kappa = 0.5 * (m_plus + m_minus)
 
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2

@@ -76,15 +76,6 @@ ENSEMBLE_PRESETS = {
 }
 
 
-def ensemble_preset(name: str, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
-    try:
-        factory = ENSEMBLE_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(set(ENSEMBLE_PRESETS)))
-        raise KeyError(f"unknown ensemble preset {name!r}; known presets: {known}") from None
-    return factory(tol=tol)
-
-
 def pauli_observable(axis: str, tol: Tolerances = DEFAULT_TOL) -> Observable:
     sigma = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
     return Observable(sigma, tol=tol)

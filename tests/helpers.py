@@ -27,6 +27,12 @@ def random_pure_state(d, rng):
     return np.outer(v, v.conj())
 
 
+def kernel_state(m):
+    """Pure state in the kernel of a rank-deficient element: it never triggers that outcome."""
+    psi = np.linalg.eigh(m)[1][:, 0]
+    return np.outer(psi, psi.conj())
+
+
 def bloch_state(v):
     v = np.asarray(v, dtype=float)
     return 0.5 * (np.eye(2) + v[0] * SX + v[1] * SY + v[2] * SZ)

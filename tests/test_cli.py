@@ -1,11 +1,16 @@
 """End-to-end tests of the command line, run in process through ``main``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import povmlab
 from helpers import SZ, bloch_state, random_povm
 from povmlab.cli import main
 from povmlab.postproc import t1_identify
@@ -399,6 +404,22 @@ class TestQubit:
             "# skipped (degenerate): 0", "theta,B,Gamma,Delta,total_error,bound,gap"
         ]
         assert err.startswith("povmlab: ") and err.count("\n") == 1
+
+    def test_sweep_warnings_are_one_line_each(self):
+        # pytest records warnings raised in process, so only a fresh
+        # interpreter shows what reaches stderr
+        src = str(Path(povmlab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "povmlab", "qubit", "sweep", "--thetas", "0:0.5:3"],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert "povmlab: warning: DegeneratePovmWarning: theta at an endpoint" in lines[0]
+        assert all(line.startswith("povmlab: warning: ") for line in lines)
+        assert ".py:" not in proc.stderr
 
     def test_sweep_csv_unwritable(self, capsys, tmp_path):
         target = tmp_path / "missing" / "sweep.csv"

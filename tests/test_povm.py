@@ -18,7 +18,6 @@ from povmlab.povm import (
     rank_one_refinement,
     spectral_povm,
     symmetrize_dual,
-    validate_povm,
 )
 from povmlab.standard import TETRAHEDRON, projective_povm, sic_povm, trine_povm
 
@@ -35,20 +34,20 @@ from helpers import (
 
 class TestValidation:
     def test_projective_is_valid(self):
-        P = validate_povm(projective_povm("z").elements)
+        P = Povm(projective_povm("z").elements)
         assert len(P) == 2
         assert P.dim == 2
 
     def test_non_positive_element_raises_with_index(self):
         bad = [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]
         with pytest.raises(NotPositiveError) as exc:
-            validate_povm(bad)
+            Povm(bad)
         assert exc.value.index == 1
         assert exc.value.min_eigenvalue == pytest.approx(-0.5)
 
     def test_incomplete_raises_with_residual(self):
         with pytest.raises(NotCompleteError) as exc:
-            validate_povm([np.diag([0.5, 0.5])])
+            Povm([np.diag([0.5, 0.5])])
         assert exc.value.residual == pytest.approx(np.sqrt(0.5))
 
     def test_zero_elements_dropped_with_warning(self):
@@ -210,7 +209,8 @@ class TestInfocompleteness:
     def test_other_tolerance_cuts_without_the_cache(self):
         # the smallest singular value of V is about 1e-6 of the largest
         P = ill_conditioned_minimal_povm()
-        assert not is_infocomplete(P, Tolerances(eig_zero=1e-4))
+        coarse = Povm(P.elements, tol=Tolerances(eig_zero=1e-4))
+        assert not is_infocomplete(coarse) and coarse.span_rank == 8
         assert is_infocomplete(P) and P.span_rank == 9
 
     def test_relative_completeness(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from povmlab.hs import Tolerances, vectorize
-from povmlab.povm import canonical_dual
+from povmlab.povm import Povm, canonical_dual
 from povmlab.processing import (
     DegenerateMetricWarning,
     Ensemble,
@@ -31,6 +31,7 @@ from helpers import (
     SX,
     SZ,
     ill_conditioned_minimal_povm,
+    kernel_state,
     random_ensemble,
     random_hermitian,
     random_povm,
@@ -53,6 +54,25 @@ def reference_optimal_dual(P, ensemble):
     for i, m in enumerate(P.elements):
         out.append((Gp @ vectorize(m)).reshape(P.dim, P.dim) / pi[i])
     return np.stack(out)
+
+
+def reference_min_error(P, ensemble, X):
+    """Minimum ensemble error by weighted least squares over every coefficient vector.
+
+    Independent of the production implementation: the coefficients that
+    reproduce X are ``c_0 + N z`` with N spanning the null space of the
+    design matrix, and ``z`` minimizes ``sum_i pi_i |c_i|^2``.
+    """
+    pi = metric_diagonal(P, ensemble).diag
+    V = P.design_matrix
+    x = vectorize(X)
+    c0 = np.linalg.lstsq(V, x, rcond=None)[0]
+    _, s, Vh = np.linalg.svd(V)
+    N = Vh[int(np.count_nonzero(s > 1e-10 * s[0])):].conj().T
+    w = np.sqrt(pi)
+    z = np.linalg.lstsq(w[:, None] * N, -w * c0, rcond=None)[0]
+    c = c0 + N @ z
+    return float(np.dot(pi, np.abs(c) ** 2)) - ensemble.second_moment(X)
 
 
 class TestEnsemble:
@@ -206,8 +226,9 @@ class TestOptimalDual:
         rng = np.random.default_rng(12)
         P = random_povm(2, 6, rng)
         E = random_ensemble(2, 3, rng)
-        optimal_dual(P, E, Tolerances(eig_zero=1e-8))
-        assert len(P.by_ensemble) == 0
+        coarse = Povm(P.elements, tol=Tolerances(eig_zero=1e-8))
+        optimal_dual(coarse, E)
+        assert len(P.by_ensemble) == 0 and len(coarse.by_ensemble) == 1
         D = optimal_dual(P, E)
         assert len(P.by_ensemble) == 1
         assert np.array_equal(optimal_dual(P, E).elements, D.elements)
@@ -251,14 +272,29 @@ class TestMinError:
         rng = np.random.default_rng(0)
         P = random_povm(3, 9, rng, rank_one=True)
         assert P.span_rank == 9
-        psi = np.linalg.eigh(P.elements[0])[1][:, 0]  # in the kernel of P_0
-        E = Ensemble([1.0], [np.outer(psi, psi.conj())])
+        E = Ensemble([1.0], [kernel_state(P.elements[0])])
         X = random_hermitian(3, rng, scale=0.1)
         with pytest.warns(DegenerateMetricWarning):
             c = processing_from_dual(optimal_dual(P, E), X)
         with pytest.warns(DegenerateMetricWarning):
             value = min_error(P, E, X)
         assert value == pytest.approx(ensemble_error(P, c, E), abs=1e-9)
+
+    def test_zero_probability_outcome_of_dependent_elements_is_free(self):
+        # seven rank-one qubit elements are dependent: the dead outcome's
+        # coefficient costs nothing, so pinning it to its canonical value
+        # (2.443 here) misses the minimum
+        P = random_povm(2, 7, np.random.default_rng(0), rank_one=True)
+        E = Ensemble([1.0], [kernel_state(P.elements[0])])
+        X = SX + 0.5 * SZ
+        with pytest.warns(DegenerateMetricWarning, match="cost nothing"):
+            D = optimal_dual(P, E)
+        with pytest.warns(DegenerateMetricWarning):
+            value = min_error(P, E, X)
+        assert D.resolution_residual() <= P.tol.lin_solve
+        assert value == pytest.approx(ensemble_error(P, processing_from_dual(D, X), E), abs=1e-12)
+        assert value == pytest.approx(reference_min_error(P, E, X), abs=1e-9)
+        assert value == pytest.approx(1.2300846816697, abs=1e-9)
 
     def test_outside_span_raises(self):
         with pytest.raises(OutsideSpanError):
