@@ -18,7 +18,7 @@ import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances, dagger, vectorize
 from .povm import Observable, Povm, spectral_povm
-from .processing import Ensemble, OutsideSpanError, optimal_dual
+from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
 #: Largest admissible synthesis residual (entrywise) for declaring that a
 #: candidate Markov matrix realizes the target POVM.
@@ -40,6 +40,38 @@ def linprog(cost, **constraints):
     from scipy.optimize import linprog as highs
 
     return highs(cost, **constraints, bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
+
+
+def _markov_lp(cost, rows, rhs, *, bounded: bool):
+    """Solve an LP over a column-stochastic matrix ``m[j, i]``; return ``(result, m)``.
+
+    ``m`` has ``n_in = rows.shape[1]`` inputs and ``n_out = rhs.shape[1]``
+    outputs; its entry ``m[j, i]`` is variable ``j * n_in + i``, followed by
+    one bound ``s`` when ``bounded``.  Each output row ``m_j`` obeys
+    ``rows @ m_j - s <= rhs[:, j]`` when ``bounded`` and
+    ``rows @ m_j == rhs[:, j]`` otherwise, and each input column of ``m``
+    sums to one.  The solution is read back clipped at zero with its columns
+    renormalized; ``m`` is None when HiGHS finds no solution.
+    """
+    from scipy import sparse
+
+    n_in, n_out = rows.shape[1], rhs.shape[1]
+    # the per-outcome block grows with n_out * rows.size, so only it is sparse
+    per_outcome = sparse.kron(sparse.eye_array(n_out), rows)
+    stochastic = np.kron(np.ones((1, n_out)), np.eye(n_in))
+    b, ones = rhs.T.ravel(), np.ones(n_in)
+    if bounded:
+        per_outcome = sparse.hstack([per_outcome, np.full((per_outcome.shape[0], 1), -1.0)])
+        stochastic = np.hstack([stochastic, np.zeros((n_in, 1))])
+        res = linprog(cost, A_ub=per_outcome, b_ub=b, A_eq=stochastic, b_eq=ones)
+    else:
+        res = linprog(cost, A_eq=sparse.vstack([per_outcome, stochastic]),
+                      b_eq=np.concatenate([b, ones]))
+    if not res.success:
+        return res, None
+    m = np.clip(res.x[:n_out * n_in].reshape(n_out, n_in), 0.0, None)
+    m /= m.sum(axis=0, keepdims=True)
+    return res, m
 
 
 class MarkovMatrix:
@@ -149,43 +181,16 @@ def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
     """
     if Q.dim != P.dim:
         raise ValueError("POVMs must act on the same space")
-    n_in, n_out, d = len(P), len(Q), P.dim
     # real design matrix: columns are [Re vec(P_i); Im vec(P_i)]
     A = np.vstack([np.real(P.design_matrix), np.imag(P.design_matrix)])
     b = np.vstack([np.real(Q.design_matrix), np.imag(Q.design_matrix)])
-    n_rows = A.shape[0]
-    n_var = n_out * n_in + 1  # m entries plus the residual bound s
-
-    def mvar(j, i):
-        return j * n_in + i
-
-    A_ub = np.zeros((2 * n_rows * n_out, n_var))
-    b_ub = np.zeros(2 * n_rows * n_out)
-    for j in range(n_out):
-        lo = 2 * n_rows * j
-        #  A m_j - b_j <= s   and   -(A m_j - b_j) <= s
-        A_ub[lo:lo + n_rows, mvar(j, 0):mvar(j, n_in)] = A
-        A_ub[lo:lo + n_rows, -1] = -1.0
-        b_ub[lo:lo + n_rows] = b[:, j]
-        A_ub[lo + n_rows:lo + 2 * n_rows, mvar(j, 0):mvar(j, n_in)] = -A
-        A_ub[lo + n_rows:lo + 2 * n_rows, -1] = -1.0
-        b_ub[lo + n_rows:lo + 2 * n_rows] = -b[:, j]
-
-    A_eq = np.zeros((n_in, n_var))
-    for i in range(n_in):
-        for j in range(n_out):
-            A_eq[i, mvar(j, i)] = 1.0
-    b_eq = np.ones(n_in)
-
-    cost = np.zeros(n_var)
+    #  A m_j - b_j <= s   and   -(A m_j - b_j) <= s, minimizing s
+    cost = np.zeros(len(Q) * len(P) + 1)
     cost[-1] = 1.0
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    if not res.success:  # pragma: no cover - the LP is always feasible
+    res, m = _markov_lp(cost, np.vstack([A, -A]), np.vstack([b, -b]), bounded=True)
+    if m is None:  # pragma: no cover - the LP is always feasible
         raise RuntimeError(f"post-processing LP failed: {res.message}")
-    m = res.x[:-1].reshape(n_out, n_in)
-    m = np.clip(m, 0.0, None)
-    m /= m.sum(axis=0, keepdims=True)
-    residual = float(np.max(np.abs(A @ m.T - b))) if n_rows else 0.0
+    residual = float(np.max(np.abs(A @ m.T - b)))
     if residual <= FEASIBILITY_RESIDUAL:
         return PostProcessingSearch(True, MarkovMatrix(m, tol=P.tol), residual)
     return PostProcessingSearch(False, None, residual)
@@ -279,10 +284,8 @@ def blur_for_post_processing(P: Povm, Q: Povm, ensemble: Ensemble) -> BlurResult
     tol = P.tol
     if P.dim != Q.dim:
         raise ValueError("POVMs must act on the same space")
-    Pi = P.span_projector
     for j, q in enumerate(Q.elements):
-        v = vectorize(q)
-        residual = float(np.linalg.norm(v - Pi @ v))
+        residual = _span_residual(P, q)
         if residual > tol.lin_solve:
             raise OutsideSpanError(residual, f"target element {j}")
     D = optimal_dual(P, ensemble)
@@ -339,7 +342,7 @@ def unbias(blur: BlurResult, observed, observable: Observable | None = None):
         # blur was built (spectral POVMs label outcomes by eigenvalue)
         x = blur.outcome_values
         if x is None or not np.allclose(
-            np.sort(x), np.sort(observable.eigenvalues), atol=1e-9
+            np.sort(x), np.sort(observable.eigenvalues), atol=observable.tol.lin_solve
         ):
             raise ValueError(
                 "blur target does not carry this observable's eigenvalues as labels; "
@@ -448,40 +451,22 @@ def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
     first ``s`` processed elements and the spectral projectors; constant
     columns in the returned map flag certificates that ignore the data.
     """
-    tol = P.tol
     observables = list(observables)
     certificates = []
-    n_in = len(P)
     for idx, X in enumerate(observables):
         if X.dim != P.dim:
             raise ValueError(f"observable {idx} dimension mismatch")
         s = X.spectrum_size
-        n_out = s + 1
         rows = _function_of_constraints(X, P)
-        n_con = rows.shape[0]
-        n_var = n_out * n_in
-        A_eq = np.zeros((n_con * n_out + n_in, n_var))
-        b_eq = np.zeros(n_con * n_out + n_in)
-        for j in range(n_out):
-            A_eq[j * n_con:(j + 1) * n_con, j * n_in:(j + 1) * n_in] = rows
-        for i in range(n_in):
-            for j in range(n_out):
-                A_eq[n_con * n_out + i, j * n_in + i] = 1.0
-            b_eq[n_con * n_out + i] = 1.0
-        cost = np.zeros(n_var)
+        cost = np.zeros((s + 1, len(P)))
         for h in range(s):
-            overlaps = np.real(
-                np.einsum("ab,iba->i", X.projectors[h], P.elements)
-            )
-            cost[h * n_in:(h + 1) * n_in] = -overlaps  # maximize alignment
-        res = linprog(cost, A_eq=A_eq, b_eq=b_eq)
-        if not res.success:
+            # maximize the alignment sum_h Tr[Q_h X_h]
+            cost[h] = -np.real(np.einsum("ab,iba->i", X.projectors[h], P.elements))
+        res, m = _markov_lp(cost.ravel(), rows, np.zeros((rows.shape[0], s + 1)), bounded=False)
+        if m is None:
             return JointMeasurementResult(False, certificates, idx, False)
-        m = np.clip(res.x.reshape(n_out, n_in), 0.0, None)
-        m /= m.sum(axis=0, keepdims=True)
-        markov = MarkovMatrix(m, tol=tol)
-        processed = apply_post_processing(P, markov) if np.all(m.sum(axis=1) > tol.psd_slack) \
-            else Povm(np.tensordot(m, P.elements, axes=(1, 0)), tol=tol, drop_zero=False, validate=False)
+        markov = MarkovMatrix(m, tol=P.tol)
+        processed = Povm(np.tensordot(m, P.elements, axes=(1, 0)), tol=P.tol, drop_zero=False)
         spread = float(np.max(np.abs(m - m.mean(axis=1, keepdims=True))))
         certificates.append(
             JointCertificate(

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from helpers import SX, SY, SZ, random_hermitian, random_planar_rank_one_povm, random_povm, random_state
 from povmlab.abspace import (
-    ABSpace,
     IllConditionedWarning,
     ab_space,
     independent_powers,

@@ -16,7 +16,6 @@ from povmlab.cli import main
 from povmlab.postproc import t1_identify
 from povmlab.qubit import DegeneratePovmWarning, optimal_B
 from povmlab.serialize import (
-    ensemble_to_json,
     observable_to_json,
     operator_to_json,
     povm_to_json,
@@ -26,7 +25,6 @@ from povmlab.povm import Observable
 from povmlab.standard import (
     projective_povm,
     sic_povm,
-    six_state_ensemble,
     trine_povm,
 )
 

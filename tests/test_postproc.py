@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from povmlab.povm import Observable, Povm, spectral_povm
+from povmlab import postproc
+from povmlab.hs import Tolerances
+from povmlab.povm import Observable, Povm
 from povmlab.postproc import (
     FEASIBILITY_RESIDUAL,
     MarkovMatrix,
@@ -183,6 +185,61 @@ class TestFindPostProcessing:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="same space"):
             find_post_processing(Povm([np.eye(3)]), sic_povm())
+
+
+def loop_markov_constraints(rows, rhs, n_var):
+    """Reference: the per-outcome blocks and the column sums, filled entry by entry."""
+    k, n_in = rows.shape
+    n_out = rhs.shape[1]
+    block, b = np.zeros((k * n_out, n_var)), np.zeros(k * n_out)
+    for j in range(n_out):
+        block[j * k:(j + 1) * k, j * n_in:(j + 1) * n_in] = rows
+        b[j * k:(j + 1) * k] = rhs[:, j]
+    sums = np.zeros((n_in, n_var))
+    for i in range(n_in):
+        for j in range(n_out):
+            sums[i, j * n_in + i] = 1.0
+    return block, b, sums
+
+
+class TestMarkovLpConstraints:
+    """Both LPs hand HiGHS exactly the constraints of the loop-built reference."""
+
+    @staticmethod
+    def _captured(monkeypatch, call):
+        constraints = []
+        original = postproc.linprog
+
+        def capturing(cost, **kwargs):
+            constraints.append({k: v.toarray() if hasattr(v, "toarray") else v
+                                for k, v in kwargs.items()})
+            return original(cost, **kwargs)
+
+        monkeypatch.setattr(postproc, "linprog", capturing)
+        call()
+        return constraints
+
+    def test_post_processing(self, monkeypatch):
+        P = sic_povm()
+        Q = apply_post_processing(P, random_markov(3, 4, np.random.default_rng(3)))
+        (got,) = self._captured(monkeypatch, lambda: find_post_processing(Q, P))
+        A = np.vstack([P.design_matrix.real, P.design_matrix.imag])
+        b = np.vstack([Q.design_matrix.real, Q.design_matrix.imag])
+        block, b_ub, sums = loop_markov_constraints(
+            np.vstack([A, -A]), np.vstack([b, -b]), len(Q) * len(P) + 1)
+        block[:, -1] = -1.0
+        assert np.array_equal(got["A_ub"], block) and np.array_equal(got["b_ub"], b_ub)
+        assert np.array_equal(got["A_eq"], sums) and np.array_equal(got["b_eq"], np.ones(len(P)))
+
+    def test_joint_measurement(self, monkeypatch):
+        P, X = sic_povm(), pauli_observable("x")
+        (got,) = self._captured(monkeypatch, lambda: find_joint_measurement(P, [X]))
+        rows = postproc._function_of_constraints(X, P)
+        n_out = X.spectrum_size + 1
+        block, b, sums = loop_markov_constraints(
+            rows, np.zeros((rows.shape[0], n_out)), n_out * len(P))
+        assert np.array_equal(got["A_eq"], np.vstack([block, sums]))
+        assert np.array_equal(got["b_eq"], np.concatenate([b, np.ones(len(P))]))
 
 
 class TestIsClean:
@@ -379,6 +436,18 @@ class TestUnbias:
         shifted = Observable(np.diag([2.0, 0.0]))
         with pytest.raises(ValueError, match="eigenvalues as labels"):
             unbias(blur, np.array([0.5, 0.5]), observable=shifted)
+
+    def test_label_match_reads_the_observable_tolerance(self):
+        # at eigenvalue 0 only the absolute tolerance applies; the label is 1e-8 off
+        X = np.diag([0.0, 1.0])
+        Q = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[0.0, 1.0])
+        blur = blur_for_post_processing(sic_povm(), Q, six_state_ensemble())
+        blur = dataclasses.replace(blur, outcome_values=np.array([1e-8, 1.0]))
+        observed = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="eigenvalues as labels"):
+            unbias(blur, observed, observable=Observable(X))
+        loose = Observable(X, tol=Tolerances(lin_solve=1e-7))
+        assert unbias(blur, observed, observable=loose) == pytest.approx(0.5, abs=1e-7)
 
 
 class TestConvexUnion:

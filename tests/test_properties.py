@@ -5,20 +5,40 @@ sides of d^2, then builds the POVM, ensemble and target with the helpers'
 constructions.  ``derandomize`` keeps the examples the same on every run.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmlab.montecarlo import sample, sample_range
-from povmlab.postproc import blur_for_post_processing, unbias
-from povmlab.povm import alternate_dual, canonical_dual
+from povmlab.postproc import (
+    FEASIBILITY_RESIDUAL,
+    MarkovMatrix,
+    apply_post_processing,
+    blur_for_post_processing,
+    find_post_processing,
+    unbias,
+)
+from povmlab.povm import Povm, alternate_dual, canonical_dual
 from povmlab.processing import (
     Ensemble,
     ensemble_error,
     min_error,
     optimal_dual,
     processing_from_dual,
+)
+from povmlab.serialize import (
+    dump_json,
+    ensemble_from_json,
+    ensemble_to_json,
+    markov_from_json,
+    markov_to_json,
+    operator_from_json,
+    operator_to_json,
+    povm_from_json,
+    povm_to_json,
 )
 
 from helpers import kernel_state, random_ensemble, random_hermitian, random_povm, random_state
@@ -118,3 +138,54 @@ def test_blur_then_unbias_recovers_target_probabilities(d, seed, m):
     rho = random_state(d, rng)
     recovered = unbias(blur, blur.markov.m @ P.probabilities(rho))
     assert np.allclose(recovered, Q.probabilities(rho), rtol=0.0, atol=1e-8)
+
+
+def random_markov(n_out, n_in, rng):
+    return MarkovMatrix(rng.dirichlet(np.ones(n_out), size=n_in).T)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_composed_markov_maps_keep_the_target_reachable(d, seed):
+    rng = np.random.default_rng(seed)
+    P = random_povm(d, int(rng.integers(2, d * d + d + 1)), rng)
+    m1 = random_markov(int(rng.integers(2, 6)), len(P), rng)
+    m2 = random_markov(int(rng.integers(2, 5)), m1.rows, rng)
+    R = apply_post_processing(apply_post_processing(P, m1), m2)
+    assert np.allclose(apply_post_processing(P, m2.compose(m1)).elements, R.elements,
+                       rtol=0.0, atol=1e-12)
+    search = find_post_processing(R, P)
+    assert search.feasible
+    assert search.residual <= FEASIBILITY_RESIDUAL
+    miss = np.tensordot(search.markov.m, P.elements, axes=(1, 0)) - R.elements
+    assert max(np.abs(miss.real).max(), np.abs(miss.imag).max()) <= FEASIBILITY_RESIDUAL
+
+
+def through_json(doc):
+    return json.loads(dump_json(doc))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_serialization_round_trips_are_bit_exact(d, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    assert same_bits(operator_from_json(through_json(operator_to_json(X))), X)
+
+    P = random_povm(d, int(rng.integers(1, d * d + 2)), rng)
+    labels = [float(x) for x in rng.normal(size=len(P))]
+    P = Povm(P.elements, labels=labels, validate=False)
+    back = povm_from_json(through_json(povm_to_json(P)))
+    assert same_bits(back.elements, P.elements)
+    assert [float(lab) for lab in back.labels] == labels
+
+    E = random_ensemble(d, int(rng.integers(1, 5)), rng)
+    back = ensemble_from_json(through_json(ensemble_to_json(E)))
+    assert same_bits(back.weights, E.weights) and same_bits(back.states, E.states)
+
+    m = random_markov(int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng)
+    assert same_bits(markov_from_json(through_json(markov_to_json(m))).m, m.m)
