@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import Tolerances, dagger, hs_norm, vectorize
-from .povm import Observable, Povm
+from .hs import dagger, off_span
+from .povm import Observable, Povm, _element_figures, is_r_infocomplete
 
 
 class IllConditionedWarning(UserWarning):
@@ -91,45 +91,29 @@ class ABSpace:
     a: Observable
     b: Observable
     basis: np.ndarray  # (k, d, d) orthonormal in the HS inner product
-    projector: np.ndarray  # (d^2, d^2)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def columns(self) -> np.ndarray:
+        """The basis flattened into the orthonormal columns of a d^2 x k matrix."""
+        return self.basis.reshape(self.dim, -1).T
+
     def contains(self, X) -> bool:
-        v = vectorize(np.asarray(X, dtype=complex))
-        return float(np.linalg.norm(v - self.projector @ v)) <= self.a.tol.lin_solve
-
-
-def _orthonormalize(candidates, tol: Tolerances) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
-
-    Candidates are processed in the given (deterministic) order; vectors
-    whose residual shrinks below ``eig_zero`` times their original norm
-    are dependent on the earlier ones and dropped.
-    """
-    basis: list[np.ndarray] = []
-    for cand in candidates:
-        original = hs_norm(cand)
-        if original == 0.0:
-            continue
-        v = cand.astype(complex).copy()
-        for _ in range(2):
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        residual = hs_norm(v)
-        if residual > tol.eig_zero * original:
-            basis.append(v / residual)
-    return basis
+        v = np.asarray(X, dtype=complex).reshape(-1)
+        return float(np.linalg.norm(off_span(self.columns, v))) <= self.a.tol.lin_solve
 
 
 def ab_space(A: Observable, B: Observable) -> ABSpace:
-    """Build ``Span{A^n, B^n}`` with an orthonormal basis and its projector.
+    """Build ``Span{A^n, B^n}`` with an orthonormal basis.
 
-    The candidate order is the identity, then ascending powers of A, then
-    ascending powers of B, so rebuilding with the same inputs gives the
-    identical basis.  Dependent candidates are cut at ``A.tol``.
+    Gram-Schmidt with one re-orthogonalization pass over the candidates in
+    the order identity, ascending powers of A, ascending powers of B, so
+    rebuilding with the same inputs gives the identical basis.  A candidate
+    whose residual is at most ``A.tol.eig_zero`` times its own norm depends
+    on the earlier ones and is dropped.
     """
     if A.dim != B.dim:
         raise ValueError("observables must act on the same space")
@@ -137,13 +121,15 @@ def ab_space(A: Observable, B: Observable) -> ABSpace:
     candidates = [np.eye(d, dtype=complex)]
     candidates.extend(independent_powers(A)[1:])
     candidates.extend(independent_powers(B)[1:])
-    basis = _orthonormalize(candidates, A.tol)
-    stacked = np.stack(basis)
-    vecs = np.stack([vectorize(b) for b in basis], axis=1)
-    projector = vecs @ dagger(vecs)
-    stacked.setflags(write=False)
-    projector.setflags(write=False)
-    return ABSpace(a=A, b=B, basis=stacked, projector=projector)
+    U = np.empty((d * d, 0), dtype=complex)
+    for cand in candidates:
+        v = off_span(U, off_span(U, cand.reshape(-1, 1)))
+        residual = np.linalg.norm(v)
+        if residual > A.tol.eig_zero * np.linalg.norm(cand):
+            U = np.hstack([U, v / residual])
+    basis = U.T.reshape(-1, d, d)
+    basis.setflags(write=False)
+    return ABSpace(a=A, b=B, basis=basis)
 
 
 def is_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
@@ -152,17 +138,12 @@ def is_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
     When true, the statistics of P determine every moment of A and of B,
     hence the full spectral probability distributions of both.
     """
-    Pi_S = S.projector
-    Pi_P = P.span_projector
-    return float(np.linalg.norm(Pi_S @ Pi_P - Pi_S)) <= P.tol.lin_solve
+    return is_r_infocomplete(P, S.basis)
 
 
 def is_minimal_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
     """AB-infocomplete with nothing to spare: Span(P) equals the power subspace."""
-    return (
-        is_ab_infocomplete(P, S)
-        and float(np.linalg.norm(P.span_projector - S.projector)) <= P.tol.lin_solve
-    )
+    return is_ab_infocomplete(P, S) and P.span_rank == S.dim
 
 
 @dataclass(frozen=True)
@@ -183,15 +164,10 @@ def project_povm(P: Povm, S: ABSpace) -> ProjectionResult:
     positive; in higher dimension positivity can fail, in which case the
     offending indices and their minimum eigenvalues are reported.
     """
-    projected = np.stack(
-        [(S.projector @ vectorize(m)).reshape(P.dim, P.dim) for m in P.elements]
-    )
-    failures = []
-    for i, q in enumerate(projected):
-        herm = 0.5 * (q + dagger(q))
-        lo = float(np.linalg.eigvalsh(herm)[0])
-        if lo < -P.tol.psd_slack:
-            failures.append((i, lo))
+    U = S.columns
+    projected = (U @ (dagger(U) @ P.design_matrix)).T.reshape(P.elements.shape)
+    lowest = _element_figures(projected)[1]
+    failures = [(int(i), float(lowest[i])) for i in np.flatnonzero(lowest < -P.tol.psd_slack)]
     if failures:
         return ProjectionResult(False, None, projected, failures)
     return ProjectionResult(

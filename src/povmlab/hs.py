@@ -2,9 +2,13 @@
 
 Self-adjoint operators on a d-dimensional Hilbert space are treated as
 vectors of the d^2-dimensional Hilbert-Schmidt (HS) space.  The flattening
-convention is row-major: ``vectorize(X)[d*m + n] == X[m, n]``, so that the
+convention is row-major: ``X.reshape(-1)[d*m + n] == X[m, n]``, so that the
 HS inner product ``<X|Y> = Tr[X^dag Y]`` is the ordinary complex dot
 product of the flattened arrays and ``(A (x) B)|X> = |A X B^T>``.
+
+Every span question (is an operator, or a whole subspace, inside the span
+of some operators?) is answered one way: the Frobenius norm of
+:func:`off_span` against an orthonormal basis of the span.
 
 Everything in this module works on plain complex ``numpy`` arrays; the
 higher-level modules wrap them in richer types.
@@ -68,19 +72,6 @@ def dagger(X: np.ndarray) -> np.ndarray:
     return np.conj(np.transpose(X))
 
 
-def vectorize(X: np.ndarray) -> np.ndarray:
-    """Flatten a d x d operator into a length-d^2 HS vector (row-major)."""
-    X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {X.shape}")
-    return X.reshape(-1)
-
-
-def hs_norm(X: np.ndarray) -> float:
-    """Frobenius norm, i.e. the norm induced by the HS inner product."""
-    return float(np.linalg.norm(X))
-
-
 def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """Thin SVD ``V = U diag(s) Vh`` cut to the singular values above ``tol.eig_zero * s[0]``.
 
@@ -93,12 +84,22 @@ def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     return U[:, :r], s[:r], Vh[:r]
 
 
-def span_projector(operators, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector (d^2 x d^2) onto the HS span of ``operators``.
+def off_span(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The part of ``V`` off the span of ``U``'s columns: ``V - U (U^dag V)``.
 
-    The basis of the span is obtained from the SVD of the matrix whose
-    columns are the vectorized operators; directions with singular value
-    at most ``tol.eig_zero`` times the largest are discarded.
+    ``U`` must have orthonormal columns, e.g. the kept left factor of
+    :func:`truncated_svd`.  ``V`` is a vector or a matrix of column vectors;
+    the norm of the result is their distance from the span.
+    """
+    return V - U @ (dagger(U) @ V)
+
+
+def span_basis(operators, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (d^2 x r columns) of the HS span of ``operators``.
+
+    The left factor of :func:`truncated_svd` of the matrix whose columns are
+    the flattened operators, so directions with singular value at most
+    ``tol.eig_zero`` times the largest are discarded.
     """
     ops = [as_operator(op) for op in operators]
     if not ops:
@@ -106,5 +107,4 @@ def span_projector(operators, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     d = ops[0].shape[0]
     if any(op.shape != (d, d) for op in ops):
         raise ValueError("operators must share one dimension")
-    U, _, _ = truncated_svd(np.stack([vectorize(op) for op in ops], axis=1), tol)
-    return U @ dagger(U)
+    return truncated_svd(np.stack(ops).reshape(len(ops), -1).T, tol)[0]

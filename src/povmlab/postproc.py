@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, dagger, vectorize
+from .hs import DEFAULT_TOL, Tolerances, off_span
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
@@ -122,11 +122,8 @@ def t1_identify(P: Povm, j: int, k: int) -> Povm:
     n = len(P)
     if not (0 <= j < n and 0 <= k < n) or j == k:
         raise ValueError("need two distinct valid outcome indices")
-    keep = [i for i in range(n) if i != k]
-    m = np.zeros((n - 1, n))
-    for row, src in enumerate(keep):
-        m[row, src] = 1.0
-    m[keep.index(j), k] = 1.0
+    m = np.eye(n)[np.arange(n) != k]
+    m[j - (j > k), k] = 1.0
     return apply_post_processing(P, MarkovMatrix(m, tol=P.tol))
 
 
@@ -136,9 +133,7 @@ def t2_permute(P: Povm, perm) -> Povm:
     n = len(P)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}")
-    m = np.zeros((n, n))
-    for i, src in enumerate(perm):
-        m[i, src] = 1.0
+    m = np.eye(n)[perm]
     return apply_post_processing(P, MarkovMatrix(m, tol=P.tol))
 
 
@@ -149,16 +144,8 @@ def t3_split(P: Povm, l: int, p: float) -> Povm:
         raise ValueError(f"outcome index {l} out of range")
     if not 0.0 < p < 1.0:
         raise ValueError(f"split weight must lie strictly between 0 and 1, got {p!r}")
-    m = np.zeros((n + 1, n))
-    row = 0
-    for i in range(n):
-        if i == l:
-            m[row, i] = p
-            m[row + 1, i] = 1.0 - p
-            row += 2
-        else:
-            m[row, i] = 1.0
-            row += 1
+    m = np.eye(n)[np.insert(np.arange(n), l, l)]  # row l repeated
+    m[l, l], m[l + 1, l] = p, 1.0 - p
     return apply_post_processing(P, MarkovMatrix(m, tol=P.tol))
 
 
@@ -208,12 +195,9 @@ def is_clean(P: Povm) -> bool:
     pseudo-order, so this cheap spectral test characterizes cleanness.
     """
     tol = P.tol
-    for m in P.elements:
-        lam = np.linalg.eigvalsh(0.5 * (m + dagger(m)))
-        cutoff = max(tol.eig_zero * lam[-1], tol.psd_slack)
-        if int(np.count_nonzero(lam > cutoff)) > 1:
-            return False
-    return True
+    lam = np.linalg.eigvalsh(0.5 * (P.elements + np.conj(np.transpose(P.elements, (0, 2, 1)))))
+    cutoff = np.maximum(tol.eig_zero * lam[:, -1:], tol.psd_slack)
+    return bool(np.all(np.count_nonzero(lam > cutoff, axis=1) <= 1))
 
 
 def smear_out(Q: Povm, c: np.ndarray) -> tuple[Povm, MarkovMatrix]:
@@ -284,10 +268,11 @@ def blur_for_post_processing(P: Povm, Q: Povm, ensemble: Ensemble) -> BlurResult
     tol = P.tol
     if P.dim != Q.dim:
         raise ValueError("POVMs must act on the same space")
-    for j, q in enumerate(Q.elements):
-        residual = _span_residual(P, q)
-        if residual > tol.lin_solve:
-            raise OutsideSpanError(residual, f"target element {j}")
+    residuals = _span_residual(P, Q.design_matrix)
+    outside = np.flatnonzero(residuals > tol.lin_solve)
+    if outside.size:
+        j = int(outside[0])
+        raise OutsideSpanError(residuals[j], f"target element {j}")
     D = optimal_dual(P, ensemble)
     c = np.real(
         np.einsum("iab,jba->ij", np.conj(np.transpose(D.elements, (0, 2, 1))), Q.elements)
@@ -404,14 +389,10 @@ class JointMeasurementResult:
 
 def _function_of_constraints(X: Observable, P: Povm):
     """Rows enforcing that a combination of P's elements is a function of X."""
-    d = P.dim
-    Pi = np.zeros((d * d, d * d), dtype=complex)
-    for proj in X.projectors:
-        v = vectorize(proj)
-        # spectral projectors are orthogonal, so normalizing each gives an
-        # orthonormal basis of the function-of-X subspace
-        Pi += np.outer(v, np.conj(v)) / float(np.real(np.vdot(v, v)))
-    W = (np.eye(d * d) - Pi) @ P.design_matrix
+    # spectral projectors are orthogonal, so normalizing each gives an
+    # orthonormal basis of the function-of-X subspace
+    U = X.projectors.reshape(X.spectrum_size, -1).T
+    W = off_span(U / np.linalg.norm(U, axis=0), P.design_matrix)
     return np.vstack([np.real(W), np.imag(W)])
 
 
@@ -422,22 +403,13 @@ def looks_like_convex_union(P: Povm, observables) -> bool:
     and their joint-measurement certificates are automatic.
     """
     tol = P.tol
-    for m in P.elements:
-        matched = False
-        t = float(np.real(np.trace(m)))
-        if t <= tol.psd_slack:
-            continue
-        for X in observables:
-            for proj in X.projectors:
-                tp = float(np.real(np.trace(proj)))
-                if np.linalg.norm(m / t - proj / tp) <= tol.lin_solve:
-                    matched = True
-                    break
-            if matched:
-                break
-        if not matched:
-            return False
-    return True
+    traces = np.real(np.trace(P.elements, axis1=1, axis2=2))
+    live = traces > tol.psd_slack
+    elements = P.elements[live] / traces[live, None, None]
+    projs = np.concatenate([X.projectors for X in observables] or [np.empty((0, P.dim, P.dim))])
+    projs = projs / np.real(np.trace(projs, axis1=1, axis2=2))[:, None, None]
+    distances = np.linalg.norm(elements[:, None] - projs[None], axis=(2, 3))
+    return bool(np.all(np.any(distances <= tol.lin_solve, axis=1)))
 
 
 def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:

@@ -3,8 +3,9 @@
 A POVM with outcomes ``P_1 .. P_N`` is stored as a stacked ``(N, d, d)``
 complex array.  Viewed as HS vectors the outcomes form a frame for their
 span: the columns of the d^2 x N design matrix ``V``.  One truncated SVD
-of ``V``, cached on the POVM, gives the span rank, the span projector and
-the canonical dual ``(V^+)^dag``; the shifted duals built from an
+of ``V``, cached on the POVM, gives the span rank, the orthonormal span
+basis that the span tests measure against, the span projector and the
+canonical dual ``(V^+)^dag``; the shifted duals built from an
 arbitrary operator list complete the linear machinery used by the
 estimation routines.
 """
@@ -22,7 +23,8 @@ from .hs import (
     Tolerances,
     as_operator,
     dagger,
-    span_projector,
+    off_span,
+    span_basis,
     truncated_svd,
 )
 
@@ -137,22 +139,23 @@ class Povm:
         return self.elements.reshape(len(self), -1).T
 
     @cached_property
-    def _svd(self):
-        return truncated_svd(self.design_matrix, self.tol)
-
     def svd(self):
-        """Truncated SVD ``U, s, Vh`` of the design matrix, cut at ``self.tol`` and cached."""
-        return self._svd
+        """Truncated SVD ``(U, s, Vh)`` of the design matrix, cut at ``self.tol``.
+
+        ``U`` is the orthonormal basis of the span that every span test of
+        the package measures against with :func:`hs.off_span`.
+        """
+        return truncated_svd(self.design_matrix, self.tol)
 
     @cached_property
     def span_projector(self) -> np.ndarray:
         """Orthogonal projector onto the HS span of the elements."""
-        U = self._svd[0]
+        U = self.svd[0]
         return U @ dagger(U)
 
     @cached_property
     def span_rank(self) -> int:
-        return len(self._svd[1])
+        return len(self.svd[1])
 
     def probabilities(self, rho) -> np.ndarray:
         """Outcome probabilities ``Tr[rho P_i]`` under the state ``rho``."""
@@ -251,7 +254,7 @@ def canonical_dual(P: Povm) -> DualFrame:
     at ``P.tol.eig_zero`` like the span projector does; forming ``F`` would
     square the condition number and drop directions the span keeps.
     """
-    U, s, Vh = P.svd()
+    U, s, Vh = P.svd
     return DualFrame(((U / s) @ Vh).T.reshape(P.elements.shape), P)
 
 
@@ -280,11 +283,12 @@ def is_r_infocomplete(P: Povm, operators) -> bool:
     """Does ``Span(operators)`` sit inside the span of the POVM elements?
 
     When true, every expectation ``Tr[rho R]`` with R in the given span is
-    recoverable from the statistics of P.
+    recoverable from the statistics of P.  Measured as the norm of the part
+    of an orthonormal basis of ``Span(operators)`` off the span of P, which
+    equals ``||Q Pi_P - Q||`` for ``Q`` the projector onto ``Span(operators)``.
     """
-    Pi_R = span_projector(operators, P.tol)
-    Pi_P = P.span_projector
-    return float(np.linalg.norm(Pi_R @ Pi_P - Pi_R)) <= P.tol.lin_solve
+    U_R = span_basis(operators, P.tol)
+    return float(np.linalg.norm(off_span(P.svd[0], U_R))) <= P.tol.lin_solve
 
 
 def is_infocomplete(P: Povm) -> bool:

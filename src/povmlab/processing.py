@@ -26,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, as_operator, dagger, truncated_svd, vectorize
-from .povm import DualFrame, Povm
+from .hs import DEFAULT_TOL, Tolerances, as_operator, dagger, off_span, truncated_svd
+from .povm import DualFrame, Povm, _element_figures
 
 
 class OutsideSpanError(ValueError):
@@ -66,13 +66,15 @@ class Ensemble:
             raise ValueError("weights must be strictly positive")
         if abs(q.sum() - 1.0) > tol.lin_solve:
             raise ValueError(f"weights must sum to 1 (got {q.sum()!r})")
-        for j, rho in enumerate(mats):
-            if float(np.linalg.norm(rho - dagger(rho))) > tol.lin_solve:
-                raise ValueError(f"state {j} is not self-adjoint")
-            if float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))[0]) < -tol.psd_slack:
-                raise ValueError(f"state {j} is not positive semidefinite")
-            if abs(np.trace(rho).real - 1.0) > tol.lin_solve:
-                raise ValueError(f"state {j} does not have unit trace")
+        deviations, lowest = _element_figures(mats)
+        traces = np.real(np.trace(mats, axis1=1, axis2=2))
+        failing = np.column_stack([deviations > tol.lin_solve, lowest < -tol.psd_slack,
+                                   np.abs(traces - 1.0) > tol.lin_solve])
+        if failing.any():
+            j, k = np.argwhere(failing)[0]  # row-major: the first bad state, its first check
+            problem = ("is not self-adjoint", "is not positive semidefinite",
+                       "does not have unit trace")[k]
+            raise ValueError(f"state {j} {problem}")
         q.setflags(write=False)
         mats.setflags(write=False)
         self.weights = q
@@ -152,16 +154,16 @@ class ProcessingFunction:
         object.__setattr__(self, "coefficients", c)
 
 
-def _span_residual(P: Povm, X: np.ndarray) -> float:
-    v = vectorize(X)
-    return float(np.linalg.norm(v - P.span_projector @ v))
+def _span_residual(P: Povm, V: np.ndarray):
+    """Distance from the span of P of the flattened operator ``V``, or of each column of ``V``."""
+    return np.linalg.norm(off_span(P.svd[0], V), axis=0)
 
 
 def processing_from_dual(D: DualFrame, X) -> ProcessingFunction:
     """Coefficients ``c_i = Tr[D_i^dag X]`` for a span-contained target X."""
     X = as_operator(X)
     P = D.povm
-    residual = _span_residual(P, X)
+    residual = _span_residual(P, X.reshape(-1))
     if residual > P.tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
     return ProcessingFunction(X, np.conj(D.elements.reshape(len(D), -1)) @ X.reshape(-1))
@@ -202,7 +204,7 @@ def _optimal(P: Povm, ensemble: Ensemble):
         U_D, s_D, Vh_D = truncated_svd(V_D, tol)
         root = np.sqrt(pi[live])
         A = V_L / root
-        U, s, Vh = truncated_svd(A - U_D @ (dagger(U_D) @ A), tol)  # Q V_L diag(pi_L^-1/2)
+        U, s, Vh = truncated_svd(off_span(U_D, A), tol)  # Q V_L diag(pi_L^-1/2)
         duals = np.empty(P.design_matrix.shape, dtype=complex)
         duals[:, live] = (U / s) @ Vh / root
         W_D = (U_D / s_D) @ Vh_D  # (V_D^+)^dag, inside the span, so Pi W_D = W_D
@@ -255,7 +257,7 @@ def min_error(P: Povm, ensemble: Ensemble, X) -> float:
     :func:`optimal_dual`, with the same warning.
     """
     X = as_operator(X)
-    residual = _span_residual(P, X)
+    residual = _span_residual(P, X.reshape(-1))
     if residual > P.tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
     duals, pi = _optimal(P, ensemble)

@@ -8,13 +8,18 @@ from povmlab.hs import (
     Tolerances,
     as_operator,
     dagger,
-    hs_norm,
-    span_projector,
+    off_span,
+    span_basis,
     truncated_svd,
-    vectorize,
 )
+from povmlab.povm import Povm
 
 from helpers import random_hermitian
+
+
+def flatten(X):
+    """The HS vector of X as the library forms it: a column of the design matrix."""
+    return Povm([X], validate=False, drop_zero=False).design_matrix[:, 0]
 
 
 class TestVectorization:
@@ -22,17 +27,13 @@ class TestVectorization:
 
     def test_row_major_order(self):
         X = np.arange(4.0).reshape(2, 2)
-        assert np.array_equal(vectorize(X), [0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(flatten(X), [0.0, 1.0, 2.0, 3.0])
 
     def test_inner_product_is_trace_pairing(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         Y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.vdot(vectorize(X), vectorize(Y)) == pytest.approx(np.trace(dagger(X) @ Y))
-
-    def test_norm(self):
-        X = np.diag([3.0, 4.0])
-        assert hs_norm(X) == pytest.approx(5.0)
+        assert np.vdot(flatten(X), flatten(Y)) == pytest.approx(np.trace(dagger(X) @ Y))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_kron_action_matches_vectorized_operator(self, d):
@@ -40,7 +41,7 @@ class TestVectorization:
         A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert np.allclose(np.kron(A, B) @ vectorize(X), vectorize(A @ X @ B.T))
+        assert np.allclose(np.kron(A, B) @ flatten(X), flatten(A @ X @ B.T))
 
 
 class TestOperatorPredicates:
@@ -71,16 +72,22 @@ class TestPseudoinverseAndSpans:
     def test_span_projector_is_projector_onto_span(self):
         rng = np.random.default_rng(5)
         ops = [random_hermitian(2, rng) for _ in range(2)]
-        Pi = span_projector(ops)
+        # a dependent third operator adds no direction
+        U = span_basis(ops + [ops[0] - 2.0 * ops[1]])
+        assert U.shape == (4, 2)
+        assert np.allclose(dagger(U) @ U, np.eye(2), atol=1e-12)
+        Pi = U @ dagger(U)
         assert np.allclose(Pi @ Pi, Pi, atol=1e-12)
-        assert np.allclose(dagger(Pi), Pi, atol=1e-12)
         for op in ops:
-            v = vectorize(op)
-            assert np.linalg.norm(Pi @ v - v) < 1e-10
-        # a generic third operator leaves the span
-        X = random_hermitian(2, rng)
-        v = vectorize(X)
-        assert np.linalg.norm(Pi @ v - v) > 1e-3
+            assert np.linalg.norm(off_span(U, op.reshape(-1))) < 1e-10
+        # a generic third operator leaves the span, by its distance from it
+        v = random_hermitian(2, rng).reshape(-1)
+        assert np.linalg.norm(off_span(U, v)) == pytest.approx(np.linalg.norm(Pi @ v - v))
+        assert np.linalg.norm(off_span(U, v)) > 1e-3
+        with pytest.raises(ValueError, match="at least one"):
+            span_basis([])
+        with pytest.raises(ValueError, match="one dimension"):
+            span_basis([np.eye(2), np.eye(3)])
 
 
 class TestTolerances:

@@ -93,6 +93,10 @@ class TestElementaryMaps:
         assert_allclose(merged.elements[0], P.elements[0] + P.elements[2], atol=1e-14)
         assert_allclose(merged.elements[1], P.elements[1], atol=1e-14)
         assert_allclose(merged.elements[2], P.elements[3], atol=1e-14)
+        # the Markov entries are exact 0/1, so the sums are too
+        assert np.array_equal(merged.elements, [P[0] + P[2], P[1], P[3]])
+        # merging into a later position shifts it down by one
+        assert np.array_equal(t1_identify(P, 3, 1).elements, [P[0], P[2], P[3] + P[1]])
 
     @pytest.mark.parametrize("j,k", [(0, 0), (-1, 2), (0, 4)])
     def test_identify_bad_indices(self, j, k):
@@ -105,6 +109,7 @@ class TestElementaryMaps:
         Q = t2_permute(P, perm)
         for i, src in enumerate(perm):
             assert_allclose(Q.elements[i], P.elements[src], atol=1e-14)
+        assert np.array_equal(Q.elements, P.elements[perm])
 
     def test_permute_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
@@ -117,6 +122,7 @@ class TestElementaryMaps:
         assert_allclose(Q.elements[0], 0.25 * P.elements[0], atol=1e-14)
         assert_allclose(Q.elements[1], 0.75 * P.elements[0], atol=1e-14)
         assert_allclose(Q.elements[2], P.elements[1], atol=1e-14)
+        assert np.array_equal(Q.elements, [0.25 * P[0], 0.75 * P[0], P[1]])
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
     def test_split_weight_range(self, p):

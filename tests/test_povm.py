@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from povmlab.hs import Tolerances, vectorize
+from povmlab.hs import Tolerances
 from povmlab.povm import (
     NotCompleteError,
     NotPositiveError,
@@ -109,14 +109,14 @@ class TestFrameOperator:
         # symmetric tetrahedral frame: one eigenvalue 1/2 on the identity
         # direction, triply degenerate 1/6 on the traceless directions
         # the eigenvalues of F = V V^dag are the squared singular values of V
-        vals = np.sort(sic_povm().svd()[1] ** 2)
+        vals = np.sort(sic_povm().svd[1] ** 2)
         assert np.allclose(vals, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12)
 
     def test_frame_operator_is_gram_of_design_matrix(self):
         rng = np.random.default_rng(1)
         P = random_povm(3, 5, rng)
         V = P.design_matrix
-        F = sum(np.outer(vectorize(m), vectorize(m).conj()) for m in P.elements)
+        F = sum(np.outer(m.reshape(-1), m.reshape(-1).conj()) for m in P.elements)
         assert np.allclose(F, V @ V.conj().T)
 
 

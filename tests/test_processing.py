@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from povmlab.hs import Tolerances, vectorize
+from povmlab.hs import Tolerances
 from povmlab.povm import Povm, canonical_dual
 from povmlab.processing import (
     DegenerateMetricWarning,
@@ -52,7 +52,7 @@ def reference_optimal_dual(P, ensemble):
     Gp = np.linalg.pinv(G, rcond=1e-10, hermitian=True)
     out = []
     for i, m in enumerate(P.elements):
-        out.append((Gp @ vectorize(m)).reshape(P.dim, P.dim) / pi[i])
+        out.append((Gp @ m.reshape(-1)).reshape(P.dim, P.dim) / pi[i])
     return np.stack(out)
 
 
@@ -65,7 +65,7 @@ def reference_min_error(P, ensemble, X):
     """
     pi = metric_diagonal(P, ensemble).diag
     V = P.design_matrix
-    x = vectorize(X)
+    x = np.asarray(X, dtype=complex).reshape(-1)
     c0 = np.linalg.lstsq(V, x, rcond=None)[0]
     _, s, Vh = np.linalg.svd(V)
     N = Vh[int(np.count_nonzero(s > 1e-10 * s[0])):].conj().T
@@ -81,6 +81,26 @@ class TestEnsemble:
             Ensemble([0.7, 0.7], [np.eye(2) / 2] * 2)
         with pytest.raises(ValueError):
             Ensemble([1.5, -0.5], [np.eye(2) / 2] * 2)
+
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            ([[[0.5, 0.1], [0.0, 0.5]]], "state 0 is not self-adjoint"),
+            ([np.diag([1.5, -0.5])], "state 0 is not positive semidefinite"),
+            ([np.diag([0.6, 0.6])], "state 0 does not have unit trace"),
+            # one state failing the first and the last check reports the first
+            ([[[1.0, 1.0], [0.0, 1.0]]], "state 0 is not self-adjoint"),
+            ([np.eye(2) / 2, np.diag([0.7, 0.7])], "state 1 does not have unit trace"),
+            # the first bad state wins over an earlier check on a later state
+            ([np.diag([1.5, -0.5]), [[0.5, 0.1], [0.0, 0.5]]],
+             "state 0 is not positive semidefinite"),
+        ],
+        ids=["self-adjoint", "psd", "trace", "first-check", "second-state", "first-state"],
+    )
+    def test_reports_the_first_bad_state_and_its_first_failing_check(self, states, message):
+        weights = np.full(len(states), 1.0 / len(states))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Ensemble(weights, states)
 
     def test_six_state_barycenter_is_maximally_mixed(self):
         E = six_state_ensemble()

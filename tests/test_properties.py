@@ -12,6 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmlab.abspace import (
+    ab_space,
+    independent_powers,
+    is_ab_infocomplete,
+    is_minimal_ab_infocomplete,
+)
 from povmlab.montecarlo import sample, sample_range
 from povmlab.postproc import (
     FEASIBILITY_RESIDUAL,
@@ -19,9 +25,17 @@ from povmlab.postproc import (
     apply_post_processing,
     blur_for_post_processing,
     find_post_processing,
+    t3_split,
     unbias,
 )
-from povmlab.povm import Povm, alternate_dual, canonical_dual
+from povmlab.povm import (
+    Observable,
+    Povm,
+    alternate_dual,
+    canonical_dual,
+    is_r_infocomplete,
+    spectral_povm,
+)
 from povmlab.processing import (
     Ensemble,
     ensemble_error,
@@ -189,3 +203,104 @@ def test_serialization_round_trips_are_bit_exact(d, seed):
 
     m = random_markov(int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng)
     assert same_bits(markov_from_json(through_json(markov_to_json(m))).m, m.m)
+
+
+def reference_projector(columns):
+    """Projector onto the column span, cut like ``Tolerances.eig_zero`` (1e-10 relative)."""
+    U, s, _ = np.linalg.svd(np.asarray(columns), full_matrices=False)
+    U = U[:, s > 1e-10 * s[0]]
+    return U @ U.conj().T
+
+
+def flat_columns(operators):
+    return np.stack([np.asarray(op, dtype=complex).reshape(-1) for op in operators], axis=1)
+
+
+def off_threshold(residual, tol):
+    """A reference residual is compared, not re-derived at the cutoff: keep clear of it."""
+    return residual < 1e-3 * tol.lin_solve or residual > 1e3 * tol.lin_solve
+
+
+@st.composite
+def r_cases(draw):
+    """A POVM, often rank-deficient or with dependent elements, and operators R
+    drawn inside its span, generically, or both."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        P = random_povm(d, draw(st.integers(2, d * d + 2)), rng)
+    else:  # a projective POVM with one outcome split in two: dependent elements
+        P = t3_split(spectral_povm(Observable(random_hermitian(d, rng))), 0, 0.3)
+    inside = [np.tensordot(rng.normal(size=len(P)), P.elements, axes=(0, 0))
+              for _ in range(draw(st.integers(0, 3)))]
+    generic = [random_hermitian(d, rng) for _ in range(draw(st.integers(0, 2)))]
+    return P, (inside + generic) or [random_hermitian(d, rng)]
+
+
+@PROPERTY_SETTINGS
+@given(r_cases())
+def test_r_infocompleteness_matches_the_projector_product(case):
+    P, R = case
+    Pi_R, Pi_P = reference_projector(flat_columns(R)), reference_projector(P.design_matrix)
+    residual = float(np.linalg.norm(Pi_R @ Pi_P - Pi_R))
+    assert off_threshold(residual, P.tol)
+    assert is_r_infocomplete(P, R) == (residual <= P.tol.lin_solve)
+
+
+def observable_on(U, levels, rng):
+    return Observable(U @ np.diag(rng.choice(levels, U.shape[0])) @ U.conj().T)
+
+
+@st.composite
+def ab_cases(draw):
+    """Observables A, B with spectra on a well-separated grid (degeneracies
+    allowed), generic, commuting or identical, and a POVM P that is random, the
+    spectral POVM of A, or the common eigenbasis of commuting A and B."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    unitary = lambda: np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    U = unitary()
+    A = observable_on(U, levels, rng)
+    pair = draw(st.sampled_from(["generic", "commuting", "identical"]))
+    B = {"generic": lambda: observable_on(unitary(), levels, rng),
+         "commuting": lambda: observable_on(U, levels, rng),
+         "identical": lambda: Observable(A.operator)}[pair]()
+    povm = draw(st.sampled_from(["random", "spectral", "eigenbasis"]))
+    if povm == "random":
+        P = random_povm(d, draw(st.integers(2, d * d + 2)), rng)
+    elif povm == "spectral":
+        P = spectral_povm(A)
+    else:
+        P = Povm([np.outer(u, u.conj()) for u in U.T])
+    return A, B, P
+
+
+def candidates(A, B):
+    return [np.eye(A.dim)] + list(independent_powers(A)[1:]) + list(independent_powers(B)[1:])
+
+
+@PROPERTY_SETTINGS
+@given(ab_cases())
+def test_ab_infocompleteness_matches_the_projector_products(case):
+    A, B, P = case
+    S = ab_space(A, B)
+    Pi_S, Pi_P = reference_projector(flat_columns(candidates(A, B))), reference_projector(P.design_matrix)
+    contained = float(np.linalg.norm(Pi_S @ Pi_P - Pi_S))
+    equal = float(np.linalg.norm(Pi_P - Pi_S))
+    assert off_threshold(contained, P.tol) and off_threshold(equal, P.tol)
+    assert is_ab_infocomplete(P, S) == (contained <= P.tol.lin_solve)
+    assert is_minimal_ab_infocomplete(P, S) == (
+        contained <= P.tol.lin_solve and equal <= P.tol.lin_solve)
+
+
+@PROPERTY_SETTINGS
+@given(ab_cases())
+def test_ab_space_basis_is_orthonormal_and_holds_every_power_and_projector(case):
+    A, B, _ = case
+    S = ab_space(A, B)
+    assert np.allclose(S.columns.conj().T @ S.columns, np.eye(S.dim), rtol=0.0, atol=1e-12)
+    assert S.dim == np.linalg.matrix_rank(flat_columns(candidates(A, B)))
+    for X in (A, B):
+        powers = [np.linalg.matrix_power(X.operator, n) for n in range(X.dim + 1)]
+        assert all(S.contains(op) for op in powers + list(X.projectors))
