@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import dagger, off_span
-from .povm import Observable, Povm, _element_figures, is_r_infocomplete
+from .hs import coords, from_coords, off_span
+from .povm import Observable, Povm, _element_figures
 
 
 class IllConditionedWarning(UserWarning):
@@ -90,20 +90,19 @@ class ABSpace:
 
     a: Observable
     b: Observable
-    basis: np.ndarray  # (k, d, d) orthonormal in the HS inner product
+    columns: np.ndarray  # real d^2 x k, the HS coordinates of an orthonormal basis
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.columns.shape[1]
 
     @property
-    def columns(self) -> np.ndarray:
-        """The basis flattened into the orthonormal columns of a d^2 x k matrix."""
-        return self.basis.reshape(self.dim, -1).T
+    def basis(self) -> np.ndarray:
+        """The orthonormal basis as a stacked ``(k, d, d)`` array of self-adjoint operators."""
+        return from_coords(self.columns.T)
 
     def contains(self, X) -> bool:
-        v = np.asarray(X, dtype=complex).reshape(-1)
-        return float(np.linalg.norm(off_span(self.columns, v))) <= self.a.tol.lin_solve
+        return float(np.linalg.norm(off_span(self.columns, coords(X)))) <= self.a.tol.lin_solve
 
 
 def ab_space(A: Observable, B: Observable) -> ABSpace:
@@ -118,18 +117,17 @@ def ab_space(A: Observable, B: Observable) -> ABSpace:
     if A.dim != B.dim:
         raise ValueError("observables must act on the same space")
     d = A.dim
-    candidates = [np.eye(d, dtype=complex)]
-    candidates.extend(independent_powers(A)[1:])
-    candidates.extend(independent_powers(B)[1:])
-    U = np.empty((d * d, 0), dtype=complex)
+    candidates = coords(np.concatenate(
+        [np.eye(d)[None], independent_powers(A)[1:], independent_powers(B)[1:]]
+    )).real
+    U = np.empty((d * d, 0))
     for cand in candidates:
-        v = off_span(U, off_span(U, cand.reshape(-1, 1)))
+        v = off_span(U, off_span(U, cand))
         residual = np.linalg.norm(v)
         if residual > A.tol.eig_zero * np.linalg.norm(cand):
-            U = np.hstack([U, v / residual])
-    basis = U.T.reshape(-1, d, d)
-    basis.setflags(write=False)
-    return ABSpace(a=A, b=B, basis=basis)
+            U = np.column_stack([U, v / residual])
+    U.setflags(write=False)
+    return ABSpace(a=A, b=B, columns=U)
 
 
 def is_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
@@ -138,7 +136,7 @@ def is_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
     When true, the statistics of P determine every moment of A and of B,
     hence the full spectral probability distributions of both.
     """
-    return is_r_infocomplete(P, S.basis)
+    return float(np.linalg.norm(off_span(P.svd[0], S.columns))) <= P.tol.lin_solve
 
 
 def is_minimal_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
@@ -165,7 +163,7 @@ def project_povm(P: Povm, S: ABSpace) -> ProjectionResult:
     offending indices and their minimum eigenvalues are reported.
     """
     U = S.columns
-    projected = (U @ (dagger(U) @ P.design_matrix)).T.reshape(P.elements.shape)
+    projected = from_coords((U @ (U.T @ P.design_matrix)).T)
     lowest = _element_figures(projected)[1]
     failures = [(int(i), float(lowest[i])) for i in np.flatnonzero(lowest < -P.tol.psd_slack)]
     if failures:

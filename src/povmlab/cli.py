@@ -87,7 +87,7 @@ def _read_config(filename: str) -> dict:
     try:
         with open(filename, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(EXIT_PARSE, f"{filename}: {exc}") from None
     known = set(_TOL_FIELDS) | {"seed"}
     values: dict = {}
@@ -207,10 +207,10 @@ def _load_observable(filename: str, tol: Tolerances) -> Observable:
 
 def _load_state(filename: str, tol: Tolerances) -> np.ndarray:
     rho = operator_from_json(load_json_file(filename), path=filename)
-    if abs(float(np.real(np.trace(rho))) - 1.0) > tol.lin_solve:
-        raise CommandError(
-            EXIT_INVALID, f"{filename}: state trace {np.real(np.trace(rho)):.12g} != 1"
-        )
+    try:
+        Ensemble([1.0], [rho], tol=tol)  # the one density-matrix check
+    except ValueError as exc:
+        raise CommandError(EXIT_INVALID, f"{filename}: not a density matrix: {exc}") from None
     return rho
 
 

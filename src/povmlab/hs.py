@@ -1,22 +1,29 @@
 """Hilbert-Schmidt vector calculus for finite-dimensional operators.
 
 Self-adjoint operators on a d-dimensional Hilbert space are treated as
-vectors of the d^2-dimensional Hilbert-Schmidt (HS) space.  The flattening
-convention is row-major: ``X.reshape(-1)[d*m + n] == X[m, n]``, so that the
-HS inner product ``<X|Y> = Tr[X^dag Y]`` is the ordinary complex dot
-product of the flattened arrays and ``(A (x) B)|X> = |A X B^T>``.
+vectors of the real d^2-dimensional Hilbert-Schmidt (HS) space.  An
+operator's vector is its list of coordinates ``<E_k|X> = Tr[E_k X]`` in a
+fixed real orthonormal basis of self-adjoint operators: the diagonal units
+``|m><m|``, then ``(|m><n| + |n><m|)/sqrt(2)`` and then
+``i(|m><n| - |n><m|)/sqrt(2)`` for ``m < n`` in ``np.triu_indices`` order.
+:func:`coords` and :func:`from_coords` are the only maps between operators
+and vectors.  A self-adjoint operator has real coordinates, and the HS
+inner product ``<X|Y> = Tr[X^dag Y]`` is the ordinary dot product of the
+coordinate vectors.  Both maps are C-linear and isometric, so complex and
+non-self-adjoint operators keep working, with complex coordinates.
 
 Every span question (is an operator, or a whole subspace, inside the span
 of some operators?) is answered one way: the Frobenius norm of
 :func:`off_span` against an orthonormal basis of the span.
 
-Everything in this module works on plain complex ``numpy`` arrays; the
+Everything in this module works on plain ``numpy`` arrays; the
 higher-level modules wrap them in richer types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,8 +75,58 @@ def as_operator(x) -> np.ndarray:
 
 
 def dagger(X: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint."""
-    return np.conj(np.transpose(X))
+    """Hermitian adjoint (a transposed view for real arrays)."""
+    return np.asarray(X).conj().T
+
+
+_SQRT_HALF = np.sqrt(0.5)
+
+
+@lru_cache(maxsize=None)
+def _coord_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions of the diagonal, the upper (m < n) and the mirrored lower entries."""
+    m, n = np.triu_indices(d, 1)
+    index = (np.arange(d) * (d + 1), m * d + n, n * d + m)
+    for positions in index:  # shared by every caller
+        positions.setflags(write=False)
+    return index
+
+
+def coords(X) -> np.ndarray:
+    """HS coordinates ``<E_k|X>`` of a ``(..., d, d)`` stack: a ``(..., d^2)`` array.
+
+    The basis is the one of the module docstring.  The coordinates of a
+    self-adjoint operator are real, and a result whose imaginary parts all
+    lie within ``np.real_if_close``'s 100 machine epsilons of zero comes
+    back as a real array.
+    """
+    X = np.asarray(X)
+    d = X.shape[-1]
+    diag, upper, lower = _coord_index(d)
+    flat = X.reshape(X.shape[:-2] + (d * d,))
+    up, lo = flat[..., upper], flat[..., lower]
+    v = np.concatenate(
+        [flat[..., diag], _SQRT_HALF * (up + lo), 1j * _SQRT_HALF * (lo - up)], axis=-1
+    )
+    return np.ascontiguousarray(np.real_if_close(v))
+
+
+def from_coords(v) -> np.ndarray:
+    """The complex ``(..., d, d)`` operators with HS coordinates ``v`` (shape ``(..., d^2)``).
+
+    Inverse of :func:`coords`; real coordinates give self-adjoint operators.
+    """
+    v = np.asarray(v)
+    d = int(np.sqrt(v.shape[-1]) + 0.5)
+    if d * d != v.shape[-1]:
+        raise ValueError(f"{v.shape[-1]} coordinates do not form a square operator")
+    diag, upper, lower = _coord_index(d)
+    sym, anti = v[..., d:(d * d + d) // 2], v[..., (d * d + d) // 2:]
+    flat = np.empty(v.shape[:-1] + (d * d,), dtype=complex)
+    flat[..., diag] = v[..., :d]
+    flat[..., upper] = _SQRT_HALF * (sym + 1j * anti)
+    flat[..., lower] = _SQRT_HALF * (sym - 1j * anti)
+    return flat.reshape(v.shape[:-1] + (d, d))
 
 
 def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -98,8 +155,9 @@ def span_basis(operators, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (d^2 x r columns) of the HS span of ``operators``.
 
     The left factor of :func:`truncated_svd` of the matrix whose columns are
-    the flattened operators, so directions with singular value at most
-    ``tol.eig_zero`` times the largest are discarded.
+    the operators' coordinates, so directions with singular value at most
+    ``tol.eig_zero`` times the largest are discarded.  The basis is real
+    when the operators are self-adjoint.
     """
     ops = [as_operator(op) for op in operators]
     if not ops:
@@ -107,4 +165,4 @@ def span_basis(operators, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     d = ops[0].shape[0]
     if any(op.shape != (d, d) for op in ops):
         raise ValueError("operators must share one dimension")
-    return truncated_svd(np.stack(ops).reshape(len(ops), -1).T, tol)[0]
+    return truncated_svd(coords(np.stack(ops)).T, tol)[0]

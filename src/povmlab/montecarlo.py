@@ -118,6 +118,8 @@ def sample(P: Povm, rho, n_ex: int, seed: int, *, chunk_size: int | None = None)
         raise ValueError("n_ex must be at least 1")
     if chunk_size is None:
         chunk_size = n_ex
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
     counts = np.zeros(len(P), dtype=np.int64)
     for start in range(0, n_ex, chunk_size):
         counts += sample_range(P, rho, start, min(start + chunk_size, n_ex), seed)
@@ -143,7 +145,7 @@ def empirical_estimate(run: SampleRun, c: ProcessingFunction,
     The stream assigns value ``c_i`` to each draw of outcome i; the mean
     estimates the target average and the variance (with the n - 1
     denominator) estimates the per-measurement error, so the standard
-    error of the mean is ``sqrt(variance / (n_ex - 1))``.
+    error of the mean is ``sqrt(variance / n_ex)``.
     """
     coeff = np.asarray(c.coefficients)
     if coeff.shape != run.counts.shape:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, off_span
+from .hs import DEFAULT_TOL, Tolerances, coords, off_span
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
@@ -81,6 +81,8 @@ class MarkovMatrix:
         mat = np.asarray(m, dtype=float)
         if mat.ndim != 2:
             raise ValueError("Markov matrix must be two-dimensional")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("Markov matrix entries must be finite")
         if validate:
             if np.any(mat < -tol.psd_slack):
                 j, i = np.unravel_index(np.argmin(mat), mat.shape)
@@ -161,16 +163,15 @@ class PostProcessingSearch:
 def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
     """Search for a Markov matrix ``m`` with ``Q_j = sum_i m(j|i) P_i``.
 
-    The linear program minimizes the largest entrywise synthesis residual
-    over all column-stochastic matrices; the relation holds exactly iff
-    the optimum is zero, so the reported minimum doubles as an
-    infeasibility certificate when it exceeds :data:`FEASIBILITY_RESIDUAL`.
+    The linear program minimizes the largest synthesis residual, measured
+    in the HS coordinates of the design matrices, over all column-stochastic
+    matrices; the relation holds exactly iff the optimum is zero, so the
+    reported minimum doubles as an infeasibility certificate when it
+    exceeds :data:`FEASIBILITY_RESIDUAL`.
     """
     if Q.dim != P.dim:
         raise ValueError("POVMs must act on the same space")
-    # real design matrix: columns are [Re vec(P_i); Im vec(P_i)]
-    A = np.vstack([np.real(P.design_matrix), np.imag(P.design_matrix)])
-    b = np.vstack([np.real(Q.design_matrix), np.imag(Q.design_matrix)])
+    A, b = P.design_matrix, Q.design_matrix
     #  A m_j - b_j <= s   and   -(A m_j - b_j) <= s, minimizing s
     cost = np.zeros(len(Q) * len(P) + 1)
     cost[-1] = 1.0
@@ -273,10 +274,7 @@ def blur_for_post_processing(P: Povm, Q: Povm, ensemble: Ensemble) -> BlurResult
     if outside.size:
         j = int(outside[0])
         raise OutsideSpanError(residuals[j], f"target element {j}")
-    D = optimal_dual(P, ensemble)
-    c = np.real(
-        np.einsum("iab,jba->ij", np.conj(np.transpose(D.elements, (0, 2, 1))), Q.elements)
-    )
+    c = optimal_dual(P, ensemble).coords.T @ Q.design_matrix
     M = len(Q)
     eps = minimal_blur(float(c.min()), M)
     markov_entries = (1.0 - eps) * c.T + eps / M  # rows: target outcome j
@@ -391,9 +389,8 @@ def _function_of_constraints(X: Observable, P: Povm):
     """Rows enforcing that a combination of P's elements is a function of X."""
     # spectral projectors are orthogonal, so normalizing each gives an
     # orthonormal basis of the function-of-X subspace
-    U = X.projectors.reshape(X.spectrum_size, -1).T
-    W = off_span(U / np.linalg.norm(U, axis=0), P.design_matrix)
-    return np.vstack([np.real(W), np.imag(W)])
+    U = coords(X.projectors).real.T
+    return off_span(U / np.linalg.norm(U, axis=0), P.design_matrix)
 
 
 def looks_like_convex_union(P: Povm, observables) -> bool:
@@ -431,9 +428,7 @@ def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
         s = X.spectrum_size
         rows = _function_of_constraints(X, P)
         cost = np.zeros((s + 1, len(P)))
-        for h in range(s):
-            # maximize the alignment sum_h Tr[Q_h X_h]
-            cost[h] = -np.real(np.einsum("ab,iba->i", X.projectors[h], P.elements))
+        cost[:s] = -coords(X.projectors).real @ P.design_matrix  # maximize sum_h Tr[Q_h X_h]
         res, m = _markov_lp(cost.ravel(), rows, np.zeros((rows.shape[0], s + 1)), bounded=False)
         if m is None:
             return JointMeasurementResult(False, certificates, idx, False)

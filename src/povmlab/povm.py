@@ -2,12 +2,13 @@
 
 A POVM with outcomes ``P_1 .. P_N`` is stored as a stacked ``(N, d, d)``
 complex array.  Viewed as HS vectors the outcomes form a frame for their
-span: the columns of the d^2 x N design matrix ``V``.  One truncated SVD
-of ``V``, cached on the POVM, gives the span rank, the orthonormal span
-basis that the span tests measure against, the span projector and the
-canonical dual ``(V^+)^dag``; the shifted duals built from an
-arbitrary operator list complete the linear machinery used by the
-estimation routines.
+span: the columns of the real d^2 x N design matrix ``V`` of their
+coordinates (:func:`hs.coords`).  One truncated SVD of ``V``, cached on
+the POVM, gives the span rank, the orthonormal span basis that the span
+tests measure against, the span projector and the canonical dual
+``(V^+)^dag``; the shifted duals built from an arbitrary operator list
+complete the linear machinery used by the estimation routines.  Dual
+frames are held in the same coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .hs import (
     DEFAULT_TOL,
     Tolerances,
     as_operator,
+    coords,
     dagger,
+    from_coords,
     off_span,
     span_basis,
     truncated_svd,
@@ -116,7 +119,7 @@ class Povm:
         self.elements = mats
         self.labels = labels
         self.tol = tol
-        # Ensemble -> (optimal dual elements, outcome probabilities), filled
+        # Ensemble -> (optimal dual coordinates, outcome probabilities), filled
         # by ``processing``; an entry lives no longer than its ensemble
         self.by_ensemble = weakref.WeakKeyDictionary()
 
@@ -135,8 +138,10 @@ class Povm:
 
     @cached_property
     def design_matrix(self) -> np.ndarray:
-        """d^2 x N matrix whose columns are the vectorized elements (read-only)."""
-        return self.elements.reshape(len(self), -1).T
+        """Real d^2 x N matrix: HS coordinates of the elements' Hermitian parts (read-only)."""
+        V = coords(self.elements).real.T
+        V.setflags(write=False)
+        return V
 
     @cached_property
     def svd(self):
@@ -149,9 +154,9 @@ class Povm:
 
     @cached_property
     def span_projector(self) -> np.ndarray:
-        """Orthogonal projector onto the HS span of the elements."""
+        """Orthogonal projector onto the HS span of the elements, in HS coordinates."""
         U = self.svd[0]
-        return U @ dagger(U)
+        return U @ U.T
 
     @cached_property
     def span_rank(self) -> int:
@@ -212,37 +217,31 @@ def povm_report(elements, tol: Tolerances = DEFAULT_TOL) -> dict:
 class DualFrame:
     """Operators ``D_i`` with ``sum_i |D_i><P_i|`` equal to the span projector.
 
-    Carries a reference to the source POVM so that processing functions can
-    perform their span-membership checks without extra arguments.
+    Held as ``coords``, the d^2 x N matrix of their HS coordinates laid out
+    like the POVM's design matrix; ``elements`` rebuilds the operators.  The
+    POVM reference lets processing functions check span membership.
     """
 
-    def __init__(self, elements, povm: Povm):
-        mats = np.array(elements, dtype=complex)
-        if mats.shape != povm.elements.shape:
+    def __init__(self, coords, povm: Povm):
+        W = np.array(coords)
+        if W.shape != povm.design_matrix.shape:
             raise ValueError("dual frame must match the POVM outcome-for-outcome")
-        if not np.all(np.isfinite(mats)):
+        if not np.all(np.isfinite(W)):
             raise ValueError("dual frame entries must be finite")
-        mats.setflags(write=False)
-        self.elements = mats
+        W.setflags(write=False)
+        self.coords = W
         self.povm = povm
 
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[1]
-
-    def __len__(self) -> int:
-        return self.elements.shape[0]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """The dual operators as a stacked ``(N, d, d)`` array (read-only)."""
+        mats = from_coords(self.coords.T)
+        mats.setflags(write=False)
+        return mats
 
     def resolution_residual(self) -> float:
         """Norm of ``sum_i |D_i><P_i| - Pi_span``; zero for an exact dual."""
-        W = self.elements.reshape(len(self), -1).T
-        resolution = W @ dagger(self.povm.design_matrix)
+        resolution = self.coords @ self.povm.design_matrix.T
         return float(np.linalg.norm(resolution - self.povm.span_projector))
 
 
@@ -255,7 +254,7 @@ def canonical_dual(P: Povm) -> DualFrame:
     square the condition number and drop directions the span keeps.
     """
     U, s, Vh = P.svd
-    return DualFrame(((U / s) @ Vh).T.reshape(P.elements.shape), P)
+    return DualFrame((U / s) @ Vh, P)
 
 
 def alternate_dual(P: Povm, canonical: DualFrame, Y) -> DualFrame:
@@ -268,15 +267,14 @@ def alternate_dual(P: Povm, canonical: DualFrame, Y) -> DualFrame:
     Ymats = np.stack([as_operator(y) for y in Y])
     if Ymats.shape != P.elements.shape:
         raise ValueError("need one Y operator per POVM element")
-    M = np.conj(canonical.elements.reshape(len(P), -1)) @ P.design_matrix  # <Delta_i|P_j>
-    shifted = canonical.elements + Ymats - np.tensordot(M, Ymats, axes=(1, 0))
-    return DualFrame(shifted, P)
+    Yc = coords(Ymats).T
+    M = dagger(canonical.coords) @ P.design_matrix  # <Delta_i|P_j>
+    return DualFrame(canonical.coords + Yc - Yc @ M.T, P)
 
 
 def symmetrize_dual(D: DualFrame) -> DualFrame:
-    """Element-wise Hermitian part; again a valid dual for self-adjoint frames."""
-    sym = 0.5 * (D.elements + np.conj(np.transpose(D.elements, (0, 2, 1))))
-    return DualFrame(sym, D.povm)
+    """Element-wise Hermitian part, the real part of the coordinates; again a valid dual."""
+    return DualFrame(D.coords.real, D.povm)
 
 
 def is_r_infocomplete(P: Povm, operators) -> bool:

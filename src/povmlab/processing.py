@@ -11,11 +11,12 @@ The ensemble-optimal dual is the canonical dual of the weighted frame
 ``P_i / sqrt(pi_i)``, rescaled by ``1 / sqrt(pi_i)``: ``D_i = G^+ P_i / pi_i``
 with ``G = sum_i |P_i><P_i| / pi_i`` and ``pi_i`` the barycenter probability
 of outcome i.  It comes from one truncated SVD of ``V diag(pi^-1/2)``, is
-cached on the POVM per ensemble, and ``min_error`` reads its coefficients
-from that cache.  Outcomes with ``pi_i <= P.tol.eig_zero`` cost nothing in
-the ensemble error, so their coefficients are left free: the live outcomes
-are weighted off the span of the dead ones, the dead duals complete the
-resolution, and a :class:`DegenerateMetricWarning` is raised.
+cached on the POVM per ensemble as the duals' real HS coordinates, and
+``min_error`` reads its coefficients from that cache.  Outcomes with
+``pi_i <= P.tol.eig_zero`` cost nothing in the ensemble error, so their
+coefficients are left free: the live outcomes are weighted off the span of
+the dead ones, the dead duals complete the resolution, and a
+:class:`DegenerateMetricWarning` is raised.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, as_operator, dagger, off_span, truncated_svd
+from .hs import DEFAULT_TOL, Tolerances, as_operator, coords, off_span, truncated_svd
 from .povm import DualFrame, Povm, _element_figures
 
 
@@ -62,6 +63,8 @@ class Ensemble:
         mats = np.stack([as_operator(s) for s in states])
         if q.ndim != 1 or len(q) != mats.shape[0]:
             raise ValueError("one weight per state required")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("weights must be finite")
         if np.any(q <= 0.0):
             raise ValueError("weights must be strictly positive")
         if abs(q.sum() - 1.0) > tol.lin_solve:
@@ -155,7 +158,7 @@ class ProcessingFunction:
 
 
 def _span_residual(P: Povm, V: np.ndarray):
-    """Distance from the span of P of the flattened operator ``V``, or of each column of ``V``."""
+    """Distance from the span of P of the coordinate vector ``V``, or of each column of ``V``."""
     return np.linalg.norm(off_span(P.svd[0], V), axis=0)
 
 
@@ -163,10 +166,11 @@ def processing_from_dual(D: DualFrame, X) -> ProcessingFunction:
     """Coefficients ``c_i = Tr[D_i^dag X]`` for a span-contained target X."""
     X = as_operator(X)
     P = D.povm
-    residual = _span_residual(P, X.reshape(-1))
+    x = coords(X)
+    residual = _span_residual(P, x)
     if residual > P.tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
-    return ProcessingFunction(X, np.conj(D.elements.reshape(len(D), -1)) @ X.reshape(-1))
+    return ProcessingFunction(X, D.coords.conj().T @ x)
 
 
 def estimate(P: Povm, c: ProcessingFunction, rho) -> float:
@@ -195,21 +199,20 @@ def ensemble_error(P: Povm, c: ProcessingFunction, ensemble: Ensemble) -> float:
 
 
 def _optimal(P: Povm, ensemble: Ensemble):
-    """Optimal dual elements and barycenter probabilities; cached on P per ensemble."""
+    """Optimal duals' d^2 x N coordinates and barycenter probabilities, cached on P per ensemble."""
     tol = P.tol
     if ensemble not in P.by_ensemble:
         pi = metric_diagonal(P, ensemble).diag
         live = pi > tol.eig_zero
-        V_L, V_D = P.design_matrix[:, live], P.design_matrix[:, ~live]
+        V = P.design_matrix
+        V_L, V_D = V[:, live], V[:, ~live]
         U_D, s_D, Vh_D = truncated_svd(V_D, tol)
         root = np.sqrt(pi[live])
-        A = V_L / root
-        U, s, Vh = truncated_svd(off_span(U_D, A), tol)  # Q V_L diag(pi_L^-1/2)
-        duals = np.empty(P.design_matrix.shape, dtype=complex)
+        U, s, Vh = truncated_svd(off_span(U_D, V_L / root), tol)  # Q V_L diag(pi_L^-1/2)
+        duals = np.empty(V.shape)
         duals[:, live] = (U / s) @ Vh / root
         W_D = (U_D / s_D) @ Vh_D  # (V_D^+)^dag, inside the span, so Pi W_D = W_D
-        duals[:, ~live] = W_D - duals[:, live] @ (dagger(V_L) @ W_D)
-        duals = duals.T.reshape(P.elements.shape)
+        duals[:, ~live] = W_D - duals[:, live] @ (V_L.T @ W_D)
         duals.setflags(write=False)
         P.by_ensemble[ensemble] = (duals, pi)
     duals, pi = P.by_ensemble[ensemble]
@@ -256,10 +259,10 @@ def min_error(P: Povm, ensemble: Ensemble, X) -> float:
     cost nothing, so their coefficients are left free, as in
     :func:`optimal_dual`, with the same warning.
     """
-    X = as_operator(X)
-    residual = _span_residual(P, X.reshape(-1))
+    x = coords(as_operator(X))
+    residual = _span_residual(P, x)
     if residual > P.tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
     duals, pi = _optimal(P, ensemble)
-    c = np.conj(duals.reshape(len(P), -1)) @ X.reshape(-1)
+    c = duals.T @ x
     return float(np.dot(np.abs(c) ** 2, pi)) - ensemble.second_moment(X)

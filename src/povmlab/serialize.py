@@ -185,12 +185,14 @@ def load_json_file(filename: str):
     try:
         with open(filename, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(filename, 0, 0, str(exc)) from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(filename, exc.lineno, exc.colno, exc.msg) from None
+    except RecursionError:
+        raise ParseError(filename, 0, 0, "arrays or objects nested too deeply") from None
 
 
 def dump_json(obj) -> str:

@@ -16,7 +16,7 @@ from povmlab.abspace import (
     project_povm,
     vandermonde_recovery,
 )
-from povmlab.hs import Tolerances
+from povmlab.hs import Tolerances, coords
 from povmlab.povm import Observable
 from povmlab.standard import pauli_observable, projective_povm, sic_povm, trine_povm
 
@@ -118,7 +118,7 @@ class TestABSpace:
         )
         vecs = S.basis.reshape(S.dim, -1)
         assert_allclose(vecs @ vecs.conj().T, np.eye(S.dim), atol=1e-12)
-        assert_allclose(S.columns, vecs.T)
+        assert_allclose(S.columns, coords(S.basis).T)
         projector = S.columns @ S.columns.conj().T
         assert_allclose(projector @ projector, projector, atol=1e-12)
         assert_allclose(projector, projector.conj().T, atol=1e-13)

@@ -22,7 +22,7 @@ from helpers import (
     random_state,
 )
 from povmlab.abspace import independent_powers, vandermonde_recovery
-from povmlab.hs import dagger
+from povmlab.hs import coords, dagger, from_coords
 from povmlab.montecarlo import (
     empirical_estimate,
     sample,
@@ -176,7 +176,7 @@ def test_min_error_consistency():
         P = random_povm(d, int(rng.integers(d, d * d + 3)), rng)
         ensemble = random_ensemble(d, int(rng.integers(2, 5)), rng)
         raw = random_hermitian(d, rng)
-        proj = (P.span_projector @ raw.reshape(-1)).reshape(d, d)
+        proj = from_coords(P.span_projector @ coords(raw))
         X = 0.5 * (proj + dagger(proj))
         c = processing_from_dual(optimal_dual(P, ensemble), X)
         err = min_error(P, ensemble, X)
@@ -197,7 +197,7 @@ def test_optimal_dual_optimality():
         P = random_povm(d, n, rng)
         ensemble = random_ensemble(d, int(rng.integers(2, 5)), rng)
         raw = random_hermitian(d, rng)
-        proj = (P.span_projector @ raw.reshape(-1)).reshape(d, d)
+        proj = from_coords(P.span_projector @ coords(raw))
         X = 0.5 * (proj + dagger(proj))
         canonical = canonical_dual(P)
         best = ensemble_error(P, processing_from_dual(optimal_dual(P, ensemble), X), ensemble)
@@ -324,7 +324,7 @@ def test_monte_carlo_calibration():
         P = random_povm(2, int(rng.integers(3, 7)), rng)
         rho = random_state(2, rng)
         raw = random_hermitian(2, rng)
-        proj = (P.span_projector @ raw.reshape(-1)).reshape(2, 2)
+        proj = from_coords(P.span_projector @ coords(raw))
         X = 0.5 * (proj + dagger(proj))
         c = processing_from_dual(canonical_dual(P), X)
         run = sample(P, rho, n, seed=1000 + case)

@@ -98,6 +98,20 @@ class TestValidate:
         assert code == 1
         assert "broken.json:1:" in err
 
+    def test_non_utf8_json(self, capsys, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, ["validate", str(bad)])
+        assert code == 1 and not out
+        assert err.startswith("povmlab: ") and "latin.json" in err and err.count("\n") == 1
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        code, out, err = run(capsys, ["validate", str(deep)])
+        assert code == 1 and not out
+        assert err.startswith("povmlab: ") and "deep.json" in err and err.count("\n") == 1
+
 
 class TestSeedResolution:
     def test_default_zero(self, capsys, sic_file, monkeypatch):
@@ -148,6 +162,13 @@ class TestSeedResolution:
         code, out, err = run(capsys, ["validate", "--config", str(config), sic_file])
         assert code == 1
         assert fragment in err
+
+    def test_non_utf8_config(self, capsys, sic_file, tmp_path):
+        config = tmp_path / "povmlab.cfg"
+        config.write_bytes(b"seed = 1\n\xff\n")
+        code, out, err = run(capsys, ["validate", "--config", str(config), sic_file])
+        assert code == 1 and not out
+        assert err.startswith("povmlab: ") and "povmlab.cfg" in err and err.count("\n") == 1
 
 
 class TestToleranceFlags:
@@ -484,6 +505,17 @@ class TestSimulate:
         )
         assert code == 2
         assert "trace" in err
+
+    @pytest.mark.parametrize("rho", [[[1.0, 1.0], [0.0, 0.0]], np.diag([1.5, -0.5])],
+                             ids=["not-self-adjoint", "not-positive"])
+    def test_state_must_be_a_density_matrix(self, capsys, sic_file, sz_file, tmp_path, rho):
+        bad = write(tmp_path, "bad_state.json", operator_to_json(np.asarray(rho)))
+        code, out, err = run(
+            capsys,
+            ["simulate", "--povm", sic_file, "--state", bad, "--x", sz_file, "--n", "10"],
+        )
+        assert code == 2 and not out
+        assert "bad_state.json" in err and err.count("\n") == 1
 
     def test_deterministic_bytes(self, sic_file, state_file, sz_file, tmp_path):
         argv = ["simulate", "--povm", sic_file, "--state", state_file,

@@ -1,47 +1,78 @@
-"""Vectorization, inner products, and the small linear-algebra toolbox."""
+"""HS coordinates, inner products, and the small linear-algebra toolbox."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import povmlab
 from povmlab.hs import (
     DEFAULT_TOL,
     Tolerances,
     as_operator,
+    coords,
     dagger,
+    from_coords,
     off_span,
     span_basis,
     truncated_svd,
 )
-from povmlab.povm import Povm
 
 from helpers import random_hermitian
 
 
-def flatten(X):
-    """The HS vector of X as the library forms it: a column of the design matrix."""
-    return Povm([X], validate=False, drop_zero=False).design_matrix[:, 0]
-
-
 class TestVectorization:
-    """Row-major stacking and its interaction with operator products."""
+    """The HS coordinate map: basis order, isometry, round trip and real coordinates."""
 
-    def test_row_major_order(self):
-        X = np.arange(4.0).reshape(2, 2)
-        assert np.array_equal(flatten(X), [0.0, 1.0, 2.0, 3.0])
+    def test_basis_order_on_a_qubit(self):
+        r = np.sqrt(0.5)
+        basis = [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, r], [r, 0]], [[0, 1j * r], [-1j * r, 0]]]
+        assert np.allclose(from_coords(np.eye(4)), basis, rtol=0.0, atol=1e-15)
+        X = np.array([[1.0, 2.0 + 3.0j], [2.0 - 3.0j, 4.0]])
+        assert np.allclose(coords(X), [1.0, 4.0, 2.0 * np.sqrt(2.0), 3.0 * np.sqrt(2.0)])
+        with pytest.raises(ValueError, match="square"):
+            from_coords(np.zeros(5))
 
     def test_inner_product_is_trace_pairing(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         Y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.vdot(flatten(X), flatten(Y)) == pytest.approx(np.trace(dagger(X) @ Y))
+        assert np.vdot(coords(X), coords(Y)) == pytest.approx(np.trace(dagger(X) @ Y))
+        assert np.allclose(from_coords(coords(X)), X, rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_kron_action_matches_vectorized_operator(self, d):
-        rng = np.random.default_rng(d)
-        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert np.allclose(np.kron(A, B) @ flatten(X), flatten(A @ X @ B.T))
+    def test_self_adjoint_operators_have_real_coordinates(self):
+        rng = np.random.default_rng(2)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+        v = coords(stack)
+        assert v.shape == (4, 9) and v.dtype == np.float64
+        assert np.allclose(from_coords(v), stack, rtol=0.0, atol=1e-14)
+        assert np.iscomplexobj(coords(stack[0] + 1j * stack[1]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_map_is_a_c_linear_isometry_with_its_inverse(self, d, seed):
+        rng = np.random.default_rng(seed)
+        X, Y = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        assert coords(X).shape == (d * d,)
+        assert np.vdot(coords(X), coords(Y)) == pytest.approx(np.trace(dagger(X) @ Y))
+        assert np.allclose(coords(a * X + b * Y), a * coords(X) + b * coords(Y))
+        assert np.allclose(coords(dagger(X)), np.conj(coords(X)))
+        assert np.allclose(from_coords(coords(X)), X, rtol=0.0, atol=1e-13)
+
+
+def test_only_hs_flattens_or_rebuilds_operators():
+    """The modules built on ``hs`` reach operator vectors through ``hs.coords`` alone."""
+    root = Path(povmlab.__file__).parent
+    pattern = re.compile(r"reshape\(.*-1|\.imag\b")
+    hits = [f"{name}:{lineno}: {line.strip()}"
+            for name in ("povm.py", "processing.py", "abspace.py", "postproc.py")
+            for lineno, line in enumerate((root / name).read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
 
 
 class TestOperatorPredicates:
@@ -74,14 +105,14 @@ class TestPseudoinverseAndSpans:
         ops = [random_hermitian(2, rng) for _ in range(2)]
         # a dependent third operator adds no direction
         U = span_basis(ops + [ops[0] - 2.0 * ops[1]])
-        assert U.shape == (4, 2)
+        assert U.shape == (4, 2) and U.dtype == np.float64
         assert np.allclose(dagger(U) @ U, np.eye(2), atol=1e-12)
         Pi = U @ dagger(U)
         assert np.allclose(Pi @ Pi, Pi, atol=1e-12)
         for op in ops:
-            assert np.linalg.norm(off_span(U, op.reshape(-1))) < 1e-10
+            assert np.linalg.norm(off_span(U, coords(op))) < 1e-10
         # a generic third operator leaves the span, by its distance from it
-        v = random_hermitian(2, rng).reshape(-1)
+        v = coords(random_hermitian(2, rng))
         assert np.linalg.norm(off_span(U, v)) == pytest.approx(np.linalg.norm(Pi @ v - v))
         assert np.linalg.norm(off_span(U, v)) > 1e-3
         with pytest.raises(ValueError, match="at least one"):

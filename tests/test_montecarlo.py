@@ -105,6 +105,11 @@ class TestSampling:
         chunked = sample(P, rho, 10_001, seed=7, chunk_size=chunk)
         assert np.array_equal(full.counts, chunked.counts)
 
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_size_must_be_positive(self, chunk):
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            sample(sic_povm(), I2 / 2.0, 100, seed=0, chunk_size=chunk)
+
     def test_ranges_cover_the_stream(self):
         P = projective_povm("z")
         rho = bloch_state([0.3, 0.0, 0.4])

@@ -71,6 +71,11 @@ class TestMarkovMatrix:
         with pytest.raises(ValueError, match="two-dimensional"):
             MarkovMatrix([0.5, 0.5])
 
+    def test_nonfinite_entry_rejected(self):
+        # NaN passes every comparison-based check, so it needs its own
+        with pytest.raises(ValueError, match="finite"):
+            MarkovMatrix([[np.nan, 0.5], [1.0, 0.5]])
+
     def test_compose(self):
         rng = np.random.default_rng(3)
         inner = random_markov(3, 4, rng)
@@ -229,8 +234,7 @@ class TestMarkovLpConstraints:
         P = sic_povm()
         Q = apply_post_processing(P, random_markov(3, 4, np.random.default_rng(3)))
         (got,) = self._captured(monkeypatch, lambda: find_post_processing(Q, P))
-        A = np.vstack([P.design_matrix.real, P.design_matrix.imag])
-        b = np.vstack([Q.design_matrix.real, Q.design_matrix.imag])
+        A, b = P.design_matrix, Q.design_matrix
         block, b_ub, sums = loop_markov_constraints(
             np.vstack([A, -A]), np.vstack([b, -b]), len(Q) * len(P) + 1)
         block[:, -1] = -1.0

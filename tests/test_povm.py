@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from povmlab.hs import Tolerances
+from povmlab.abspace import ab_space
+from povmlab.hs import Tolerances, coords
 from povmlab.povm import (
     NotCompleteError,
     NotPositiveError,
@@ -19,6 +20,7 @@ from povmlab.povm import (
     spectral_povm,
     symmetrize_dual,
 )
+from povmlab.processing import optimal_dual
 from povmlab.standard import TETRAHEDRON, projective_povm, sic_povm, trine_povm
 
 from helpers import (
@@ -26,6 +28,7 @@ from helpers import (
     SY,
     SZ,
     ill_conditioned_minimal_povm,
+    random_ensemble,
     random_hermitian,
     random_povm,
     random_state,
@@ -116,8 +119,23 @@ class TestFrameOperator:
         rng = np.random.default_rng(1)
         P = random_povm(3, 5, rng)
         V = P.design_matrix
-        F = sum(np.outer(m.reshape(-1), m.reshape(-1).conj()) for m in P.elements)
+        F = sum(np.outer(coords(m), coords(m).conj()) for m in P.elements)
         assert np.allclose(F, V @ V.conj().T)
+
+
+    def test_frame_quantities_are_real(self):
+        # valid POVMs and observables are self-adjoint, so their coordinates,
+        # the spectral factors and the cached optimal duals are all float64
+        rng = np.random.default_rng(6)
+        for P in (sic_povm(), random_povm(3, 7, rng), random_povm(3, 14, rng, rank_one=True)):
+            arrays = (P.design_matrix, *P.svd, P.span_projector)
+            assert all(a.dtype == np.float64 for a in arrays)
+            E = random_ensemble(P.dim, 3, rng)
+            optimal_dual(P, E)
+            duals, pi = P.by_ensemble[E]
+            assert duals.dtype == np.float64 and pi.dtype == np.float64
+        S = ab_space(Observable(random_hermitian(3, rng)), Observable(random_hermitian(3, rng)))
+        assert S.columns.dtype == np.float64
 
 
 class TestCanonicalDual:

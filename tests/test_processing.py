@@ -47,7 +47,7 @@ def reference_optimal_dual(P, ensemble):
     its pseudoinverse, ``D_i = G^+ |P_i> / pi_ii``.
     """
     pi = metric_diagonal(P, ensemble).diag
-    V = P.design_matrix
+    V = P.elements.reshape(len(P), -1).T  # row-major, independent of hs.coords
     G = (V / pi) @ V.conj().T
     Gp = np.linalg.pinv(G, rcond=1e-10, hermitian=True)
     out = []
@@ -64,7 +64,7 @@ def reference_min_error(P, ensemble, X):
     design matrix, and ``z`` minimizes ``sum_i pi_i |c_i|^2``.
     """
     pi = metric_diagonal(P, ensemble).diag
-    V = P.design_matrix
+    V = P.elements.reshape(len(P), -1).T  # row-major, independent of hs.coords
     x = np.asarray(X, dtype=complex).reshape(-1)
     c0 = np.linalg.lstsq(V, x, rcond=None)[0]
     _, s, Vh = np.linalg.svd(V)
@@ -81,6 +81,10 @@ class TestEnsemble:
             Ensemble([0.7, 0.7], [np.eye(2) / 2] * 2)
         with pytest.raises(ValueError):
             Ensemble([1.5, -0.5], [np.eye(2) / 2] * 2)
+
+    def test_nonfinite_weight_rejected(self):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Ensemble([np.nan, 1.0], [np.eye(2) / 2] * 2)
 
     @pytest.mark.parametrize(
         "states, message",

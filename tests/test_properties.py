@@ -18,6 +18,7 @@ from povmlab.abspace import (
     is_ab_infocomplete,
     is_minimal_ab_infocomplete,
 )
+from povmlab.hs import coords, from_coords
 from povmlab.montecarlo import sample, sample_range
 from povmlab.postproc import (
     FEASIBILITY_RESIDUAL,
@@ -67,8 +68,7 @@ def frame_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     P = random_povm(d, n, rng)
     E = random_ensemble(d, int(rng.integers(1, 5)), rng)
-    v = P.span_projector @ random_hermitian(d, rng).reshape(-1)
-    X = v.reshape(d, d)
+    X = from_coords(P.span_projector @ coords(random_hermitian(d, rng)))
     return P, E, 0.5 * (X + X.conj().T)
 
 
@@ -241,7 +241,8 @@ def r_cases(draw):
 @given(r_cases())
 def test_r_infocompleteness_matches_the_projector_product(case):
     P, R = case
-    Pi_R, Pi_P = reference_projector(flat_columns(R)), reference_projector(P.design_matrix)
+    Pi_R = reference_projector(flat_columns(R))
+    Pi_P = reference_projector(flat_columns(P.elements))
     residual = float(np.linalg.norm(Pi_R @ Pi_P - Pi_R))
     assert off_threshold(residual, P.tol)
     assert is_r_infocomplete(P, R) == (residual <= P.tol.lin_solve)
@@ -285,7 +286,8 @@ def candidates(A, B):
 def test_ab_infocompleteness_matches_the_projector_products(case):
     A, B, P = case
     S = ab_space(A, B)
-    Pi_S, Pi_P = reference_projector(flat_columns(candidates(A, B))), reference_projector(P.design_matrix)
+    Pi_S = reference_projector(flat_columns(candidates(A, B)))
+    Pi_P = reference_projector(flat_columns(P.elements))
     contained = float(np.linalg.norm(Pi_S @ Pi_P - Pi_S))
     equal = float(np.linalg.norm(Pi_P - Pi_S))
     assert off_threshold(contained, P.tol) and off_threshold(equal, P.tol)
