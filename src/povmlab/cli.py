@@ -172,8 +172,17 @@ def _emit(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # input loading
 
+def _from_file(filename: str, build):
+    """``build`` the document in ``filename``, naming the file in any validation error."""
+    obj = load_json_file(filename)
+    try:
+        return build(obj)
+    except ValueError as exc:
+        raise CommandError(EXIT_INVALID, f"{filename}: {exc}") from None
+
+
 def _load_povm(filename: str, tol: Tolerances):
-    return povm_from_json(load_json_file(filename), tol=tol)
+    return _from_file(filename, lambda obj: povm_from_json(obj, tol=tol))
 
 
 def _load_ensemble(arg: str, dim: int, tol: Tolerances) -> Ensemble:
@@ -182,7 +191,7 @@ def _load_ensemble(arg: str, dim: int, tol: Tolerances) -> Ensemble:
             return maximally_mixed_ensemble(dim, tol=tol)
         ensemble = ENSEMBLE_PRESETS[arg](tol=tol)
     else:
-        ensemble = ensemble_from_json(load_json_file(arg), tol=tol)
+        ensemble = _from_file(arg, lambda obj: ensemble_from_json(obj, tol=tol))
     if ensemble.dim != dim:
         raise CommandError(
             EXIT_INVALID, f"ensemble dimension {ensemble.dim} != POVM dimension {dim}"
@@ -192,26 +201,33 @@ def _load_ensemble(arg: str, dim: int, tol: Tolerances) -> Ensemble:
 
 def _load_target(filename: str, tol: Tolerances) -> np.ndarray:
     """A target operator from either an Operator or an Observable document."""
-    obj = load_json_file(filename)
-    if isinstance(obj, dict) and "operator" in obj:
-        return observable_from_json(obj, tol=tol).operator
-    return operator_from_json(obj, path=filename)
+    def build(obj):
+        if isinstance(obj, dict) and "operator" in obj:
+            return observable_from_json(obj, tol=tol).operator
+        return operator_from_json(obj)
+
+    return _from_file(filename, build)
 
 
 def _load_observable(filename: str, tol: Tolerances) -> Observable:
-    obj = load_json_file(filename)
-    if isinstance(obj, dict) and "operator" in obj:
-        return observable_from_json(obj, tol=tol)
-    return Observable(operator_from_json(obj, path=filename), tol=tol)
+    def build(obj):
+        if isinstance(obj, dict) and "operator" in obj:
+            return observable_from_json(obj, tol=tol)
+        return Observable(operator_from_json(obj), tol=tol)
+
+    return _from_file(filename, build)
 
 
 def _load_state(filename: str, tol: Tolerances) -> np.ndarray:
-    rho = operator_from_json(load_json_file(filename), path=filename)
-    try:
-        Ensemble([1.0], [rho], tol=tol)  # the one density-matrix check
-    except ValueError as exc:
-        raise CommandError(EXIT_INVALID, f"{filename}: not a density matrix: {exc}") from None
-    return rho
+    def build(obj):
+        rho = operator_from_json(obj)
+        try:
+            Ensemble([1.0], [rho], tol=tol)  # the one density-matrix check
+        except ValueError as exc:
+            raise ValueError(f"not a density matrix: {exc}") from None
+        return rho
+
+    return _from_file(filename, build)
 
 
 def _format_float(x: float) -> str:
@@ -222,15 +238,14 @@ def _format_float(x: float) -> str:
 # verbs
 
 def cmd_validate(args, tol: Tolerances, seed: int) -> int:
-    obj = load_json_file(args.povm)
-    # parse the raw element list leniently: the point is to report problems
-    elements_json = obj.get("elements") if isinstance(obj, dict) else None
-    if not isinstance(elements_json, list) or not elements_json:
-        raise SchemaError("povm.elements", "expected a nonempty array")
-    elements = [
-        operator_from_json(e, f"povm.elements[{i}]") for i, e in enumerate(elements_json)
-    ]
-    report = povm_report(elements, tol=tol)
+    def elements(obj):
+        # parse the raw element list leniently: the point is to report problems
+        elements_json = obj.get("elements") if isinstance(obj, dict) else None
+        if not isinstance(elements_json, list) or not elements_json:
+            raise SchemaError("povm.elements", "expected a nonempty array")
+        return [operator_from_json(e, f"povm.elements[{i}]") for i, e in enumerate(elements_json)]
+
+    report = povm_report(_from_file(args.povm, elements), tol=tol)
     payload = {"meta": _meta(tol, seed), "report": report}
     _emit(args, payload)
     return EXIT_OK if report["valid"] else EXIT_INVALID

@@ -137,8 +137,33 @@ def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     (``Vh^dag diag(1/s) U^dag``), all with one cutoff.
     """
     U, s, Vh = np.linalg.svd(V, full_matrices=False)
-    r = int(np.count_nonzero(s > tol.eig_zero * s[0])) if s.size else 0
+    r = _kept(s, tol)
     return U[:, :r], s[:r], Vh[:r]
+
+
+def null_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+               scale: float | None = None) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of ``V``, at :func:`truncated_svd`'s cutoff.
+
+    The right singular vectors past the kept ones: ``V.shape[1] - r``
+    columns for numerical rank r, real when ``V`` is, and orthogonal to the
+    row span that the pseudoinverse maps into.  Singular values up to
+    ``tol.eig_zero * scale`` count as zero; ``scale`` defaults to the largest
+    one of ``V``, and must be given when ``V`` is the remainder of a larger
+    matrix (as from :func:`off_span`), which may be zero up to rounding.
+    """
+    _, s, Vh = np.linalg.svd(V)
+    return dagger(Vh[_kept(s, tol, scale):])
+
+
+def _kept(s: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:
+    """How many of the descending singular values ``s`` lie above ``tol.eig_zero * scale``.
+
+    ``scale`` defaults to ``s[0]``.
+    """
+    if not s.size:
+        return 0
+    return int(np.count_nonzero(s > tol.eig_zero * (s[0] if scale is None else scale)))
 
 
 def off_span(U: np.ndarray, V: np.ndarray) -> np.ndarray:

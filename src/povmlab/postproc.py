@@ -2,7 +2,9 @@
 
 A POVM ``Q`` is a post-processing of ``P`` when ``Q_j = sum_i m(j|i) P_i``
 for a column-stochastic matrix ``m`` (columns indexed by the input
-outcome i).  This module decides that relation by linear programming,
+outcome i).  This module decides that relation by linear programming
+over the null space of P's design matrix (a sign check when P's elements
+are linearly independent, with a minimax LP certifying infeasibility),
 implements the elementary merge/permute/split maps, tests cleanness
 (maximality under the induced pseudo-order), and builds the smearing and
 blurring constructions that turn sign-indefinite processing coefficients
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, coords, off_span
+from .hs import DEFAULT_TOL, Tolerances, coords, null_basis, off_span
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
@@ -31,47 +33,72 @@ _LP_OPTIONS = {
 }
 
 
-def linprog(cost, **constraints):
-    """Minimize ``cost @ x`` over ``x >= 0`` with HiGHS at :data:`_LP_OPTIONS`.
+def linprog(cost, bounds=(0.0, None), **constraints):
+    """Minimize ``cost @ x`` within ``bounds`` (default ``x >= 0``) by HiGHS.
 
-    scipy is imported here, on the first call, so that only callers that
-    solve an LP pay for loading it.
+    HiGHS runs at :data:`_LP_OPTIONS`.  scipy is imported here, on the first
+    call, so that only callers that solve an LP pay for loading it.
     """
     from scipy.optimize import linprog as highs
 
-    return highs(cost, **constraints, bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
+    return highs(cost, **constraints, bounds=bounds, method="highs", options=_LP_OPTIONS)
 
 
-def _markov_lp(cost, rows, rhs, *, bounded: bool):
-    """Solve an LP over a column-stochastic matrix ``m[j, i]``; return ``(result, m)``.
+def _stochastic(m: np.ndarray) -> np.ndarray:
+    """``m`` clipped at zero, with its columns renormalized to sum to one."""
+    m = np.clip(m, 0.0, None)
+    return m / m.sum(axis=0, keepdims=True)
 
-    ``m`` has ``n_in = rows.shape[1]`` inputs and ``n_out = rhs.shape[1]``
-    outputs; its entry ``m[j, i]`` is variable ``j * n_in + i``, followed by
-    one bound ``s`` when ``bounded``.  Each output row ``m_j`` obeys
-    ``rows @ m_j - s <= rhs[:, j]`` when ``bounded`` and
-    ``rows @ m_j == rhs[:, j]`` otherwise, and each input column of ``m``
-    sums to one.  The solution is read back clipped at zero with its columns
-    renormalized; ``m`` is None when HiGHS finds no solution.
+
+def _reduced_lp(m0: np.ndarray, K: np.ndarray, cost=None):
+    """A column-stochastic ``m = m0 + z K^T`` found by HiGHS, or None when there is none.
+
+    ``m0[j]`` is a particular solution for output j of some linear
+    constraints on ``m[j]``, ``K`` an orthonormal basis (columns) of their
+    null space, and ``z[j]`` the free coordinates along it, variables
+    ``j * k`` to ``j * k + k - 1`` for ``k = K.shape[1]``.  The LP imposes
+    ``m0[j] + K z[j] >= 0`` and makes the columns of ``m`` sum to one through
+    ``sum_j z[j] = K^T (1 - sum_j m0[j])``; it minimizes ``cost . m`` when a
+    ``cost`` of ``m``'s shape is given.  With ``K`` empty, ``m0`` is the only
+    candidate and no LP runs.  The solution is returned clipped at zero with
+    its columns renormalized.
+    """
+    n_out, k = m0.shape[0], K.shape[1]
+    if k:
+        res = linprog(
+            np.zeros(n_out * k) if cost is None else (cost @ K).ravel(),
+            A_ub=np.kron(np.eye(n_out), -K), b_ub=m0.ravel(),
+            A_eq=np.kron(np.ones((1, n_out)), np.eye(k)), b_eq=K.T @ (1.0 - m0.sum(axis=0)),
+            bounds=(None, None),
+        )
+        if not res.success:
+            return None
+        m0 = m0 + res.x.reshape(n_out, k) @ K.T
+    return _stochastic(m0)
+
+
+def _minimax_lp(V: np.ndarray, W: np.ndarray):
+    """The column-stochastic ``m`` least off ``V m^T = W`` entrywise.
+
+    The variables are ``m[j, i]``, variable ``j * n_in + i``, then the bound
+    ``s`` minimized: ``+-(V m_j - w_j) <= s`` for each output j, and each
+    input column of ``m`` sums to one.  The LP is always feasible; ``m``
+    is read back as :func:`_stochastic` of the solution.
     """
     from scipy import sparse
 
-    n_in, n_out = rows.shape[1], rhs.shape[1]
-    # the per-outcome block grows with n_out * rows.size, so only it is sparse
-    per_outcome = sparse.kron(sparse.eye_array(n_out), rows)
-    stochastic = np.kron(np.ones((1, n_out)), np.eye(n_in))
-    b, ones = rhs.T.ravel(), np.ones(n_in)
-    if bounded:
-        per_outcome = sparse.hstack([per_outcome, np.full((per_outcome.shape[0], 1), -1.0)])
-        stochastic = np.hstack([stochastic, np.zeros((n_in, 1))])
-        res = linprog(cost, A_ub=per_outcome, b_ub=b, A_eq=stochastic, b_eq=ones)
-    else:
-        res = linprog(cost, A_eq=sparse.vstack([per_outcome, stochastic]),
-                      b_eq=np.concatenate([b, ones]))
-    if not res.success:
-        return res, None
-    m = np.clip(res.x[:n_out * n_in].reshape(n_out, n_in), 0.0, None)
-    m /= m.sum(axis=0, keepdims=True)
-    return res, m
+    n_in, n_out = V.shape[1], W.shape[1]
+    # the per-outcome block grows with n_out * V.size, so only it is sparse
+    per_outcome = sparse.kron(sparse.eye_array(n_out), np.vstack([V, -V]))
+    per_outcome = sparse.hstack([per_outcome, np.full((per_outcome.shape[0], 1), -1.0)])
+    stochastic = np.hstack([np.kron(np.ones((1, n_out)), np.eye(n_in)), np.zeros((n_in, 1))])
+    cost = np.zeros(n_out * n_in + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=per_outcome, b_ub=np.vstack([W, -W]).T.ravel(),
+                  A_eq=stochastic, b_eq=np.ones(n_in))
+    if not res.success:  # pragma: no cover - the LP is always feasible
+        raise RuntimeError(f"post-processing LP failed: {res.message}")
+    return _stochastic(res.x[:-1].reshape(n_out, n_in))
 
 
 class MarkovMatrix:
@@ -163,22 +190,31 @@ class PostProcessingSearch:
 def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
     """Search for a Markov matrix ``m`` with ``Q_j = sum_i m(j|i) P_i``.
 
-    The linear program minimizes the largest synthesis residual, measured
-    in the HS coordinates of the design matrices, over all column-stochastic
-    matrices; the relation holds exactly iff the optimum is zero, so the
-    reported minimum doubles as an infeasibility certificate when it
-    exceeds :data:`FEASIBILITY_RESIDUAL`.
+    Every solution of the synthesis equations ``V m_j = w_j`` (V and W the
+    design matrices of P and Q) is ``m_j = m0_j + K z_j``, with
+    ``m0 = V^+ W`` from P's cached SVD and K an orthonormal basis of the
+    null space of V.  When K is empty (P's elements are linearly
+    independent), ``m0`` is the only candidate and no LP runs; otherwise a
+    small feasibility LP in the ``z_j`` imposes ``m >= 0`` and unit column
+    sums.  A candidate whose largest synthesis residual, recomputed from the
+    returned ``m``, is at most :data:`FEASIBILITY_RESIDUAL` is returned as
+    feasible with that residual.
+
+    Otherwise the minimax LP runs: it minimizes the largest synthesis
+    residual, measured in the HS coordinates of the design matrices, over
+    all column-stochastic matrices.  The relation holds exactly iff the
+    optimum is zero, so the reported minimum doubles as an infeasibility
+    certificate when it exceeds :data:`FEASIBILITY_RESIDUAL`.
     """
     if Q.dim != P.dim:
         raise ValueError("POVMs must act on the same space")
-    A, b = P.design_matrix, Q.design_matrix
-    #  A m_j - b_j <= s   and   -(A m_j - b_j) <= s, minimizing s
-    cost = np.zeros(len(Q) * len(P) + 1)
-    cost[-1] = 1.0
-    res, m = _markov_lp(cost, np.vstack([A, -A]), np.vstack([b, -b]), bounded=True)
-    if m is None:  # pragma: no cover - the LP is always feasible
-        raise RuntimeError(f"post-processing LP failed: {res.message}")
-    residual = float(np.max(np.abs(A @ m.T - b)))
+    V, W = P.design_matrix, Q.design_matrix
+    U, s, Vh = P.svd
+    m0 = ((W.T @ U) / s) @ Vh  # row j is V^+ w_j
+    m = _reduced_lp(m0, null_basis(V, P.tol))
+    if m is None or np.max(np.abs(V @ m.T - W)) > FEASIBILITY_RESIDUAL:
+        m = _minimax_lp(V, W)
+    residual = float(np.max(np.abs(V @ m.T - W)))
     if residual <= FEASIBILITY_RESIDUAL:
         return PostProcessingSearch(True, MarkovMatrix(m, tol=P.tol), residual)
     return PostProcessingSearch(False, None, residual)
@@ -412,13 +448,17 @@ def looks_like_convex_union(P: Povm, observables) -> bool:
 def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
     """Joint-measurement certificates for several observables from one POVM.
 
-    For each observable ``X`` with spectrum size ``s`` the LP searches a
+    For each observable ``X`` with spectrum size ``s`` one LP searches a
     Markov map from P's outcomes onto ``s + 1`` outcomes (one slack
     outcome for discarded weight) such that the processed POVM is a
-    function of X.  A uniform guess is always admissible, so the LP
-    additionally maximizes the overlap ``sum_h Tr[Q_h X_h]`` between the
-    first ``s`` processed elements and the spectral projectors; constant
-    columns in the returned map flag certificates that ignore the data.
+    function of X.  The uniform map ``1/(s+1)`` is always admissible, and
+    any other differs from it by ``K_X z_h`` in each output h, with ``K_X``
+    an orthonormal basis of the null space of the function-of-X rows
+    ``(1 - Pi_X) V``; the LP runs over those ``z_h`` only.  It maximizes
+    the overlap ``sum_h Tr[Q_h X_h]`` between the first ``s`` processed
+    elements and the spectral projectors, and the reported ``alignment`` is
+    that overlap for the returned map.  Constant columns in the returned
+    map flag certificates that ignore the data.
     """
     observables = list(observables)
     certificates = []
@@ -426,10 +466,14 @@ def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
         if X.dim != P.dim:
             raise ValueError(f"observable {idx} dimension mismatch")
         s = X.spectrum_size
-        rows = _function_of_constraints(X, P)
         cost = np.zeros((s + 1, len(P)))
         cost[:s] = -coords(X.projectors).real @ P.design_matrix  # maximize sum_h Tr[Q_h X_h]
-        res, m = _markov_lp(cost.ravel(), rows, np.zeros((rows.shape[0], s + 1)), bounded=False)
+        # the uniform map is admissible, and any other differs from it in the null space
+        uniform = np.full((s + 1, len(P)), 1.0 / (s + 1))
+        # the rows vanish up to rounding when every element is a function of X,
+        # so their zero singular values are measured against V's largest
+        K = null_basis(_function_of_constraints(X, P), P.tol, scale=P.svd[1][0])
+        m = _reduced_lp(uniform, K, cost)
         if m is None:
             return JointMeasurementResult(False, certificates, idx, False)
         markov = MarkovMatrix(m, tol=P.tol)
@@ -440,7 +484,7 @@ def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
                 markov=markov,
                 povm=processed,
                 trivial=spread <= FEASIBILITY_RESIDUAL,
-                alignment=float(-res.fun),
+                alignment=float(-np.sum(cost * m)),
             )
         )
     return JointMeasurementResult(

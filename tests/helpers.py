@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from povmlab import postproc
+from povmlab.hs import coords
 from povmlab.povm import Observable, Povm
 from povmlab.processing import Ensemble
 
@@ -110,3 +112,63 @@ def random_observable(d, rng, min_gap=0.0):
     G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     Q, _ = np.linalg.qr(G)
     return Observable(Q @ np.diag(vals) @ Q.conj().T)
+
+
+def full_markov_lp(cost, rows, rhs, *, bounded):
+    """Reference LP over every entry of a column-stochastic ``m[j, i]``, built densely.
+
+    Entry ``m[j, i]`` is variable ``j * n_in + i`` (``n_in = rows.shape[1]``),
+    followed by one bound ``s`` when ``bounded``.  Each output row obeys
+    ``rows @ m_j - s <= rhs[:, j]`` when ``bounded`` and
+    ``rows @ m_j == rhs[:, j]`` otherwise, each input column of ``m`` sums to
+    one, and every variable is nonnegative.  HiGHS runs at the library's
+    options.
+    """
+    from scipy.optimize import linprog
+
+    n_in, n_out = rows.shape[1], rhs.shape[1]
+    per_outcome = np.kron(np.eye(n_out), rows)
+    stochastic = np.kron(np.ones((1, n_out)), np.eye(n_in))
+    b, ones = rhs.T.ravel(), np.ones(n_in)
+    kwargs = dict(bounds=(0.0, None), method="highs", options=postproc._LP_OPTIONS)
+    if bounded:
+        per_outcome = np.hstack([per_outcome, np.full((per_outcome.shape[0], 1), -1.0)])
+        stochastic = np.hstack([stochastic, np.zeros((n_in, 1))])
+        return linprog(cost, A_ub=per_outcome, b_ub=b, A_eq=stochastic, b_eq=ones, **kwargs)
+    return linprog(cost, A_eq=np.vstack([per_outcome, stochastic]),
+                   b_eq=np.concatenate([b, ones]), **kwargs)
+
+
+def reference_post_processing(Q, P):
+    """``(feasible, residual)`` from the minimax LP over all of m.
+
+    The residual is the largest synthesis miss ``|V m^T - W|`` of the
+    optimal m, clipped at zero and with its columns renormalized.
+    """
+    V, W = P.design_matrix, Q.design_matrix
+    cost = np.zeros(len(Q) * len(P) + 1)
+    cost[-1] = 1.0
+    res = full_markov_lp(cost, np.vstack([V, -V]), np.vstack([W, -W]), bounded=True)
+    assert res.success, res.message
+    m = np.clip(res.x[:-1].reshape(len(Q), len(P)), 0.0, None)
+    m /= m.sum(axis=0, keepdims=True)
+    residual = float(np.max(np.abs(V @ m.T - W)))
+    return residual <= postproc.FEASIBILITY_RESIDUAL, residual
+
+
+def reference_joint_alignments(P, observables):
+    """Optimal overlap ``sum_h Tr[Q_h X_h]`` per observable, from the LP over all of m.
+
+    Each processed element ``Q_h`` must be a function of X; the LP has one
+    variable per entry of the ``(s + 1) x N`` Markov matrix.
+    """
+    alignments = []
+    for X in observables:
+        s = X.spectrum_size
+        rows = postproc._function_of_constraints(X, P)
+        cost = np.zeros((s + 1, len(P)))
+        cost[:s] = -coords(X.projectors).real @ P.design_matrix
+        res = full_markov_lp(cost.ravel(), rows, np.zeros((rows.shape[0], s + 1)), bounded=False)
+        assert res.success, res.message
+        alignments.append(-res.fun)
+    return alignments

@@ -5,6 +5,8 @@ smoke-sized workload (d = 4: three POVM kinds for frames, and the
 post-processing, joint-measurement and blur calls on two POVM kinds for
 lp) so that tier-1 sees a tolerance miss, or a wrong synthesis, pinching
 or infeasible verdict, that the benchmark would only report as a share.
+The lp checks also run on the first instance of the largest class
+(d = 6, N = 54), where the LPs over the null space of V are the largest.
 """
 
 import sys
@@ -20,11 +22,21 @@ import workloads  # noqa: E402
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", [workloads.Frames, workloads.Lp], ids=["frames", "lp"])
 def test_round_passes_every_check(workload, seed):
-    bench = workload(seed, smoke=True, ctx={})
-    failed = [
+    assert failed_checks(workload(seed, smoke=True, ctx={}).round(0)) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_largest_lp_class_passes_every_check(seed):
+    ops = [op for op in workloads.Lp(seed, smoke=False, ctx={}).round(0)
+           if op.key.startswith("d6/over/") and op.key.endswith("#0")]
+    assert len(ops) == 4  # feasible, infeasible, joint and blur
+    assert failed_checks(ops) == []
+
+
+def failed_checks(ops):
+    return [
         (op.key, name)
-        for op in bench.round(0)
+        for op in ops
         for name, passed, _exact in op.check(op.run())
         if not passed
     ]
-    assert failed == []

@@ -526,6 +526,61 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestInputErrorsNameTheirFile:
+    """A document that parses but fails validation is named in the one-line message."""
+
+    @staticmethod
+    def assert_names(code, out, err, name):
+        assert code == 2 and not out
+        assert err.startswith(f"povmlab: {name}: ") and err.count("\n") == 1
+
+    def test_validate(self, capsys, tmp_path):
+        element = {"dim": 2, "re": [[1, 0], [0, 1]]}  # no "im"
+        bad = write(tmp_path, "p.json", {"dim": 2, "elements": [element]})
+        code, out, err = run(capsys, ["validate", bad])
+        self.assert_names(code, out, err, bad)
+        assert "missing key 'im'" in err
+
+    def test_povm(self, capsys, sic_file, tmp_path):
+        # completes the identity, but element 1 is not positive semidefinite
+        bad = write(tmp_path, "bad_q.json", {
+            "dim": 2,
+            "elements": [operator_to_json(np.diag([1.5, 0.5])),
+                         operator_to_json(np.diag([-0.5, 0.5]))],
+        })
+        code, out, err = run(capsys, ["postproc", "check", "--q", bad, "--p", sic_file])
+        self.assert_names(code, out, err, bad)
+        assert "positive semidefinite" in err
+
+    @pytest.mark.parametrize("state, message", [
+        ('{"q": NaN, "rho": %s}', "finite"),
+        ('{"q": 1.0, "rho": %s}', "positive semidefinite"),
+        ('{"q": 1.0}', "missing key 'rho'"),
+    ], ids=["nan-weight", "non-psd-state", "missing-rho"])
+    def test_ensemble(self, capsys, sic_file, sz_file, tmp_path, state, message):
+        rho = json.dumps(operator_to_json(np.diag([1.5, -0.5])))
+        bad = tmp_path / "e.json"
+        bad.write_text('{"states": [%s]}\n' % (state % rho if "%s" in state else state))
+        code, out, err = run(
+            capsys, ["min-error", "--povm", sic_file, "--x", sz_file, "--ensemble", str(bad)])
+        self.assert_names(code, out, err, str(bad))
+        assert message in err
+
+    def test_target(self, capsys, sic_file, tmp_path):
+        raising = operator_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        bad = write(tmp_path, "x.json", {"operator": raising})
+        code, out, err = run(capsys, ["min-error", "--povm", sic_file, "--x", bad])
+        self.assert_names(code, out, err, bad)
+        assert "self-adjoint" in err
+
+    def test_observable(self, capsys, sic_file, sz_obs_file, tmp_path):
+        bad = write(tmp_path, "x.json", operator_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])))
+        code, out, err = run(
+            capsys, ["postproc", "joint", "--povm", sic_file, "--x", sz_obs_file, bad])
+        self.assert_names(code, out, err, bad)
+        assert "self-adjoint" in err
+
+
 class TestOutputFile:
     def test_out_redirects_stdout(self, capsys, sic_file, tmp_path):
         target = tmp_path / "dual.json"

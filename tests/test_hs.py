@@ -16,6 +16,7 @@ from povmlab.hs import (
     coords,
     dagger,
     from_coords,
+    null_basis,
     off_span,
     span_basis,
     truncated_svd,
@@ -99,6 +100,21 @@ class TestPseudoinverseAndSpans:
         A = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 6))
         A = A + 1e-13 * rng.normal(size=(6, 6))
         assert len(truncated_svd(A)[1]) == 2
+
+    def test_null_basis_completes_the_row_span(self):
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 7))  # rank 2
+        K = null_basis(A + 1e-13 * rng.normal(size=(4, 7)))
+        assert K.shape == (7, 5) and K.dtype == np.float64
+        assert np.allclose(K.T @ K, np.eye(5), atol=1e-12)
+        assert np.max(np.abs(A @ K)) < 1e-10
+        Vh = truncated_svd(A)[2]
+        assert np.allclose(Vh @ K, 0.0, atol=1e-10)
+        # a remainder that is zero up to rounding is all null space at the
+        # scale of the matrix it came from, but not at its own
+        noise = 1e-17 * rng.normal(size=(4, 7))
+        assert null_basis(noise, scale=1.0).shape == (7, 7)
+        assert null_basis(noise).shape == (7, 3)
 
     def test_span_projector_is_projector_onto_span(self):
         rng = np.random.default_rng(5)

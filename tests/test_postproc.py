@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmlab import postproc
-from povmlab.hs import Tolerances
+from povmlab.hs import Tolerances, coords, null_basis
 from povmlab.povm import Observable, Povm
 from povmlab.postproc import (
     FEASIBILITY_RESIDUAL,
@@ -158,6 +158,18 @@ class TestFindPostProcessing:
         assert search.residual <= FEASIBILITY_RESIDUAL
         assert_allclose(search.markov.m, m.m, atol=1e-7)
 
+    def test_independent_povm_needs_no_lp(self, monkeypatch):
+        # with no null space the unique coefficients V^+ W decide by their signs
+        P = sic_povm()
+        Q = apply_post_processing(P, random_markov(3, 4, np.random.default_rng(5)))
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(postproc, "linprog", no_lp)
+        search = find_post_processing(Q, P)
+        assert search.feasible and search.residual <= FEASIBILITY_RESIDUAL
+
     def test_feasible_over_dependent_povm(self):
         union = convex_union(projective_povm("z"), projective_povm("x"), 0.5)
         m = random_markov(2, 4, np.random.default_rng(11))
@@ -213,8 +225,22 @@ def loop_markov_constraints(rows, rhs, n_var):
     return block, b, sums
 
 
+def loop_reduced_constraints(K, n_out):
+    """Reference, entry by entry: the ``-K`` blocks of ``m0_j + K z_j >= 0``, the ``sum_j z_j`` rows."""
+    n_in, k = K.shape
+    block = np.zeros((n_out * n_in, n_out * k))
+    sums = np.zeros((k, n_out * k))
+    for j in range(n_out):
+        for i in range(n_in):
+            for c in range(k):
+                block[j * n_in + i, j * k + c] = -K[i, c]
+        for c in range(k):
+            sums[c, j * k + c] = 1.0
+    return block, sums
+
+
 class TestMarkovLpConstraints:
-    """Both LPs hand HiGHS exactly the constraints of the loop-built reference."""
+    """Each LP hands HiGHS exactly the constraints of the loop-built reference."""
 
     @staticmethod
     def _captured(monkeypatch, call):
@@ -224,6 +250,7 @@ class TestMarkovLpConstraints:
         def capturing(cost, **kwargs):
             constraints.append({k: v.toarray() if hasattr(v, "toarray") else v
                                 for k, v in kwargs.items()})
+            constraints[-1]["cost"] = cost
             return original(cost, **kwargs)
 
         monkeypatch.setattr(postproc, "linprog", capturing)
@@ -231,8 +258,22 @@ class TestMarkovLpConstraints:
         return constraints
 
     def test_post_processing(self, monkeypatch):
-        P = sic_povm()
-        Q = apply_post_processing(P, random_markov(3, 4, np.random.default_rng(3)))
+        # six qubit outcomes span the four HS directions, leaving a null space of two
+        P = random_povm(2, 6, np.random.default_rng(8))
+        Q = apply_post_processing(P, random_markov(3, 6, np.random.default_rng(3)))
+        (got,) = self._captured(monkeypatch, lambda: find_post_processing(Q, P))
+        K = null_basis(P.design_matrix, P.tol)
+        assert K.shape == (6, 2)
+        block, sums = loop_reduced_constraints(K, len(Q))
+        m0 = (np.linalg.pinv(P.design_matrix) @ Q.design_matrix).T
+        assert np.array_equal(got["A_ub"], block) and np.array_equal(got["A_eq"], sums)
+        assert_allclose(got["b_ub"], m0.ravel(), rtol=0.0, atol=1e-12)
+        assert_allclose(got["b_eq"], K.T @ (1.0 - m0.sum(axis=0)), rtol=0.0, atol=1e-12)
+        assert got["bounds"] == (None, None) and not np.any(got["cost"])
+
+    def test_infeasible_target_runs_the_full_minimax_lp(self, monkeypatch):
+        # the SIC elements are independent, so only the minimax LP runs
+        P, Q = sic_povm(), projective_povm("z")
         (got,) = self._captured(monkeypatch, lambda: find_post_processing(Q, P))
         A, b = P.design_matrix, Q.design_matrix
         block, b_ub, sums = loop_markov_constraints(
@@ -244,12 +285,16 @@ class TestMarkovLpConstraints:
     def test_joint_measurement(self, monkeypatch):
         P, X = sic_povm(), pauli_observable("x")
         (got,) = self._captured(monkeypatch, lambda: find_joint_measurement(P, [X]))
-        rows = postproc._function_of_constraints(X, P)
+        K = null_basis(postproc._function_of_constraints(X, P), P.tol, scale=P.svd[1][0])
         n_out = X.spectrum_size + 1
-        block, b, sums = loop_markov_constraints(
-            rows, np.zeros((rows.shape[0], n_out)), n_out * len(P))
-        assert np.array_equal(got["A_eq"], np.vstack([block, sums]))
-        assert np.array_equal(got["b_eq"], np.concatenate([b, np.ones(len(P))]))
+        block, sums = loop_reduced_constraints(K, n_out)
+        assert np.array_equal(got["A_ub"], block) and np.array_equal(got["A_eq"], sums)
+        # the uniform map is the particular solution, so the sums need no correction
+        assert np.array_equal(got["b_ub"], np.full(n_out * len(P), 1.0 / n_out))
+        assert_allclose(got["b_eq"], 0.0, rtol=0.0, atol=1e-15)
+        cost = np.zeros((n_out, len(P)))
+        cost[:-1] = -coords(X.projectors).real @ P.design_matrix
+        assert_allclose(got["cost"], (cost @ K).ravel(), rtol=0.0, atol=1e-15)
 
 
 class TestIsClean:

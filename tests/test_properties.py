@@ -25,7 +25,10 @@ from povmlab.postproc import (
     MarkovMatrix,
     apply_post_processing,
     blur_for_post_processing,
+    convex_union,
+    find_joint_measurement,
     find_post_processing,
+    t2_permute,
     t3_split,
     unbias,
 )
@@ -56,7 +59,16 @@ from povmlab.serialize import (
     povm_to_json,
 )
 
-from helpers import kernel_state, random_ensemble, random_hermitian, random_povm, random_state
+from helpers import (
+    kernel_state,
+    random_ensemble,
+    random_hermitian,
+    random_observable,
+    random_povm,
+    random_state,
+    reference_joint_alignments,
+    reference_post_processing,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -173,6 +185,66 @@ def test_composed_markov_maps_keep_the_target_reachable(d, seed):
     assert search.residual <= FEASIBILITY_RESIDUAL
     miss = np.tensordot(search.markov.m, P.elements, axes=(1, 0)) - R.elements
     assert max(np.abs(miss.real).max(), np.abs(miss.imag).max()) <= FEASIBILITY_RESIDUAL
+
+
+@st.composite
+def lp_cases(draw):
+    """A POVM of one of four kinds, a target for it, and two observables.
+
+    The POVM is linearly independent (N = d^2), overcomplete, span-deficient
+    (noisy readouts of one observable, so N > span rank) or the convex union
+    of two spectral POVMs.  The target is a Markov image of it (feasible by
+    construction), the spectral POVM of one of the observables (feasible
+    over the union, as a rule infeasible otherwise) or a random POVM with
+    its outcomes reordered.
+    """
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["indep", "over", "deficient", "union"]))
+    target = draw(st.sampled_from(["markov", "spectral", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A, B = random_observable(d, rng), random_observable(d, rng)
+    if kind == "indep":
+        P = random_povm(d, d * d, rng)
+    elif kind == "over":
+        P = random_povm(d, d * d + int(rng.integers(1, 2 * d + 1)), rng)
+    elif kind == "deficient":
+        noise = random_markov(d + int(rng.integers(1, 4)), A.spectrum_size, rng)
+        P = apply_post_processing(spectral_povm(A), noise)
+    else:
+        P = convex_union(spectral_povm(A), spectral_povm(B), float(rng.uniform(0.2, 0.8)))
+    if target == "markov":
+        Q = apply_post_processing(P, random_markov(int(rng.integers(2, 5)), len(P), rng))
+    elif target == "spectral":
+        Q = spectral_povm(A)
+    else:
+        Q = random_povm(d, int(rng.integers(2, 5)), rng)
+        Q = t2_permute(Q, rng.permutation(len(Q)))
+    return P, Q, [A, B]
+
+
+@PROPERTY_SETTINGS
+@given(lp_cases())
+def test_post_processing_agrees_with_the_full_minimax_lp(case):
+    P, Q, _ = case
+    feasible, residual = reference_post_processing(Q, P)
+    search = find_post_processing(Q, P)
+    assert search.feasible == feasible
+    if feasible:
+        miss = np.tensordot(search.markov.m, P.elements, axes=(1, 0)) - Q.elements
+        assert np.max(np.abs(miss)) <= FEASIBILITY_RESIDUAL
+        assert search.residual <= FEASIBILITY_RESIDUAL
+    else:
+        assert abs(search.residual - residual) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(lp_cases())
+def test_joint_measurement_agrees_with_the_full_lp(case):
+    P, _, observables = case
+    result = find_joint_measurement(P, observables)
+    assert result.feasible and len(result.certificates) == len(observables)
+    alignments = [cert.alignment for cert in result.certificates]
+    assert np.allclose(alignments, reference_joint_alignments(P, observables), rtol=0.0, atol=1e-7)
 
 
 def through_json(doc):
