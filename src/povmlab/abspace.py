@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hs import coords, from_coords, off_span
-from .povm import Observable, Povm, _element_figures
+from .povm import Observable, Povm, _element_rules
 
 
 class IllConditionedWarning(UserWarning):
@@ -164,8 +164,9 @@ def project_povm(P: Povm, S: ABSpace) -> ProjectionResult:
     """
     U = S.columns
     projected = from_coords((U @ (U.T @ P.design_matrix)).T)
-    lowest = _element_figures(projected)[1]
-    failures = [(int(i), float(lowest[i])) for i in np.flatnonzero(lowest < -P.tol.psd_slack)]
+    # the projections are self-adjoint, so the only rule they can break is positivity
+    _, lowest, broken = _element_rules(projected, P.tol)
+    failures = [(int(i), float(lowest[i])) for i in np.flatnonzero(broken)]
     if failures:
         return ProjectionResult(False, None, projected, failures)
     return ProjectionResult(

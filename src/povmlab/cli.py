@@ -238,14 +238,17 @@ def _format_float(x: float) -> str:
 # verbs
 
 def cmd_validate(args, tol: Tolerances, seed: int) -> int:
-    def elements(obj):
+    def build(obj):
         # parse the raw element list leniently: the point is to report problems
         elements_json = obj.get("elements") if isinstance(obj, dict) else None
         if not isinstance(elements_json, list) or not elements_json:
             raise SchemaError("povm.elements", "expected a nonempty array")
-        return [operator_from_json(e, f"povm.elements[{i}]") for i, e in enumerate(elements_json)]
+        return povm_report(
+            [operator_from_json(e, f"povm.elements[{i}]") for i, e in enumerate(elements_json)],
+            tol=tol,
+        )
 
-    report = povm_report(_from_file(args.povm, elements), tol=tol)
+    report = _from_file(args.povm, build)
     payload = {"meta": _meta(tol, seed), "report": report}
     _emit(args, payload)
     return EXIT_OK if report["valid"] else EXIT_INVALID

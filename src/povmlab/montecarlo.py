@@ -88,12 +88,9 @@ def _uniform_stream(seed: int, start: int, stop: int) -> np.ndarray:
     in-block remainder.
     """
     bg = np.random.Philox(key=seed)
-    if start >= 4:
-        bg.advance(start // 4)
+    bg.advance(start // 4)
     gen = np.random.Generator(bg)
-    skip = start % 4 if start >= 4 else start
-    if skip:
-        gen.random(skip)
+    gen.random(start % 4)
     return gen.random(stop - start)
 
 

@@ -101,16 +101,15 @@ class Povm:
             raise ValueError("POVM needs at least one nonzero element")
 
         if validate:
-            deviations, lowest = _element_figures(mats)
-            not_self_adjoint = np.flatnonzero(deviations > tol.lin_solve)
-            if not_self_adjoint.size:
-                i = int(not_self_adjoint[0])
-                raise ValueError(
-                    f"element {i} is not self-adjoint (deviation {deviations[i]:.3e})"
-                )
-            worst = int(np.argmin(lowest))
-            if lowest[worst] < -tol.psd_slack:
-                raise NotPositiveError(worst, float(lowest[worst]))
+            deviations, lowest, broken = _element_rules(mats, tol)
+            offending = np.flatnonzero(broken)
+            if offending.size:
+                i = int(offending[0])
+                if broken[i] == _NOT_SELF_ADJOINT:
+                    raise ValueError(
+                        f"element {i} is not self-adjoint (deviation {deviations[i]:.3e})"
+                    )
+                raise NotPositiveError(i, float(lowest[i]))
             residual = float(np.linalg.norm(mats.sum(axis=0) - np.eye(mats.shape[1])))
             if residual > tol.lin_solve:
                 raise NotCompleteError(residual)
@@ -170,48 +169,57 @@ class Povm:
         return np.real(np.einsum("ab,iba->i", rho, self.elements))
 
 
-def _element_figures(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per element of a stacked ``(N, d, d)`` array: the self-adjointness
-    deviation ``||m - m^dag||`` and the minimum eigenvalue of ``(m + m^dag)/2``."""
+# codes of the element rules, in the order they are checked
+_NOT_SELF_ADJOINT, _NOT_POSITIVE = 1, 2
+
+
+def _element_rules(mats: np.ndarray, tol: Tolerances):
+    """The element rules of a POVM, checked on a stacked ``(N, d, d)`` array.
+
+    An element must be self-adjoint, ``||m - m^dag|| <= tol.lin_solve``,
+    and then positive, least eigenvalue of ``(m + m^dag)/2`` at least
+    ``-tol.psd_slack``.  Returns the deviations, the least eigenvalues and,
+    per element, the code of the first rule it breaks (0 when it keeps both).
+    """
     adjoints = np.conj(np.transpose(mats, (0, 2, 1)))
     deviations = np.linalg.norm(mats - adjoints, axis=(1, 2))
     lowest = np.linalg.eigvalsh(0.5 * (mats + adjoints))[:, 0]
-    return deviations, lowest
+    broken = np.where(deviations > tol.lin_solve, _NOT_SELF_ADJOINT,
+                      np.where(lowest < -tol.psd_slack, _NOT_POSITIVE, 0))
+    return deviations, lowest, broken
 
 
 def povm_report(elements, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Non-raising validity report used by the command-line front end."""
+    """Non-raising validity report used by the command-line front end.
+
+    Lists every offending element in index order, each under the first
+    rule of :func:`_element_rules` it breaks; zero elements are listed as
+    dropped and do not invalidate the POVM.
+    """
     mats = [as_operator(e) for e in elements]
     d = mats[0].shape[0]
     issues = {i: {"index": i, "problem": "dimension mismatch"}
               for i, m in enumerate(mats) if m.shape != (d, d)}
-    same = [i for i in range(len(mats)) if i not in issues]
+    same = np.array([i for i in range(len(mats)) if i not in issues])
     stack = np.stack([mats[i] for i in same])
     zero = np.linalg.norm(stack, axis=(1, 2)) <= tol.psd_slack
-    deviations, lowest = _element_figures(stack)
-    kept = np.zeros(len(same), dtype=bool)
-    for k, i in enumerate(same):
+    deviations, lowest, broken = _element_rules(stack, tol)
+    broken[zero] = 0  # dropped, not checked
+    for k in np.flatnonzero(zero | (broken > 0)):
+        i = int(same[k])
         if zero[k]:
             issues[i] = {"index": i, "problem": "zero element (dropped)"}
-        elif deviations[k] > tol.lin_solve:
+        elif broken[k] == _NOT_SELF_ADJOINT:
             issues[i] = {"index": i, "problem": "not self-adjoint",
                          "deviation": float(deviations[k])}
-        elif lowest[k] < -tol.psd_slack:
+        else:
             issues[i] = {"index": i, "problem": "not positive",
                          "min_eigenvalue": float(lowest[k])}
-        else:
-            kept[k] = True
-    residual = float(np.linalg.norm(stack[kept].sum(axis=0) - np.eye(d)))
-    report: dict = {"dim": d, "n_elements": len(mats),
-                    "issues": [issues[i] for i in sorted(issues)]}
-    report["completeness_residual"] = residual
-    report["valid"] = not report["issues"] and residual <= tol.lin_solve
-    # "zero element" entries alone do not invalidate the POVM
-    if not report["valid"] and residual <= tol.lin_solve:
-        report["valid"] = all(
-            issue["problem"] == "zero element (dropped)" for issue in report["issues"]
-        )
-    return report
+    residual = float(np.linalg.norm(stack[~zero & (broken == 0)].sum(axis=0) - np.eye(d)))
+    return {"dim": d, "n_elements": len(mats),
+            "issues": [issues[i] for i in sorted(issues)],
+            "completeness_residual": residual,
+            "valid": residual <= tol.lin_solve and not broken.any() and len(same) == len(mats)}
 
 
 class DualFrame:

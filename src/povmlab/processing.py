@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances, as_operator, coords, off_span, truncated_svd
-from .povm import DualFrame, Povm, _element_figures
+from .povm import DualFrame, Povm, _element_rules
 
 
 class OutsideSpanError(ValueError):
@@ -69,14 +69,15 @@ class Ensemble:
             raise ValueError("weights must be strictly positive")
         if abs(q.sum() - 1.0) > tol.lin_solve:
             raise ValueError(f"weights must sum to 1 (got {q.sum()!r})")
-        deviations, lowest = _element_figures(mats)
+        broken = _element_rules(mats, tol)[2]
         traces = np.real(np.trace(mats, axis1=1, axis2=2))
-        failing = np.column_stack([deviations > tol.lin_solve, lowest < -tol.psd_slack,
-                                   np.abs(traces - 1.0) > tol.lin_solve])
-        if failing.any():
-            j, k = np.argwhere(failing)[0]  # row-major: the first bad state, its first check
+        # the states' own rule, unit trace, is checked after the two element rules
+        broken[(broken == 0) & (np.abs(traces - 1.0) > tol.lin_solve)] = 3
+        offending = np.flatnonzero(broken)
+        if offending.size:
+            j = offending[0]
             problem = ("is not self-adjoint", "is not positive semidefinite",
-                       "does not have unit trace")[k]
+                       "does not have unit trace")[broken[j] - 1]
             raise ValueError(f"state {j} {problem}")
         q.setflags(write=False)
         mats.setflags(write=False)

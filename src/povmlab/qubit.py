@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances
+from .postproc import is_clean
 from .povm import Povm
 from .processing import Ensemble
 
@@ -48,57 +49,22 @@ class DegeneratePovmWarning(UserWarning):
     """An endpoint of the theta range produced a degenerate measurement."""
 
 
-class BlochPovm:
-    """Qubit POVM in Bloch coordinates: one row ``(alpha, beta, gamma, delta)`` per element."""
+def bloch_coefficients(P: Povm) -> np.ndarray:
+    """The ``(N, 4)`` rows ``(alpha, beta, gamma, delta)`` of a qubit POVM, ``Re Tr[m s]/2``."""
+    if P.dim != 2:
+        raise ValueError("Bloch coordinates exist for qubit POVMs only")
+    return np.array([
+        [float(np.real(np.trace(m @ basis))) / 2.0 for basis in (_ID,) + _PAULIS]
+        for m in P.elements
+    ])
 
-    def __init__(self, coefficients, tol: Tolerances = DEFAULT_TOL, *, validate: bool = True):
-        coeffs = np.asarray(coefficients, dtype=float)
-        if coeffs.ndim != 2 or coeffs.shape[1] != 4:
-            raise ValueError(f"expected an (N, 4) coefficient array, got {coeffs.shape}")
-        if validate:
-            alpha = coeffs[:, 0]
-            radius = np.linalg.norm(coeffs[:, 1:], axis=1)
-            if np.any(alpha < -tol.psd_slack):
-                raise ValueError("alpha coefficients must be nonnegative")
-            if np.any(radius > alpha + tol.psd_slack):
-                i = int(np.argmax(radius - alpha))
-                raise ValueError(
-                    f"element {i} violates positivity: Bloch radius {radius[i]:.6e} "
-                    f"exceeds alpha {alpha[i]:.6e}"
-                )
-            sums = coeffs.sum(axis=0)
-            if abs(sums[0] - 1.0) > tol.lin_solve or np.any(np.abs(sums[1:]) > tol.lin_solve):
-                raise ValueError(f"completeness requires column sums (1,0,0,0), got {sums}")
-        coeffs.setflags(write=False)
-        self.coefficients = coeffs
-        self.tol = tol
 
-    def __len__(self) -> int:
-        return self.coefficients.shape[0]
-
-    @classmethod
-    def from_povm(cls, P: Povm) -> "BlochPovm":
-        if P.dim != 2:
-            raise ValueError("Bloch coordinates exist for qubit POVMs only")
-        rows = []
-        for m in P.elements:
-            rows.append(
-                [float(np.real(np.trace(m @ basis))) / 2.0 for basis in (_ID,) + _PAULIS]
-            )
-        return cls(np.array(rows), tol=P.tol)
-
-    def to_povm(self) -> Povm:
-        elements = [
-            a * _ID + b * SIGMA_X + g * SIGMA_Y + d * SIGMA_Z
-            for a, b, g, d in self.coefficients
-        ]
-        return Povm(elements, tol=self.tol)
-
-    def is_rank_one(self) -> bool:
-        """All elements rank one: Bloch radius equal to alpha within ``self.tol.lin_solve``."""
-        alpha = self.coefficients[:, 0]
-        radius = np.linalg.norm(self.coefficients[:, 1:], axis=1)
-        return bool(np.all(np.abs(radius - alpha) <= self.tol.lin_solve))
+def bloch_povm(rows, tol: Tolerances = DEFAULT_TOL) -> Povm:
+    """The validated qubit POVM with elements ``a 1 + b sx + g sy + d sz``, one per row."""
+    return Povm(
+        [a * _ID + b * SIGMA_X + g * SIGMA_Y + d * SIGMA_Z for a, b, g, d in rows],
+        tol=tol,
+    )
 
 
 def sigma_pm(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,15 +110,14 @@ class NoiseSummary:
     bound: float
 
 
-def noise_quantities(P, ensemble: Ensemble, theta: float) -> NoiseSummary:
+def noise_quantities(P: Povm, ensemble: Ensemble, theta: float) -> NoiseSummary:
     """Noise quantities and joint error of a planar POVM at angle ``theta``.
 
     Parameters
     ----------
     P:
-        :class:`BlochPovm` or qubit :class:`~povmlab.povm.Povm` with all
-        elements in the x-y plane (``delta_i = 0``); its ``tol`` sets
-        every threshold.
+        Qubit POVM with all elements in the x-y plane (``delta_i = 0``);
+        its ``tol`` sets every threshold.
     ensemble:
         State ensemble whose barycenter must be the maximally mixed state.
     theta:
@@ -168,14 +133,12 @@ def noise_quantities(P, ensemble: Ensemble, theta: float) -> NoiseSummary:
         If some element leaves the x-y plane; the scalar reduction does
         not apply then (use the general minimum-error routine instead).
     """
-    if isinstance(P, Povm):
-        P = BlochPovm.from_povm(P)
     tol = P.tol
     if float(np.linalg.norm(ensemble.barycenter - 0.5 * _ID)) > tol.lin_solve:
         raise NotIsotropicError(
             "noise quantities assume an isotropic ensemble (barycenter 1/2)"
         )
-    coeffs = P.coefficients
+    coeffs = bloch_coefficients(P)
     if np.any(np.abs(coeffs[:, 3]) > tol.lin_solve):
         raise ValueError(
             "POVM has sigma_z components; the planar noise reduction does not apply"
@@ -215,7 +178,7 @@ def noise_quantities(P, ensemble: Ensemble, theta: float) -> NoiseSummary:
 
     # For rank-one planar POVMs with Delta = 0 the total collapses to the
     # single-parameter form in B; verify the two evaluations coincide.
-    if P.is_rank_one() and abs(Delta) <= tol.lin_solve:
+    if is_clean(P) and abs(Delta) <= tol.lin_solve:
         simplified = 4.0 * (c2 / B + (1.0 - c2) / (2.0 - B) - kappa / 2.0)
         if abs(simplified - total) > 1e-8 * max(1.0, abs(total)):
             raise RuntimeError(
@@ -237,19 +200,15 @@ def noise_quantities(P, ensemble: Ensemble, theta: float) -> NoiseSummary:
     )
 
 
-def symmetrize_delta(P) -> "BlochPovm":
-    """Halved union of P with its gamma-flipped mirror image.
+def symmetrize_delta(P: Povm) -> Povm:
+    """Halved union of a qubit POVM with its gamma-flipped mirror image.
 
-    The result has twice the outcomes, the same B and Gamma, and
+    Complex conjugation flips gamma and keeps alpha, beta and delta.  The
+    result has twice the outcomes, the same B and Gamma, and
     ``Delta = 0`` exactly, so symmetrizing never hurts (``Dtm`` can only
-    grow).  Accepts a :class:`BlochPovm` or a qubit :class:`Povm`.
+    grow).
     """
-    if isinstance(P, Povm):
-        P = BlochPovm.from_povm(P)
-    half = 0.5 * P.coefficients
-    mirrored = half.copy()
-    mirrored[:, 2] = -mirrored[:, 2]
-    return BlochPovm(np.vstack([half, mirrored]), tol=P.tol)
+    return Povm(0.5 * np.concatenate([P.elements, P.elements.conj()]), tol=P.tol)
 
 
 def _check_theta(theta: float) -> None:
@@ -282,7 +241,7 @@ def optimal_three_outcome(theta: float, tol: Tolerances = DEFAULT_TOL) -> Povm:
             [(1.0 - p) / 2.0, -p / 2.0, -root / 2.0, 0.0],
         ]
     )
-    return BlochPovm(coeffs, tol=tol).to_povm()
+    return bloch_povm(coeffs, tol)
 
 
 def optimal_four_outcome(theta: float, tol: Tolerances = DEFAULT_TOL) -> Povm:
@@ -301,7 +260,7 @@ def optimal_four_outcome(theta: float, tol: Tolerances = DEFAULT_TOL) -> Povm:
             [(1.0 - p) / 2.0, 0.0, -(1.0 - p) / 2.0, 0.0],
         ]
     )
-    return BlochPovm(coeffs, tol=tol).to_povm()
+    return bloch_povm(coeffs, tol)
 
 
 def optimal_B(theta: float) -> float:

@@ -21,7 +21,7 @@ from povmlab.serialize import (
     povm_to_json,
     save_json_file,
 )
-from povmlab.povm import Observable
+from povmlab.povm import Observable, ZeroElementWarning
 from povmlab.standard import (
     projective_povm,
     sic_povm,
@@ -401,7 +401,8 @@ class TestQubit:
         assert "theta,B,Gamma,Delta,total_error,bound,gap" in out
 
     def test_sweep_skips_degenerate_endpoints(self, capsys):
-        with pytest.warns(DegeneratePovmWarning):
+        # at each endpoint one pair of the four-outcome family has no weight
+        with pytest.warns(DegeneratePovmWarning), pytest.warns(ZeroElementWarning):
             code, out, err = run(
                 capsys, ["qubit", "sweep", "--thetas", f"0:{np.pi / 2!r}:3"]
             )
@@ -416,7 +417,7 @@ class TestQubit:
             assert abs(row[6]) < 1e-9
 
     def test_sweep_all_degenerate(self, capsys):
-        with pytest.warns(DegeneratePovmWarning):
+        with pytest.warns(DegeneratePovmWarning), pytest.warns(ZeroElementWarning):
             code, out, err = run(capsys, ["qubit", "sweep", "--thetas", "0:0:1"])
         assert code == 2
         assert out.splitlines()[-2:] == [
@@ -540,6 +541,15 @@ class TestInputErrorsNameTheirFile:
         code, out, err = run(capsys, ["validate", bad])
         self.assert_names(code, out, err, bad)
         assert "missing key 'im'" in err
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_validate_non_finite_entry(self, capsys, tmp_path, entry):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"dim": 2, "elements": [{"dim": 2, "re": [[%s, 0], [0, 1]], '
+                       '"im": [[0, 0], [0, 0]]}]}\n' % entry)
+        code, out, err = run(capsys, ["validate", str(bad)])
+        self.assert_names(code, out, err, str(bad))
+        assert "finite" in err
 
     def test_povm(self, capsys, sic_file, tmp_path):
         # completes the identity, but element 1 is not positive semidefinite

@@ -92,11 +92,15 @@ class TestValidation:
         lowest = [np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] for m in elements]
         assert report["issues"][1]["min_eigenvalue"] == lowest[5]
         assert report["issues"][2]["min_eigenvalue"] == lowest[6]
+        # self-adjoint now, element 2 is negative too, and it comes before
+        # the more negative element 5: the first offending element is named
         elements[2] = 0.5 * (elements[2] + elements[2].conj().T)
+        m = elements[2]
         with pytest.raises(NotPositiveError) as exc:
             Povm(elements)
-        assert exc.value.index == 5
-        assert exc.value.min_eigenvalue == lowest[5]
+        assert exc.value.index == 2
+        assert exc.value.min_eigenvalue == np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
+        assert lowest[5] < exc.value.min_eigenvalue < 0.0
 
     def test_report_flags_problems(self):
         report = povm_report([np.diag([1.0, 0.5]), np.diag([0.0, 0.2])])

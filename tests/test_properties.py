@@ -6,10 +6,12 @@ constructions.  ``derandomize`` keeps the examples the same on every run.
 """
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from povmlab.abspace import (
@@ -18,7 +20,7 @@ from povmlab.abspace import (
     is_ab_infocomplete,
     is_minimal_ab_infocomplete,
 )
-from povmlab.hs import coords, from_coords
+from povmlab.hs import DEFAULT_TOL, coords, from_coords
 from povmlab.montecarlo import sample, sample_range
 from povmlab.postproc import (
     FEASIBILITY_RESIDUAL,
@@ -33,11 +35,15 @@ from povmlab.postproc import (
     unbias,
 )
 from povmlab.povm import (
+    NotCompleteError,
+    NotPositiveError,
     Observable,
     Povm,
+    ZeroElementWarning,
     alternate_dual,
     canonical_dual,
     is_r_infocomplete,
+    povm_report,
     spectral_povm,
 )
 from povmlab.processing import (
@@ -378,3 +384,82 @@ def test_ab_space_basis_is_orthonormal_and_holds_every_power_and_projector(case)
     for X in (A, B):
         powers = [np.linalg.matrix_power(X.operator, n) for n in range(X.dim + 1)]
         assert all(S.contains(op) for op in powers + list(X.projectors))
+
+
+@st.composite
+def defective_stacks(draw):
+    """A random valid stack with up to three defects, each at a random index.
+
+    A defect makes an element not self-adjoint, shifts its least eigenvalue
+    below zero along its eigenvector, inserts a zero element, or scales an
+    element so the sum misses the identity.  Traces stay positive.
+    """
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d, d * d + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    elements = list(random_povm(d, n, rng).elements)
+    for defect in draw(st.lists(st.sampled_from(["adjoint", "negative", "zero", "sum"]),
+                                max_size=3)):
+        i = draw(st.integers(0, len(elements) - 1))
+        size = 10.0 ** rng.uniform(-6, -1)
+        m = elements[i].copy()
+        if defect == "adjoint":
+            m[0, 1] += size
+        elif defect == "negative":
+            lam, vec = np.linalg.eigh(0.5 * (m + m.conj().T))
+            m -= (lam[0] + size * lam[-1]) * np.outer(vec[:, 0], vec[:, 0].conj())
+        elif defect == "sum":
+            m *= 1.0 + size
+        if defect == "zero":
+            elements.insert(i, np.zeros((d, d), dtype=complex))
+        else:
+            elements[i] = m
+    return elements
+
+
+def povm_verdict(elements):
+    """What ``Povm`` raises: None, "incomplete", or the index and problem it names."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroElementWarning)
+        try:
+            Povm(elements)
+        except NotPositiveError as exc:
+            return exc.index, "not positive"
+        except NotCompleteError:
+            return "incomplete"
+        except ValueError as exc:
+            found = re.fullmatch(r"element (\d+) is not self-adjoint .*", str(exc))
+            assert found, str(exc)
+            return int(found.group(1)), "not self-adjoint"
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(defective_stacks())
+# a negative element before a more negative one, and before a non-self-adjoint one
+@example([np.diag([-0.1, 0.5]), np.diag([-0.3, 0.2]), np.diag([1.4, 0.3])])
+@example([np.diag([-0.1, 0.5]), np.array([[0.6, 0.2], [0.0, 0.5]]), np.diag([0.5, 0.0])])
+def test_povm_report_and_ensemble_apply_one_element_rule(elements):
+    report = povm_report(elements)
+    verdict = povm_verdict(elements)
+    assert (verdict is None) == report["valid"]
+    zero = [np.linalg.norm(m) <= DEFAULT_TOL.psd_slack for m in elements]
+    first = next((issue for issue in report["issues"]
+                  if issue["problem"] != "zero element (dropped)"), None)
+    if first is None:
+        assert verdict in (None, "incomplete")
+        expected = None
+    else:
+        # Povm and Ensemble number the elements left after dropping the zero ones
+        index = first["index"] - sum(zero[:first["index"]])
+        assert verdict == (index, first["problem"])
+        problem = {"not self-adjoint": "is not self-adjoint",
+                   "not positive": "is not positive semidefinite"}[first["problem"]]
+        expected = f"state {index} {problem}"
+    states = [m / np.real(np.trace(m)) for m, z in zip(elements, zero) if not z]
+    try:
+        Ensemble(np.full(len(states), 1.0 / len(states)), states)
+        raised = None
+    except ValueError as exc:
+        raised = str(exc)
+    assert raised == expected

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from povmlab.postproc import is_clean
 from povmlab.povm import Povm, ZeroElementWarning
 from povmlab.processing import Ensemble, min_error
 from povmlab.qubit import (
-    BlochPovm,
     DegeneratePovmWarning,
     NotIsotropicError,
     ZeroAlphaWarning,
+    bloch_coefficients,
+    bloch_povm,
     error_bound,
     noise_quantities,
     optimal_B,
@@ -45,13 +47,15 @@ class TestRotatedTargets:
 class TestBlochPovm:
     def test_round_trip(self):
         P = trine_povm()
-        bp = BlochPovm.from_povm(P)
-        assert np.allclose(bp.to_povm().elements, P.elements, atol=1e-12)
+        rows = bloch_coefficients(P)
+        assert rows.shape == (3, 4)
+        assert np.allclose(bloch_povm(rows).elements, P.elements, atol=1e-12)
+        assert np.allclose(bloch_coefficients(bloch_povm(rows)), rows, atol=1e-12)
 
     def test_rank_one_detection(self):
-        assert BlochPovm.from_povm(trine_povm()).is_rank_one()
+        assert is_clean(trine_povm())
         smeared = Povm([0.5 * np.eye(2), 0.5 * np.eye(2)])
-        assert not BlochPovm.from_povm(smeared).is_rank_one()
+        assert not is_clean(smeared)
 
 
 class TestNoiseQuantities:
@@ -90,9 +94,10 @@ class TestNoiseQuantities:
                 [1 / 3, -1 / 6, -np.sqrt(3) / 6, 0.0],
             ]
         )
-        bp = BlochPovm(coeffs)
+        P = Povm([a * np.eye(2) + b * SX + g * SY + d * SZ for a, b, g, d in coeffs],
+                 drop_zero=False)
         with pytest.warns(ZeroAlphaWarning):
-            s = noise_quantities(bp, six_state_ensemble(), np.pi / 4)
+            s = noise_quantities(P, six_state_ensemble(), np.pi / 4)
         ref = noise_quantities(trine_povm(), six_state_ensemble(), np.pi / 4)
         assert s.B == pytest.approx(ref.B)
 
@@ -140,7 +145,7 @@ class TestOptimalFamilies:
             P = family(theta)
             assert len(P) == n
             assert np.allclose(P.elements.sum(axis=0), np.eye(2), atol=1e-12)
-            assert BlochPovm.from_povm(P).is_rank_one()
+            assert is_clean(P)
 
     def test_four_outcome_B_matches_closed_form(self):
         for theta in THETAS:
