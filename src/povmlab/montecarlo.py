@@ -6,6 +6,11 @@ stream, so any index range ``[start, stop)`` can be sampled on its own by
 advancing the counter to ``start``; merging counts over a disjoint cover
 of ``[0, n)`` reproduces the single-pass result bit for bit, which makes
 parallel chunked sampling safe and the output independent of chunking.
+
+Each draw's outcome is the plain inverse-CDF lookup of its uniform; a
+cell table over [0, 1) finds it without a binary search for almost every
+draw.  A range is read in fixed private blocks of uniforms, so memory is
+bounded whatever its length.
 """
 
 from __future__ import annotations
@@ -80,36 +85,78 @@ def outcome_distribution(P: Povm, rho) -> np.ndarray:
     return probs
 
 
-def _uniform_stream(seed: int, start: int, stop: int) -> np.ndarray:
-    """Draws ``start`` through ``stop - 1`` of the seed's uniform stream.
+# Draws are read in blocks of this many uniforms, so the buffers stay in
+# cache and memory does not grow with the range.
+_BLOCK = 1 << 16
+# Largest cell table, in bits; the table grows with the range up to this.
+_MAX_CELL_BITS = 16
+
+
+def _stream_at(seed: int, start: int) -> np.random.Generator:
+    """Generator positioned at draw ``start`` of the seed's uniform stream.
 
     One double consumes one 64-bit word, and ``Philox.advance`` counts in
     blocks of four words, so jump to the enclosing block and discard the
-    in-block remainder.
+    in-block remainder.  Successive ``random`` calls continue the stream.
     """
     bg = np.random.Philox(key=seed)
     bg.advance(start // 4)
     gen = np.random.Generator(bg)
     gen.random(start % 4)
-    return gen.random(stop - start)
+    return gen
 
 
 def sample_range(P: Povm, rho, start: int, stop: int, seed: int) -> np.ndarray:
-    """Counts from draws ``[start, stop)`` of the seeded outcome stream."""
+    """Counts from draws ``[start, stop)`` of the seeded outcome stream.
+
+    Draw k with uniform u has outcome ``searchsorted(edges, u, "right")``
+    over the cumulative distribution ``edges``.  A guide table (Chen and
+    Asau, 1974) gives every draw that outcome with little searching:
+    [0, 1) is cut into ``cells`` equal cells, a power of two so that
+    ``u * cells`` and ``edges * cells`` are exact.  A draw in a cell with
+    no edge strictly inside has the outcome of the cell's left end, so
+    only the draws in the at most N - 1 split cells are searched.
+    """
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
     probs = outcome_distribution(P, rho)
     edges = np.cumsum(probs)
     edges[-1] = 1.0  # guard against rounding so every uniform lands in range
-    outcomes = np.searchsorted(edges, _uniform_stream(seed, start, stop), side="right")
-    return np.bincount(outcomes, minlength=len(P)).astype(np.int64)
+    # a 10-draw range should not pay for a 2^16-cell table
+    cells = 1 << min(_MAX_CELL_BITS, ((stop - start) // 16).bit_length())
+    # first[k] counts the edges e <= k/cells, i.e. ceil(e * cells) <= k: the
+    # outcome searchsorted gives at the cell's left end.  below[k] counts the
+    # edges e < (k+1)/cells, i.e. floor(e * cells) <= k, so the two differ
+    # when an edge lies inside the cell.
+    scaled = edges * cells
+    first = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=cells))[:cells]
+    below = np.cumsum(np.bincount(np.floor(scaled).astype(np.intp), minlength=cells))[:cells]
+    split = first != below
+
+    per_cell = np.zeros(cells, dtype=np.int64)
+    counts = np.zeros(len(edges), dtype=np.int64)
+    u = np.empty(min(_BLOCK, stop - start))
+    cell = np.empty(len(u), dtype=np.intp)
+    gen = _stream_at(seed, start)
+    for lo in range(start, stop, _BLOCK):
+        m = min(_BLOCK, stop - lo)
+        draws, index = u[:m], cell[:m]
+        gen.random(out=draws)
+        np.multiply(draws, cells, out=index, casting="unsafe")
+        per_cell += np.bincount(index, minlength=cells)
+        searched = np.searchsorted(edges, draws[split[index]], side="right")
+        counts += np.bincount(searched, minlength=len(edges))
+    whole = ~split
+    np.add.at(counts, first[whole], per_cell[whole])
+    return counts
 
 
 def sample(P: Povm, rho, n_ex: int, seed: int, *, chunk_size: int | None = None) -> SampleRun:
     """``n_ex`` i.i.d. Born-rule draws; deterministic given the seed.
 
-    ``chunk_size`` bounds the memory of the uniform buffer; the counts do
-    not depend on it.
+    ``chunk_size`` only splits ``[0, n_ex)`` into :func:`sample_range`
+    calls; memory is bounded by that function's internal block either way,
+    and the counts do not depend on it.
     """
     if n_ex < 1:
         raise ValueError("n_ex must be at least 1")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -86,6 +87,7 @@ class Povm:
             if len(labels) != mats.shape[0]:
                 raise ValueError("one label per element required")
 
+        position = np.arange(mats.shape[0])  # input index of each kept element
         if drop_zero:
             keep = np.linalg.norm(mats, axis=(1, 2)) > tol.psd_slack
             if not np.all(keep):
@@ -95,6 +97,7 @@ class Povm:
                     stacklevel=2,
                 )
                 mats = mats[keep]
+                position = position[keep]
                 if labels is not None:
                     labels = [lab for lab, k in zip(labels, keep) if k]
         if mats.shape[0] == 0:
@@ -104,12 +107,13 @@ class Povm:
             deviations, lowest, broken = _element_rules(mats, tol)
             offending = np.flatnonzero(broken)
             if offending.size:
-                i = int(offending[0])
-                if broken[i] == _NOT_SELF_ADJOINT:
+                k = int(offending[0])
+                i = int(position[k])
+                if broken[k] == _NOT_SELF_ADJOINT:
                     raise ValueError(
-                        f"element {i} is not self-adjoint (deviation {deviations[i]:.3e})"
+                        f"element {i} is not self-adjoint (deviation {deviations[k]:.3e})"
                     )
-                raise NotPositiveError(i, float(lowest[i]))
+                raise NotPositiveError(i, float(lowest[k]))
             residual = float(np.linalg.norm(mats.sum(axis=0) - np.eye(mats.shape[1])))
             if residual > tol.lin_solve:
                 raise NotCompleteError(residual)
@@ -194,10 +198,13 @@ def povm_report(elements, tol: Tolerances = DEFAULT_TOL) -> dict:
 
     Lists every offending element in index order, each under the first
     rule of :func:`_element_rules` it breaks; zero elements are listed as
-    dropped and do not invalidate the POVM.
+    dropped and do not invalidate the POVM.  The dimension is the size
+    most elements share, the earliest one on a tie; the others are listed
+    as a dimension mismatch.
     """
     mats = [as_operator(e) for e in elements]
-    d = mats[0].shape[0]
+    # most_common keeps first-seen order among equal counts
+    d = Counter(m.shape[0] for m in mats).most_common(1)[0][0]
     issues = {i: {"index": i, "problem": "dimension mismatch"}
               for i, m in enumerate(mats) if m.shape != (d, d)}
     same = np.array([i for i in range(len(mats)) if i not in issues])

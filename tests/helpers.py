@@ -4,6 +4,7 @@ import numpy as np
 
 from povmlab import postproc
 from povmlab.hs import coords
+from povmlab.montecarlo import outcome_distribution
 from povmlab.povm import Observable, Povm
 from povmlab.processing import Ensemble
 
@@ -172,3 +173,15 @@ def reference_joint_alignments(P, observables):
         assert res.success, res.message
         alignments.append(-res.fun)
     return alignments
+
+
+def plain_lookup_counts(P, rho, start, stop, seed):
+    """Counts of draws ``[start, stop)`` by a binary search of each uniform.
+
+    Generates the seed's stream from draw 0 and looks every uniform up in
+    the cumulative distribution, the definition the sampler must match.
+    """
+    edges = np.cumsum(outcome_distribution(P, rho))
+    edges[-1] = 1.0
+    u = np.random.Generator(np.random.Philox(key=seed)).random(stop)[start:]
+    return np.bincount(np.searchsorted(edges, u, side="right"), minlength=len(P))

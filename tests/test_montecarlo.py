@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import SZ, bloch_state
+from helpers import SZ, bloch_state, random_povm, random_state
 from povmlab.montecarlo import (
     GENERATOR_NAME,
     ClampedProbabilityWarning,
@@ -26,6 +26,28 @@ I2 = np.eye(2)
 
 def sic_sigma_z_function():
     return processing_from_dual(canonical_dual(sic_povm()), SZ)
+
+
+# Counts of 200 000 draws (seed 31) on random_povm(16, 272) in a random state,
+# both from default_rng(2718).
+PINNED_D16_COUNTS = [
+    878, 696, 798, 885, 785, 682, 640, 783, 700, 781, 778, 600, 579, 694, 709, 678, 707,
+    810, 842, 806, 667, 583, 787, 785, 716, 739, 831, 785, 737, 791, 893, 704, 873, 711,
+    659, 752, 695, 732, 709, 802, 613, 878, 734, 753, 733, 750, 652, 663, 695, 751, 711,
+    956, 830, 728, 741, 781, 788, 735, 648, 681, 647, 775, 827, 807, 710, 770, 646, 615,
+    780, 801, 760, 604, 857, 785, 753, 680, 817, 779, 616, 727, 649, 786, 846, 791, 751,
+    812, 659, 773, 719, 696, 706, 825, 708, 635, 687, 879, 800, 731, 742, 697, 701, 649,
+    751, 633, 749, 660, 869, 714, 829, 627, 725, 899, 795, 671, 649, 662, 856, 786, 727,
+    803, 728, 642, 676, 886, 784, 751, 763, 881, 702, 654, 700, 727, 648, 714, 755, 676,
+    713, 641, 642, 709, 776, 663, 615, 683, 648, 689, 734, 746, 744, 861, 632, 780, 776,
+    661, 719, 649, 709, 737, 769, 719, 768, 777, 837, 809, 640, 799, 696, 619, 777, 612,
+    845, 689, 797, 711, 711, 707, 755, 807, 621, 745, 735, 734, 722, 622, 697, 802, 694,
+    705, 838, 805, 729, 861, 795, 734, 672, 718, 802, 834, 799, 771, 803, 821, 722, 702,
+    787, 712, 783, 724, 638, 682, 742, 788, 812, 743, 633, 667, 662, 793, 752, 735, 718,
+    696, 715, 639, 616, 849, 745, 674, 676, 683, 704, 720, 754, 746, 708, 813, 778, 609,
+    639, 781, 699, 643, 744, 711, 747, 675, 651, 774, 676, 599, 744, 722, 838, 662, 791,
+    781, 692, 773, 741, 790, 790, 867, 782, 656, 655, 722, 854, 772, 752, 729, 769, 736,
+]
 
 
 class TestOutcomeDistribution:
@@ -158,6 +180,16 @@ class TestSampling:
             merge_runs([a, b])
         with pytest.raises(ValueError, match="nothing"):
             merge_runs([])
+
+
+def test_counts_are_pinned():
+    # literal counts: any change to the stream or to the outcome map fails here,
+    # which reruns that compare the sampler with itself cannot see
+    run = sample(sic_povm(), bloch_state([0.2, 0.1, -0.3]), 5000, seed=42)
+    assert run.counts.tolist() == [895, 1579, 1393, 1133]
+    rng = np.random.default_rng(2718)
+    P, rho = random_povm(16, 272, rng), random_state(16, rng)
+    assert sample(P, rho, 200_000, seed=31).counts.tolist() == PINNED_D16_COUNTS
 
 
 class TestEmpiricalEstimate:

@@ -102,6 +102,30 @@ class TestValidation:
         assert exc.value.min_eigenvalue == np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]
         assert lowest[5] < exc.value.min_eigenvalue < 0.0
 
+    def test_errors_name_the_input_index_past_dropped_zeros(self):
+        elements = [np.zeros((2, 2)), np.diag([-0.5, 1.0]), np.diag([1.5, 0.0])]
+        with pytest.warns(ZeroElementWarning), pytest.raises(NotPositiveError) as exc:
+            Povm(elements)
+        assert exc.value.index == 1
+        assert [i["index"] for i in povm_report(elements)["issues"]] == [0, 1]
+        elements[1] = np.array([[0.0, 0.2], [0.0, 1.0]])
+        with pytest.warns(ZeroElementWarning), pytest.raises(
+                ValueError, match="element 1 is not self-adjoint"):
+            Povm(elements)
+
+    def test_report_takes_the_dimension_most_elements_share(self):
+        report = povm_report([np.eye(3), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert report["dim"] == 2
+        assert [(i["index"], i["problem"]) for i in report["issues"]] == [
+            (0, "dimension mismatch")]
+        assert report["completeness_residual"] == 0.0
+        assert not report["valid"]
+        # one element of each size: the earliest sets the dimension
+        report = povm_report([np.diag([1.0, 0.0]), np.eye(3)])
+        assert report["dim"] == 2
+        assert [(i["index"], i["problem"]) for i in report["issues"]] == [
+            (1, "dimension mismatch")]
+
     def test_report_flags_problems(self):
         report = povm_report([np.diag([1.0, 0.5]), np.diag([0.0, 0.2])])
         assert not report["valid"]

@@ -67,6 +67,7 @@ from povmlab.serialize import (
 
 from helpers import (
     kernel_state,
+    plain_lookup_counts,
     random_ensemble,
     random_hermitian,
     random_observable,
@@ -158,6 +159,53 @@ def test_sample_counts_do_not_depend_on_the_split(d, n, seed, n_ex, cuts):
     edges = [0] + sorted(int(c * n_ex) for c in cuts) + [n_ex]
     pieces = sum(sample_range(P, rho, a, b, seed) for a, b in zip(edges, edges[1:]))
     assert np.array_equal(pieces, sample(P, rho, n_ex, seed).counts)
+
+
+def diagonal_case(p):
+    """Qubit POVM ``diag(p_i, 1/N)`` and the state ``diag(1, 0)``.
+
+    The state sees outcome i with probability exactly ``p_i``, and an
+    outcome with ``p_i = 0`` keeps its nonzero element.
+    """
+    elements = np.zeros((len(p), 2, 2))
+    elements[:, 0, 0] = p
+    elements[:, 1, 1] = 1.0 / len(p)
+    return Povm(elements), np.diag([1.0, 0.0])
+
+
+@st.composite
+def sampling_cases(draw):
+    """Up to 300 outcomes, some dead, with dyadic or generic probabilities.
+
+    Dyadic probabilities ``w_i / 2^k`` put edges of the cumulative
+    distribution exactly on cell boundaries of the sampler's table.  The
+    range starts anywhere in the first 2e5 draws and spans up to 2e5.
+    """
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        total = 1 << draw(st.integers(0, 14))
+        cuts = np.sort(rng.integers(0, total + 1, size=n - 1))
+        p = np.diff(np.concatenate([[0], cuts, [total]])) / total
+    else:
+        p = rng.random(n) * (rng.random(n) > 0.2)
+        if not p.any():
+            p[0] = 1.0
+        p /= p.sum()
+    start = draw(st.integers(0, 200_000))
+    stop = start + draw(st.integers(0, 200_000))
+    return diagonal_case(p), start, stop, draw(st.integers(0, 2 ** 64 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(sampling_cases())
+# dyadic probabilities over a range crossing the 2^16-draw block boundary
+@example((diagonal_case([0.25, 0.5, 0.0, 0.125, 0.125]), 65_533, 196_611, 7))
+@example((diagonal_case([0.5, 0.0, 0.5]), 3, 65_540, 2 ** 64 - 1))
+def test_sample_range_matches_the_plain_lookup(case):
+    (P, rho), start, stop, seed = case
+    counts = sample_range(P, rho, start, stop, seed)
+    assert np.array_equal(counts, plain_lookup_counts(P, rho, start, stop, seed))
 
 
 @PROPERTY_SETTINGS
@@ -450,12 +498,11 @@ def test_povm_report_and_ensemble_apply_one_element_rule(elements):
         assert verdict in (None, "incomplete")
         expected = None
     else:
-        # Povm and Ensemble number the elements left after dropping the zero ones
-        index = first["index"] - sum(zero[:first["index"]])
-        assert verdict == (index, first["problem"])
+        assert verdict == (first["index"], first["problem"])
         problem = {"not self-adjoint": "is not self-adjoint",
                    "not positive": "is not positive semidefinite"}[first["problem"]]
-        expected = f"state {index} {problem}"
+        # the zero states are left out of the Ensemble below, which numbers the rest
+        expected = f"state {first['index'] - sum(zero[:first['index']])} {problem}"
     states = [m / np.real(np.trace(m)) for m, z in zip(elements, zero) if not z]
     try:
         Ensemble(np.full(len(states), 1.0 / len(states)), states)
