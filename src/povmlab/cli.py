@@ -317,6 +317,8 @@ def cmd_postproc_check(args, tol: Tolerances, seed: int) -> int:
         "verdict": "feasible" if search.feasible else "infeasible",
         "residual": search.residual,
         "markov": markov_to_json(search.markov) if search.markov is not None else None,
+        "witness": (None if search.witness is None
+                    else [operator_to_json(Y) for Y in search.witness]),
     }
     _emit(args, payload)
     return EXIT_OK if search.feasible else EXIT_NEGATIVE

@@ -15,6 +15,7 @@ bounded whatever its length.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -116,7 +117,10 @@ def sample_range(P: Povm, rho, start: int, stop: int, seed: int) -> np.ndarray:
     ``u * cells`` and ``edges * cells`` are exact.  A draw in a cell with
     no edge strictly inside has the outcome of the cell's left end, so
     only the draws in the at most N - 1 split cells are searched.
+    ``start`` and ``stop`` may be any integers, numpy's included; a float
+    raises ``TypeError``.
     """
+    start, stop = operator.index(start), operator.index(stop)
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
     probs = outcome_distribution(P, rho)
@@ -158,10 +162,10 @@ def sample(P: Povm, rho, n_ex: int, seed: int, *, chunk_size: int | None = None)
     calls; memory is bounded by that function's internal block either way,
     and the counts do not depend on it.
     """
+    n_ex = operator.index(n_ex)
     if n_ex < 1:
         raise ValueError("n_ex must be at least 1")
-    if chunk_size is None:
-        chunk_size = n_ex
+    chunk_size = n_ex if chunk_size is None else operator.index(chunk_size)
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     counts = np.zeros(len(P), dtype=np.int64)

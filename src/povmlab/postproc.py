@@ -3,12 +3,18 @@
 A POVM ``Q`` is a post-processing of ``P`` when ``Q_j = sum_i m(j|i) P_i``
 for a column-stochastic matrix ``m`` (columns indexed by the input
 outcome i).  This module decides that relation by linear programming
-over the null space of P's design matrix (a sign check when P's elements
-are linearly independent, with a minimax LP certifying infeasibility),
-implements the elementary merge/permute/split maps, tests cleanness
-(maximality under the induced pseudo-order), and builds the smearing and
-blurring constructions that turn sign-indefinite processing coefficients
-into genuine conditional probabilities at a quantifiable noise cost.
+over the null space of P's design matrix: a sign check when P's elements
+are linearly independent, otherwise a small feasibility LP.  When neither
+finds an ``m``, a witness LP, the dual of the minimax LP over all of
+``m``, returns the least synthesis residual together with operators
+``Y_j`` that certify it (a guessing-game witness in the sense of Buscemi,
+CMP 310, 625 (2012)).  Joint-measurement certificates come from an
+alignment LP over the same null-space parametrization, solved as its
+dual.  The module also implements the elementary merge/permute/split
+maps, tests cleanness (maximality under the induced pseudo-order), and
+builds the smearing and blurring constructions that turn sign-indefinite
+processing coefficients into genuine conditional probabilities at a
+quantifiable noise cost.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, coords, null_basis, off_span
+from .hs import DEFAULT_TOL, Tolerances, coords, from_coords, null_basis, off_span
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
@@ -44,6 +50,11 @@ def linprog(cost, bounds=(0.0, None), **constraints):
     return highs(cost, **constraints, bounds=bounds, method="highs", options=_LP_OPTIONS)
 
 
+def _sign_bounds(n_nonneg: int, n_free: int) -> np.ndarray:
+    """:func:`linprog` bounds: ``n_nonneg`` nonnegative variables, then ``n_free`` free ones."""
+    return np.repeat([[0.0, np.inf], [-np.inf, np.inf]], [n_nonneg, n_free], axis=0)
+
+
 def _stochastic(m: np.ndarray) -> np.ndarray:
     """``m`` clipped at zero, with its columns renormalized to sum to one."""
     m = np.clip(m, 0.0, None)
@@ -56,49 +67,75 @@ def _reduced_lp(m0: np.ndarray, K: np.ndarray, cost=None):
     ``m0[j]`` is a particular solution for output j of some linear
     constraints on ``m[j]``, ``K`` an orthonormal basis (columns) of their
     null space, and ``z[j]`` the free coordinates along it, variables
-    ``j * k`` to ``j * k + k - 1`` for ``k = K.shape[1]``.  The LP imposes
-    ``m0[j] + K z[j] >= 0`` and makes the columns of ``m`` sum to one through
-    ``sum_j z[j] = K^T (1 - sum_j m0[j])``; it minimizes ``cost . m`` when a
-    ``cost`` of ``m``'s shape is given.  With ``K`` empty, ``m0`` is the only
-    candidate and no LP runs.  The solution is returned clipped at zero with
-    its columns renormalized.
+    ``j * k`` to ``j * k + k - 1`` for ``k = K.shape[1]``.  The constraints
+    on ``z`` are ``A z <= b``, that is ``m0[j] + K z[j] >= 0``, and
+    ``A_eq z = b_eq``, that is ``sum_j z[j] = K^T (1 - sum_j m0[j])``, which
+    makes the columns of ``m`` sum to one.
+
+    Without a ``cost`` HiGHS solves this feasibility LP as it stands.  With
+    a ``cost`` of ``m``'s shape, ``m`` minimizes ``cost . m``, and HiGHS
+    solves the dual LP instead: ``min b . y + b_eq . w`` subject to
+    ``A^T y + A_eq^T w = -(cost @ K)``, ``y >= 0`` and ``w`` free.  Its
+    equality marginals are the optimal ``z``, and it is unbounded exactly
+    when no ``m`` exists.  (With zero cost that dual is a Farkas system,
+    which HiGHS solves more slowly than the primal.)  With ``K`` empty,
+    ``m0`` is the only candidate and no LP runs.  The solution is returned
+    clipped at zero with its columns renormalized.
     """
     n_out, k = m0.shape[0], K.shape[1]
     if k:
-        res = linprog(
-            np.zeros(n_out * k) if cost is None else (cost @ K).ravel(),
-            A_ub=np.kron(np.eye(n_out), -K), b_ub=m0.ravel(),
-            A_eq=np.kron(np.ones((1, n_out)), np.eye(k)), b_eq=K.T @ (1.0 - m0.sum(axis=0)),
-            bounds=(None, None),
-        )
+        A, b = np.kron(np.eye(n_out), -K), m0.ravel()
+        A_eq, b_eq = np.kron(np.ones((1, n_out)), np.eye(k)), K.T @ (1.0 - m0.sum(axis=0))
+        if cost is None:
+            res = linprog(np.zeros(n_out * k), A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
+                          bounds=(None, None))
+        else:
+            res = linprog(np.concatenate([b, b_eq]), A_eq=np.hstack([A.T, A_eq.T]),
+                          b_eq=-(cost @ K).ravel(), bounds=_sign_bounds(len(b), k))
         if not res.success:
             return None
-        m0 = m0 + res.x.reshape(n_out, k) @ K.T
+        z = res.x if cost is None else res.eqlin.marginals
+        m0 = m0 + z.reshape(n_out, k) @ K.T
     return _stochastic(m0)
 
 
-def _minimax_lp(V: np.ndarray, W: np.ndarray):
-    """The column-stochastic ``m`` least off ``V m^T = W`` entrywise.
+def _witness_lp(V: np.ndarray, W: np.ndarray):
+    """The column-stochastic ``m`` least off ``V m^T = W`` entrywise, and a witness ``y``.
 
-    The variables are ``m[j, i]``, variable ``j * n_in + i``, then the bound
-    ``s`` minimized: ``+-(V m_j - w_j) <= s`` for each output j, and each
-    input column of ``m`` sums to one.  The LP is always feasible; ``m``
-    is read back as :func:`_stochastic` of the solution.
+    HiGHS solves the dual of that minimax LP: maximize
+    ``sum_j y_j . w_j - sum_i t_i`` subject to ``y_j . v_i <= t_i`` (row
+    ``j * n_in + i``) and ``sum_j |y_j|_1 <= 1`` (the last row), with
+    ``y = y+ - y-`` split into nonnegative parts.  The variables are
+    ``y+`` (``n_out * n_dim``, output-major), then ``y-``, then the free
+    ``t``.  Its optimum is the least largest miss ``|V m^T - W|``, and the
+    optimal ``m[j, i]`` are minus the marginals of the ``y_j . v_i <= t_i``
+    rows, returned as :func:`_stochastic` of them, with the ``(n_out,
+    n_dim)`` array of the ``y_j``.
     """
     from scipy import sparse
 
-    n_in, n_out = V.shape[1], W.shape[1]
-    # the per-outcome block grows with n_out * V.size, so only it is sparse
-    per_outcome = sparse.kron(sparse.eye_array(n_out), np.vstack([V, -V]))
-    per_outcome = sparse.hstack([per_outcome, np.full((per_outcome.shape[0], 1), -1.0)])
-    stochastic = np.hstack([np.kron(np.ones((1, n_out)), np.eye(n_in)), np.zeros((n_in, 1))])
-    cost = np.zeros(n_out * n_in + 1)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=per_outcome, b_ub=np.vstack([W, -W]).T.ravel(),
-                  A_eq=stochastic, b_eq=np.ones(n_in))
-    if not res.success:  # pragma: no cover - the LP is always feasible
-        raise RuntimeError(f"post-processing LP failed: {res.message}")
-    return _stochastic(res.x[:-1].reshape(n_out, n_in))
+    n_dim, n_in = V.shape
+    n_out = W.shape[1]
+    n_y, rows = n_out * n_dim, n_out * n_in
+    # row j * n_in + i holds v_i at y+_j, -v_i at y-_j and -1 at t_i; the
+    # block grows with n_out * V.size, so the matrix is built sparse, by rows
+    y_cols = np.arange(n_y).reshape(n_out, 1, n_dim).repeat(n_in, axis=1).reshape(rows, n_dim)
+    t_cols = 2 * n_y + np.tile(np.arange(n_in), n_out)[:, None]
+    v = np.tile(V.T, (n_out, 1))
+    data = np.hstack([v, -v, -np.ones((rows, 1))])
+    indices = np.hstack([y_cols, n_y + y_cols, t_cols])
+    A = sparse.csr_array(
+        (np.append(data, np.ones(2 * n_y)), np.append(indices, np.arange(2 * n_y)),
+         np.append(np.arange(rows + 1) * data.shape[1], data.size + 2 * n_y)),
+        shape=(rows + 1, 2 * n_y + n_in),
+    )
+    w = W.T.ravel()
+    res = linprog(np.concatenate([-w, w, np.ones(n_in)]), A_ub=A,
+                  b_ub=np.append(np.zeros(rows), 1.0), bounds=_sign_bounds(2 * n_y, n_in))
+    if not res.success:  # pragma: no cover - the LP is always feasible and bounded
+        raise RuntimeError(f"post-processing witness LP failed: {res.message}")
+    m = -res.ineqlin.marginals[:-1].reshape(n_out, n_in)
+    return _stochastic(m), (res.x[:n_y] - res.x[n_y:2 * n_y]).reshape(n_out, n_dim)
 
 
 class MarkovMatrix:
@@ -180,11 +217,17 @@ def t3_split(P: Povm, l: int, p: float) -> Povm:
 
 @dataclass(frozen=True)
 class PostProcessingSearch:
-    """Outcome of the post-processing feasibility LP."""
+    """Outcome of the post-processing LPs.
+
+    ``witness`` holds the operators ``Y_j`` (an ``(M, d, d)`` array, one per
+    target outcome) that certify an infeasible verdict; it is None when
+    the target is feasible.
+    """
 
     feasible: bool
     markov: MarkovMatrix | None
     residual: float
+    witness: np.ndarray | None
 
 
 def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
@@ -200,11 +243,20 @@ def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
     returned ``m``, is at most :data:`FEASIBILITY_RESIDUAL` is returned as
     feasible with that residual.
 
-    Otherwise the minimax LP runs: it minimizes the largest synthesis
-    residual, measured in the HS coordinates of the design matrices, over
-    all column-stochastic matrices.  The relation holds exactly iff the
-    optimum is zero, so the reported minimum doubles as an infeasibility
-    certificate when it exceeds :data:`FEASIBILITY_RESIDUAL`.
+    Otherwise the witness LP runs (:func:`_witness_lp`); it stays behind
+    the sign check and the feasibility LP because on feasible targets it
+    is much slower than they are.  It looks for
+    self-adjoint ``Y_j``, with HS coordinates ``y_j`` and
+    ``sum_j |y_j|_1 <= 1``, that maximize
+    ``sum_j Tr[Y_j Q_j] - sum_i max_j Tr[Y_j P_i]``.  By LP duality the
+    maximum is the least largest synthesis residual, in the HS coordinates
+    of the design matrices, over all column-stochastic matrices, and the
+    LP's marginals give an ``m`` that attains it; ``residual`` is
+    recomputed from that ``m``.  Q is a post-processing of P exactly when
+    the maximum is zero.  When the residual exceeds
+    :data:`FEASIBILITY_RESIDUAL` the ``Y_j`` are returned as ``witness``:
+    anyone can check, without an LP, that their value above equals the
+    residual, and any post-processing ``m`` of P would make it at most 0.
     """
     if Q.dim != P.dim:
         raise ValueError("POVMs must act on the same space")
@@ -212,12 +264,13 @@ def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
     U, s, Vh = P.svd
     m0 = ((W.T @ U) / s) @ Vh  # row j is V^+ w_j
     m = _reduced_lp(m0, null_basis(V, P.tol))
+    y = None
     if m is None or np.max(np.abs(V @ m.T - W)) > FEASIBILITY_RESIDUAL:
-        m = _minimax_lp(V, W)
+        m, y = _witness_lp(V, W)
     residual = float(np.max(np.abs(V @ m.T - W)))
     if residual <= FEASIBILITY_RESIDUAL:
-        return PostProcessingSearch(True, MarkovMatrix(m, tol=P.tol), residual)
-    return PostProcessingSearch(False, None, residual)
+        return PostProcessingSearch(True, MarkovMatrix(m, tol=P.tol), residual, None)
+    return PostProcessingSearch(False, None, residual, from_coords(y))
 
 
 def is_post_processing_of(Q: Povm, P: Povm) -> bool:
@@ -456,9 +509,12 @@ def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
     an orthonormal basis of the null space of the function-of-X rows
     ``(1 - Pi_X) V``; the LP runs over those ``z_h`` only.  It maximizes
     the overlap ``sum_h Tr[Q_h X_h]`` between the first ``s`` processed
-    elements and the spectral projectors, and the reported ``alignment`` is
-    that overlap for the returned map.  Constant columns in the returned
-    map flag certificates that ignore the data.
+    elements and the spectral projectors.  HiGHS solves the LP's dual, in
+    which ``m >= 0`` and the unit column sums become the variables, and
+    the optimal ``z_h`` are read from its equality marginals
+    (:func:`_reduced_lp`).  The reported ``alignment`` is the overlap of
+    the returned map.  Constant columns in the returned map flag
+    certificates that ignore the data.
     """
     observables = list(observables)
     certificates = []

@@ -17,6 +17,7 @@ from povmlab.postproc import t1_identify
 from povmlab.qubit import DegeneratePovmWarning, optimal_B
 from povmlab.serialize import (
     observable_to_json,
+    operator_from_json,
     operator_to_json,
     povm_to_json,
     save_json_file,
@@ -277,6 +278,7 @@ class TestPostproc:
         assert code == 0
         assert payload["verdict"] == "feasible"
         assert payload["markov"]["rows"] == 3 and payload["markov"]["cols"] == 4
+        assert payload["witness"] is None
 
     def test_check_infeasible(self, capsys, sic_file, zproj_file):
         code, payload = run_json(
@@ -286,6 +288,20 @@ class TestPostproc:
         assert payload["verdict"] == "infeasible"
         assert payload["markov"] is None
         assert payload["residual"] == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+    def test_check_infeasible_prints_its_witness(self, capsys, sic_file, zproj_file):
+        # the printed Y_j certify the printed residual with no LP:
+        # sum_j Tr[Y_j Q_j] - sum_i max_j Tr[Y_j P_i]
+        code, payload = run_json(
+            capsys, ["postproc", "check", "--q", zproj_file, "--p", sic_file]
+        )
+        assert code == 3
+        Y = np.array([operator_from_json(y) for y in payload["witness"]])
+        P, Q = sic_povm().elements, projective_povm("z").elements
+        value = (np.einsum("jab,jba->", Y, Q).real
+                 - np.einsum("jab,iba->ji", Y, P).real.max(axis=0).sum())
+        assert value == pytest.approx(payload["residual"], abs=1e-9)
+        assert payload["residual"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_blur(self, capsys, sic_file, zproj_file):
         code, payload = run_json(

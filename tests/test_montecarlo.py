@@ -173,6 +173,21 @@ class TestSampling:
         with pytest.raises(ValueError, match="start"):
             sample_range(P, I2 / 2.0, -1, 4, seed=0)
 
+    def test_numpy_integer_bounds(self):
+        P = sic_povm()
+        rho = bloch_state([0.2, -0.1, 0.4])
+        assert np.array_equal(sample_range(P, rho, np.int64(3), np.int64(1000), seed=5),
+                              sample_range(P, rho, 3, 1000, seed=5))
+        run = sample(P, rho, np.int64(1000), seed=5, chunk_size=np.int32(7))
+        assert np.array_equal(run.counts, sample(P, rho, 1000, seed=5).counts)
+        assert type(run.n_ex) is int
+        with pytest.raises(TypeError):
+            sample_range(P, rho, 3.0, 1000, seed=5)
+        with pytest.raises(TypeError):
+            sample(P, rho, 1000.0, seed=5)
+        with pytest.raises(TypeError):
+            sample(P, rho, 1000, seed=5, chunk_size=7.0)
+
     def test_merge_rejects_mixed_seeds(self):
         a = SampleRun(seed=0, n_ex=2, counts=np.array([1, 1]))
         b = SampleRun(seed=1, n_ex=2, counts=np.array([2, 0]))

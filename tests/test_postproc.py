@@ -210,19 +210,31 @@ class TestFindPostProcessing:
             find_post_processing(Povm([np.eye(3)]), sic_povm())
 
 
-def loop_markov_constraints(rows, rhs, n_var):
-    """Reference: the per-outcome blocks and the column sums, filled entry by entry."""
-    k, n_in = rows.shape
-    n_out = rhs.shape[1]
-    block, b = np.zeros((k * n_out, n_var)), np.zeros(k * n_out)
+def loop_witness_lp(V, W):
+    """Reference witness LP, entry by entry: ``(cost, A_ub, b_ub, bounds)``.
+
+    The variables are ``y+_j``, then ``y-_j`` (``d^2`` HS coordinates per
+    target outcome j), then ``t_i``.  Row ``j * n_in + i`` is
+    ``(y+_j - y-_j) . v_i - t_i <= 0``, and the last row bounds
+    ``sum_j |y_j|_1`` by one.
+    """
+    n_dim, n_in = V.shape
+    n_out = W.shape[1]
+    n_y = n_out * n_dim
+    cost, bounds = np.ones(2 * n_y + n_in), np.zeros((2 * n_y + n_in, 2))
+    block, b = np.zeros((n_out * n_in + 1, 2 * n_y + n_in)), np.zeros(n_out * n_in + 1)
     for j in range(n_out):
-        block[j * k:(j + 1) * k, j * n_in:(j + 1) * n_in] = rows
-        b[j * k:(j + 1) * k] = rhs[:, j]
-    sums = np.zeros((n_in, n_var))
-    for i in range(n_in):
-        for j in range(n_out):
-            sums[i, j * n_in + i] = 1.0
-    return block, b, sums
+        for a in range(n_dim):
+            cost[j * n_dim + a], cost[n_y + j * n_dim + a] = -W[a, j], W[a, j]
+            for i in range(n_in):
+                block[j * n_in + i, j * n_dim + a] = V[a, i]
+                block[j * n_in + i, n_y + j * n_dim + a] = -V[a, i]
+        for i in range(n_in):
+            block[j * n_in + i, 2 * n_y + i] = -1.0
+    block[-1, :2 * n_y], b[-1] = 1.0, 1.0
+    bounds[:, 1] = np.inf
+    bounds[2 * n_y:, 0] = -np.inf
+    return cost, block, b, bounds
 
 
 def loop_reduced_constraints(K, n_out):
@@ -272,29 +284,33 @@ class TestMarkovLpConstraints:
         assert got["bounds"] == (None, None) and not np.any(got["cost"])
 
     def test_infeasible_target_runs_the_full_minimax_lp(self, monkeypatch):
-        # the SIC elements are independent, so only the minimax LP runs
+        # the SIC elements are independent, so only the witness LP, the dual of
+        # the minimax LP over all of m, runs
         P, Q = sic_povm(), projective_povm("z")
         (got,) = self._captured(monkeypatch, lambda: find_post_processing(Q, P))
-        A, b = P.design_matrix, Q.design_matrix
-        block, b_ub, sums = loop_markov_constraints(
-            np.vstack([A, -A]), np.vstack([b, -b]), len(Q) * len(P) + 1)
-        block[:, -1] = -1.0
+        cost, block, b_ub, bounds = loop_witness_lp(P.design_matrix, Q.design_matrix)
+        assert set(got) == {"cost", "A_ub", "b_ub", "bounds"}
         assert np.array_equal(got["A_ub"], block) and np.array_equal(got["b_ub"], b_ub)
-        assert np.array_equal(got["A_eq"], sums) and np.array_equal(got["b_eq"], np.ones(len(P)))
+        assert np.array_equal(got["cost"], cost) and np.array_equal(got["bounds"], bounds)
 
     def test_joint_measurement(self, monkeypatch):
+        # the alignment LP is solved as its dual: min b . y + b_eq . w subject
+        # to A^T y + A_eq^T w = -(cost @ K), y >= 0 and w free
         P, X = sic_povm(), pauli_observable("x")
         (got,) = self._captured(monkeypatch, lambda: find_joint_measurement(P, [X]))
         K = null_basis(postproc._function_of_constraints(X, P), P.tol, scale=P.svd[1][0])
-        n_out = X.spectrum_size + 1
+        n_out, k = X.spectrum_size + 1, K.shape[1]
         block, sums = loop_reduced_constraints(K, n_out)
-        assert np.array_equal(got["A_ub"], block) and np.array_equal(got["A_eq"], sums)
+        assert set(got) == {"cost", "A_eq", "b_eq", "bounds"}
+        assert np.array_equal(got["A_eq"], np.hstack([block.T, sums.T]))
         # the uniform map is the particular solution, so the sums need no correction
-        assert np.array_equal(got["b_ub"], np.full(n_out * len(P), 1.0 / n_out))
-        assert_allclose(got["b_eq"], 0.0, rtol=0.0, atol=1e-15)
+        assert np.array_equal(got["cost"][:-k], np.full(n_out * len(P), 1.0 / n_out))
+        assert_allclose(got["cost"][-k:], 0.0, rtol=0.0, atol=1e-15)
         cost = np.zeros((n_out, len(P)))
         cost[:-1] = -coords(X.projectors).real @ P.design_matrix
-        assert_allclose(got["cost"], (cost @ K).ravel(), rtol=0.0, atol=1e-15)
+        assert_allclose(got["b_eq"], -(cost @ K).ravel(), rtol=0.0, atol=1e-15)
+        assert np.array_equal(got["bounds"][:-k], np.tile([0.0, np.inf], (n_out * len(P), 1)))
+        assert np.array_equal(got["bounds"][-k:], np.tile([-np.inf, np.inf], (k, 1)))
 
 
 class TestIsClean:

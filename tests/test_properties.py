@@ -8,12 +8,14 @@ constructions.  ``derandomize`` keeps the examples the same on every run.
 import json
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from povmlab import postproc
 from povmlab.abspace import (
     ab_space,
     independent_powers,
@@ -242,8 +244,8 @@ def test_composed_markov_maps_keep_the_target_reachable(d, seed):
 
 
 @st.composite
-def lp_cases(draw):
-    """A POVM of one of four kinds, a target for it, and two observables.
+def lp_cases(draw, kinds=("indep", "over", "deficient", "union")):
+    """A POVM of one of the ``kinds``, a target for it, and two observables.
 
     The POVM is linearly independent (N = d^2), overcomplete, span-deficient
     (noisy readouts of one observable, so N > span rank) or the convex union
@@ -253,7 +255,7 @@ def lp_cases(draw):
     its outcomes reordered.
     """
     d = draw(st.integers(2, 4))
-    kind = draw(st.sampled_from(["indep", "over", "deficient", "union"]))
+    kind = draw(st.sampled_from(kinds))
     target = draw(st.sampled_from(["markov", "spectral", "random"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     A, B = random_observable(d, rng), random_observable(d, rng)
@@ -299,6 +301,56 @@ def test_joint_measurement_agrees_with_the_full_lp(case):
     assert result.feasible and len(result.certificates) == len(observables)
     alignments = [cert.alignment for cert in result.certificates]
     assert np.allclose(alignments, reference_joint_alignments(P, observables), rtol=0.0, atol=1e-7)
+
+
+@PROPERTY_SETTINGS
+@given(lp_cases(kinds=("indep", "over", "deficient")))
+def test_witness_value_equals_the_residual(case):
+    # Sum_j Tr[Y_j Q_j] - Sum_i max_j Tr[Y_j P_i] is at most 0 for every
+    # post-processing of P, so a positive value certifies infeasibility
+    P, Q, _ = case
+    search = find_post_processing(Q, P)
+    if search.feasible:
+        assert search.witness is None
+        return
+    Y = search.witness
+    assert Y.shape == (len(Q),) + Q.elements.shape[1:]
+    assert np.sum(np.abs(coords(Y))) <= 1.0 + 1e-9
+    on_target = np.einsum("jab,jba->", Y, Q.elements).real
+    on_inputs = np.einsum("jab,iba->ji", Y, P.elements).real
+    assert abs(on_target - on_inputs.max(axis=0).sum() - search.residual) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(lp_cases(kinds=("indep", "over", "deficient")))
+def test_joint_dual_objective_equals_the_alignment(case):
+    # each alignment LP is solved as its dual; the dual objective, recomputed
+    # from the solution, and the overlap of the m read from its marginals agree
+    P, _, observables = case
+    highs = postproc.linprog
+    for X in observables:
+        solved = []
+
+        def recording(cost, **constraints):
+            res = highs(cost, **constraints)
+            solved.append((cost, constraints, res))
+            return res
+
+        with mock.patch.object(postproc, "linprog", recording):
+            (cert,) = find_joint_measurement(P, [X]).certificates
+        s = X.spectrum_size
+        m_cost = np.zeros((s + 1, len(P)))
+        m_cost[:s] = -coords(X.projectors).real @ P.design_matrix
+        # the LP optimizes m = uniform + z K^T; its value is the change from uniform
+        uniform_value = -np.sum(m_cost) / (s + 1)
+        if not solved:  # K is empty, and the uniform map is the only one
+            assert abs(cert.alignment - uniform_value) <= 1e-9
+            continue
+        ((cost, constraints, res),) = solved
+        y = res.x[:len(P) * (s + 1)]
+        assert np.all(y >= -1e-9)
+        assert np.max(np.abs(constraints["A_eq"] @ res.x - constraints["b_eq"])) <= 1e-9
+        assert abs(uniform_value + cost @ res.x - cert.alignment) <= 1e-9
 
 
 def through_json(doc):
