@@ -141,19 +141,21 @@ def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     return U[:, :r], s[:r], Vh[:r]
 
 
-def null_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-               scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of ``V``, at :func:`truncated_svd`'s cutoff.
+def svd_and_null_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+                       scale: float | None = None):
+    """One SVD of ``V``: the factors ``(U, s, Vh)`` that :func:`truncated_svd` keeps, and ``K``.
 
-    The right singular vectors past the kept ones: ``V.shape[1] - r``
-    columns for numerical rank r, real when ``V`` is, and orthogonal to the
-    row span that the pseudoinverse maps into.  Singular values up to
-    ``tol.eig_zero * scale`` count as zero; ``scale`` defaults to the largest
-    one of ``V``, and must be given when ``V`` is the remainder of a larger
-    matrix (as from :func:`off_span`), which may be zero up to rounding.
+    The columns of ``K`` are the right singular vectors past the kept ones:
+    an orthonormal basis of the null space of ``V``, real when ``V`` is.
+    The SVD is full only when ``V`` is wider than tall, where the thin one
+    lacks null directions.  Singular values up to ``tol.eig_zero * scale``
+    count as zero; ``scale`` defaults to the largest one of ``V``, and must
+    be given when ``V`` is the remainder of a larger matrix (as from
+    :func:`off_span`), which may be zero up to rounding.
     """
-    _, s, Vh = np.linalg.svd(V)
-    return dagger(Vh[_kept(s, tol, scale):])
+    U, s, Vh = np.linalg.svd(V, full_matrices=V.shape[1] > V.shape[0])
+    r = _kept(s, tol, scale)
+    return (U[:, :r], s[:r], Vh[:r]), dagger(Vh[r:])
 
 
 def _kept(s: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:

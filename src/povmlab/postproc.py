@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, coords, from_coords, null_basis, off_span
+from .hs import DEFAULT_TOL, Tolerances, coords, from_coords, off_span, svd_and_null_basis
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
@@ -235,13 +235,14 @@ def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
 
     Every solution of the synthesis equations ``V m_j = w_j`` (V and W the
     design matrices of P and Q) is ``m_j = m0_j + K z_j``, with
-    ``m0 = V^+ W`` from P's cached SVD and K an orthonormal basis of the
-    null space of V.  When K is empty (P's elements are linearly
-    independent), ``m0`` is the only candidate and no LP runs; otherwise a
-    small feasibility LP in the ``z_j`` imposes ``m >= 0`` and unit column
-    sums.  A candidate whose largest synthesis residual, recomputed from the
-    returned ``m``, is at most :data:`FEASIBILITY_RESIDUAL` is returned as
-    feasible with that residual.
+    ``m0 = V^+ W`` and K the orthonormal basis of the null space of V
+    (:attr:`Povm.null_basis`), both from P's one cached SVD.  When K is
+    empty (P's elements are linearly independent), ``m0`` is the only
+    candidate and no LP runs; otherwise a small feasibility LP in the
+    ``z_j`` imposes ``m >= 0`` and unit column sums.  A candidate whose
+    largest synthesis residual, recomputed from the returned ``m``, is at
+    most :data:`FEASIBILITY_RESIDUAL` is returned as feasible with that
+    residual.
 
     Otherwise the witness LP runs (:func:`_witness_lp`); it stays behind
     the sign check and the feasibility LP because on feasible targets it
@@ -263,7 +264,7 @@ def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
     V, W = P.design_matrix, Q.design_matrix
     U, s, Vh = P.svd
     m0 = ((W.T @ U) / s) @ Vh  # row j is V^+ w_j
-    m = _reduced_lp(m0, null_basis(V, P.tol))
+    m = _reduced_lp(m0, P.null_basis)
     y = None
     if m is None or np.max(np.abs(V @ m.T - W)) > FEASIBILITY_RESIDUAL:
         m, y = _witness_lp(V, W)
@@ -528,7 +529,7 @@ def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
         uniform = np.full((s + 1, len(P)), 1.0 / (s + 1))
         # the rows vanish up to rounding when every element is a function of X,
         # so their zero singular values are measured against V's largest
-        K = null_basis(_function_of_constraints(X, P), P.tol, scale=P.svd[1][0])
+        K = svd_and_null_basis(_function_of_constraints(X, P), P.tol, scale=P.svd[1][0])[1]
         m = _reduced_lp(uniform, K, cost)
         if m is None:
             return JointMeasurementResult(False, certificates, idx, False)

@@ -3,10 +3,12 @@
 A POVM with outcomes ``P_1 .. P_N`` is stored as a stacked ``(N, d, d)``
 complex array.  Viewed as HS vectors the outcomes form a frame for their
 span: the columns of the real d^2 x N design matrix ``V`` of their
-coordinates (:func:`hs.coords`).  One truncated SVD of ``V``, cached on
-the POVM, gives the span rank, the orthonormal span basis that the span
-tests measure against, the span projector and the canonical dual
-``(V^+)^dag``; the shifted duals built from an arbitrary operator list
+coordinates (:func:`hs.coords`).  One SVD of ``V``, cached on the
+POVM, gives the span rank, the orthonormal span basis that the span
+tests measure against, the span projector, the canonical dual
+``(V^+)^dag`` and an orthonormal basis of the null space of ``V``: the
+directions in which the coefficients of any other dual differ from the
+canonical ones.  The shifted duals built from an arbitrary operator list
 complete the linear machinery used by the estimation routines.  Dual
 frames are held in the same coordinates.
 """
@@ -29,7 +31,7 @@ from .hs import (
     from_coords,
     off_span,
     span_basis,
-    truncated_svd,
+    svd_and_null_basis,
 )
 
 
@@ -147,13 +149,27 @@ class Povm:
         return V
 
     @cached_property
+    def _factors(self):
+        """The one SVD of the design matrix, split by :func:`hs.svd_and_null_basis`."""
+        return svd_and_null_basis(self.design_matrix, self.tol)
+
+    @cached_property
     def svd(self):
         """Truncated SVD ``(U, s, Vh)`` of the design matrix, cut at ``self.tol``.
 
         ``U`` is the orthonormal basis of the span that every span test of
         the package measures against with :func:`hs.off_span`.
         """
-        return truncated_svd(self.design_matrix, self.tol)
+        return self._factors[0]
+
+    @cached_property
+    def null_basis(self) -> np.ndarray:
+        """Orthonormal basis ``K`` (N x k, ``k = N - span_rank``) of the null space of V.
+
+        It comes from the SVD of :attr:`svd`.  The coefficients of any dual
+        differ from the canonical ones along it.
+        """
+        return self._factors[1]
 
     @cached_property
     def span_projector(self) -> np.ndarray:
@@ -307,28 +323,6 @@ def is_r_infocomplete(P: Povm, operators) -> bool:
 def is_infocomplete(P: Povm) -> bool:
     """Full informational completeness: the elements span all of HS space."""
     return P.span_rank == P.dim ** 2
-
-
-def rank_one_refinement(P: Povm) -> Povm:
-    """Split every element into its rank-one eigen-pieces.
-
-    Each ``P_i`` with spectral decomposition ``sum_k lam_k |v_k><v_k|``
-    contributes one outcome per eigenvalue above the rank cutoff.  The
-    refined POVM reproduces P by merging outcomes, and every element of
-    the refinement is rank one.
-    """
-    tol = P.tol
-    pieces = []
-    labels = []
-    for i, m in enumerate(P.elements):
-        lam, vec = np.linalg.eigh(0.5 * (m + dagger(m)))
-        cutoff = tol.eig_zero * max(lam[-1], 0.0)
-        for k in range(len(lam)):
-            if lam[k] > cutoff and lam[k] > tol.psd_slack:
-                v = vec[:, k]
-                pieces.append(lam[k] * np.outer(v, np.conj(v)))
-                labels.append(f"{i}:{k}")
-    return Povm(pieces, labels=labels, tol=tol)
 
 
 class Observable:

@@ -7,16 +7,16 @@ this module builds them, evaluates single-state and ensemble-averaged
 statistical errors, and computes the dual frame that minimizes the
 ensemble error together with the corresponding minimum.
 
-The ensemble-optimal dual is the canonical dual of the weighted frame
-``P_i / sqrt(pi_i)``, rescaled by ``1 / sqrt(pi_i)``: ``D_i = G^+ P_i / pi_i``
-with ``G = sum_i |P_i><P_i| / pi_i`` and ``pi_i`` the barycenter probability
-of outcome i.  It comes from one truncated SVD of ``V diag(pi^-1/2)``, is
-cached on the POVM per ensemble as the duals' real HS coordinates, and
-``min_error`` reads its coefficients from that cache.  Outcomes with
-``pi_i <= P.tol.eig_zero`` cost nothing in the ensemble error, so their
-coefficients are left free: the live outcomes are weighted off the span of
-the dead ones, the dead duals complete the resolution, and a
-:class:`DegenerateMetricWarning` is raised.
+The ensemble-optimal dual minimizes ``sum_i pi_i |c_i|^2``, with ``pi_i``
+the barycenter probability of outcome i, over the coefficients ``c + K a``
+that reproduce a target: ``c`` the canonical dual's and ``K`` the null
+basis of the design matrix, both from the one SVD the POVM caches.  That
+is a least-squares problem in ``k = N - span_rank`` unknowns, none when
+the elements are linearly independent.  The duals are cached on the POVM
+per ensemble, and ``min_error`` reads its coefficients from that cache.
+Outcomes with ``pi_i <= P.tol.eig_zero`` cost nothing: the freedom the
+live outcomes leave goes to the least norm of the dead coefficients, and
+a :class:`DegenerateMetricWarning` is raised.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, as_operator, coords, off_span, truncated_svd
+from .hs import DEFAULT_TOL, Tolerances, as_operator, coords, off_span, svd_and_null_basis
 from .povm import DualFrame, Povm, _element_rules
 
 
@@ -163,14 +163,21 @@ def _span_residual(P: Povm, V: np.ndarray):
     return np.linalg.norm(off_span(P.svd[0], V), axis=0)
 
 
-def processing_from_dual(D: DualFrame, X) -> ProcessingFunction:
-    """Coefficients ``c_i = Tr[D_i^dag X]`` for a span-contained target X."""
+def _target(P: Povm, X):
+    """``X`` as an operator and its HS coordinates, checked to be a target P can estimate."""
     X = as_operator(X)
-    P = D.povm
+    if X.shape[0] != P.dim:
+        raise ValueError(f"target dimension {X.shape[0]} != POVM dimension {P.dim}")
     x = coords(X)
     residual = _span_residual(P, x)
     if residual > P.tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
+    return X, x
+
+
+def processing_from_dual(D: DualFrame, X) -> ProcessingFunction:
+    """Coefficients ``c_i = Tr[D_i^dag X]`` for a span-contained target X."""
+    X, x = _target(D.povm, X)
     return ProcessingFunction(X, D.coords.conj().T @ x)
 
 
@@ -205,15 +212,20 @@ def _optimal(P: Povm, ensemble: Ensemble):
     if ensemble not in P.by_ensemble:
         pi = metric_diagonal(P, ensemble).diag
         live = pi > tol.eig_zero
-        V = P.design_matrix
-        V_L, V_D = V[:, live], V[:, ~live]
-        U_D, s_D, Vh_D = truncated_svd(V_D, tol)
-        root = np.sqrt(pi[live])
-        U, s, Vh = truncated_svd(off_span(U_D, V_L / root), tol)  # Q V_L diag(pi_L^-1/2)
-        duals = np.empty(V.shape)
-        duals[:, live] = (U / s) @ Vh / root
-        W_D = (U_D / s_D) @ Vh_D  # (V_D^+)^dag, inside the span, so Pi W_D = W_D
-        duals[:, ~live] = W_D - duals[:, live] @ (V_L.T @ W_D)
+        U, s, Vh = P.svd
+        duals = (U / s) @ Vh  # the canonical dual
+        K = P.null_basis
+        if K.shape[1]:
+            K_dead = K[:, :0]
+            if not live.all():
+                # null directions that move live coefficients, scaled so that
+                # their live parts are orthonormal, and those that move dead ones
+                # only; K is orthonormal, so K[live]'s singular values are cut against 1
+                (_, sigma, R), Z = svd_and_null_basis(K[live], tol, scale=1.0)
+                K, K_dead = K @ (R.T / sigma), K @ Z
+            KPi = K.T * pi
+            duals -= np.linalg.solve(KPi @ K, KPi @ duals.T).T @ K.T
+            duals -= (duals @ K_dead) @ K_dead.T
         duals.setflags(write=False)
         P.by_ensemble[ensemble] = (duals, pi)
     duals, pi = P.by_ensemble[ensemble]
@@ -232,19 +244,23 @@ def _optimal(P: Povm, ensemble: Ensemble):
 def optimal_dual(P: Povm, ensemble: Ensemble) -> DualFrame:
     """Dual frame minimizing the ensemble error for every span-contained target.
 
-    With ``pi_i = Tr[rho_E P_i]`` the barycenter outcome probabilities and
-    ``G = sum_i |P_i><P_i| / pi_i`` the weighted frame operator, the
-    minimizer is ``D_i = G^+ P_i / pi_i``, the canonical dual of the frame
-    ``P_i / sqrt(pi_i)`` rescaled by ``1 / sqrt(pi_i)``.  It is read off one
-    truncated SVD of ``V diag(pi^-1/2)`` and cached on ``P`` per ensemble.
+    With ``pi_i = Tr[rho_E P_i]`` the barycenter outcome probabilities, the
+    coefficients ``c + K a`` of a target (``c`` the canonical dual's, ``K``
+    the POVM's null basis) cost ``sum_i pi_i |c_i + (K a)_i|^2``.  When every
+    outcome is live, ``a = -(K^T Pi K)^-1 K^T Pi c`` minimizes it for all
+    targets at once, which gives the duals
+    ``D = D_can - (D_can Pi K)(K^T Pi K)^-1 K^T`` in coordinates.  These are
+    ``D_i = G^+ P_i / pi_i`` with ``G = sum_i |P_i><P_i| / pi_i``.  When the
+    elements are linearly independent, ``K`` is empty and the optimal dual
+    is the canonical one.  The duals are cached on ``P`` per ensemble.
 
     Outcomes with ``pi_i <= P.tol.eig_zero`` (the dead set D) cost nothing
     in the ensemble error, so their coefficients are free, and a
-    :class:`DegenerateMetricWarning` is raised.  With ``Q`` the projector
-    off ``span(V_D)``, the live outcomes L take ``D_L^dag =
-    diag(pi_L^-1/2) (Q V_L diag(pi_L^-1/2))^+`` and the dead ones the
-    minimum-norm completion ``D_D^dag = V_D^+ (Pi - V_L D_L^dag)``, with
-    ``Pi`` the span projector.  When every outcome is live, ``Q = 1``.
+    :class:`DegenerateMetricWarning` is raised.  ``a`` then minimizes the
+    live outcomes' weighted norm, and the null directions that move only
+    dead coefficients are spent on the least plain norm of those.  This is
+    the live optimum completed by the minimum-norm dead duals
+    ``D_D^dag = V_D^+ (Pi - V_L D_L^dag)``, with ``Pi`` the span projector.
     """
     return DualFrame(_optimal(P, ensemble)[0], P)
 
@@ -253,17 +269,15 @@ def min_error(P: Povm, ensemble: Ensemble, X) -> float:
     """Minimum ensemble error over all processing functions for target X.
 
     The ensemble error of the optimal dual, ``sum_i pi_i |<D_i|X>|^2 -
-    avg_j <X>_{rho_j}^2``, with the duals taken from the per-ensemble
-    cache of :func:`optimal_dual`, so each further target costs one
-    N x d^2 product.  When every outcome has positive probability this is
-    ``<X| G^+ |X> - avg_j <X>_{rho_j}^2``.  Zero-probability outcomes
-    cost nothing, so their coefficients are left free, as in
+    avg_j <X>_{rho_j}^2``: the canonical coefficients of X corrected along
+    the null space of V, with the duals taken from the per-ensemble cache of
+    :func:`optimal_dual`, so each further target costs one N x d^2 product.
+    When every outcome has positive probability this is
+    ``<X| G^+ |X> - avg_j <X>_{rho_j}^2``.  Zero-probability outcomes cost
+    nothing, so their coefficients are left free, as in
     :func:`optimal_dual`, with the same warning.
     """
-    x = coords(as_operator(X))
-    residual = _span_residual(P, x)
-    if residual > P.tol.lin_solve:
-        raise OutsideSpanError(residual, "target observable")
+    X, x = _target(P, X)
     duals, pi = _optimal(P, ensemble)
     c = duals.T @ x
     return float(np.dot(np.abs(c) ** 2, pi)) - ensemble.second_moment(X)

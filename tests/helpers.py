@@ -3,10 +3,10 @@
 import numpy as np
 
 from povmlab import postproc
-from povmlab.hs import coords
+from povmlab.hs import coords, off_span, truncated_svd
 from povmlab.montecarlo import outcome_distribution
 from povmlab.povm import Observable, Povm
-from povmlab.processing import Ensemble
+from povmlab.processing import Ensemble, metric_diagonal
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -113,6 +113,30 @@ def random_observable(d, rng, min_gap=0.0):
     G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     Q, _ = np.linalg.qr(G)
     return Observable(Q @ np.diag(vals) @ Q.conj().T)
+
+
+def reference_optimal_dual(P, ensemble):
+    """Optimal duals' d^2 x N coordinates by a truncated SVD of the reweighted design matrix.
+
+    The live outcomes L (``pi_i > eig_zero``) take the canonical dual of
+    the frame ``Q P_i / sqrt(pi_i)``, with Q the projector off the span of
+    the dead elements, rescaled by ``1 / sqrt(pi_i)``; the dead outcomes D
+    take the minimum-norm completion ``V_D^+ (Pi - V_L D_L^dag)``.  With
+    every outcome live this is ``D_i = G^+ P_i / pi_i``.
+    """
+    tol = P.tol
+    pi = metric_diagonal(P, ensemble).diag
+    live = pi > tol.eig_zero
+    V = P.design_matrix
+    V_L, V_D = V[:, live], V[:, ~live]
+    root = np.sqrt(pi[live])
+    U_D, s_D, Vh_D = truncated_svd(V_D, tol)
+    U, s, Vh = truncated_svd(off_span(U_D, V_L / root), tol)
+    duals = np.empty(V.shape)
+    duals[:, live] = (U / s) @ Vh / root
+    W_D = (U_D / s_D) @ Vh_D  # (V_D^+)^dag
+    duals[:, ~live] = W_D - duals[:, live] @ (V_L.T @ W_D)
+    return duals
 
 
 def full_markov_lp(cost, rows, rhs, *, bounded):

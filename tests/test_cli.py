@@ -246,6 +246,13 @@ class TestMinError:
         )
         assert payload["min_error"] == pytest.approx(8.0 / 3.0, abs=1e-9)
 
+    def test_target_of_another_dimension(self, capsys, sic_file, tmp_path):
+        x3 = write(tmp_path, "x3.json", operator_to_json(np.diag([1.0, 0.0, -1.0])))
+        code, out, err = run(capsys, ["min-error", "--povm", sic_file, "--x", x3])
+        assert code == 2
+        assert out == ""
+        assert err == "povmlab: target dimension 3 != POVM dimension 2\n"
+
 
 class TestInfocheck:
     def test_infocomplete(self, capsys, sic_file):

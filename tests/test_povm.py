@@ -16,7 +16,6 @@ from povmlab.povm import (
     is_infocomplete,
     is_r_infocomplete,
     povm_report,
-    rank_one_refinement,
     spectral_povm,
     symmetrize_dual,
 )
@@ -270,27 +269,6 @@ class TestInfocompleteness:
         assert P.span_rank == 3
         assert is_r_infocomplete(P, [SX, SY])
         assert not is_r_infocomplete(P, [SZ])
-
-
-class TestRankOneRefinement:
-    def test_splits_mixed_elements(self):
-        P = Povm([0.5 * np.eye(2), 0.5 * np.eye(2)])
-        R = rank_one_refinement(P)
-        assert len(R) == 4
-        for m in R.elements:
-            assert np.linalg.matrix_rank(m, tol=1e-10) == 1
-
-    def test_labels_record_parent_and_branch(self):
-        P = Povm([0.5 * np.eye(2), 0.5 * np.eye(2)])
-        R = rank_one_refinement(P)
-        assert R.labels == ["0:0", "0:1", "1:0", "1:1"]
-
-    def test_refinement_preserves_completeness_and_span(self):
-        rng = np.random.default_rng(8)
-        P = random_povm(3, 4, rng)
-        R = rank_one_refinement(P)
-        assert np.allclose(R.elements.sum(axis=0), np.eye(3), atol=1e-10)
-        assert R.span_rank >= P.span_rank
 
 
 class TestObservable:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from povmlab.hs import Tolerances
+from povmlab.postproc import find_post_processing
 from povmlab.povm import Povm, canonical_dual
 from povmlab.processing import (
     DegenerateMetricWarning,
@@ -39,7 +40,7 @@ from helpers import (
 )
 
 
-def reference_optimal_dual(P, ensemble):
+def pinv_optimal_dual(P, ensemble):
     """Minimum-weighted-norm dual built directly from the reweighted frame.
 
     Independent of the production implementation: sharpen the frame
@@ -210,7 +211,7 @@ class TestOptimalDual:
             P = random_povm(d, n, rng)
             E = random_ensemble(d, 3, rng)
             D = optimal_dual(P, E)
-            ref = reference_optimal_dual(P, E)
+            ref = pinv_optimal_dual(P, E)
             assert np.max(np.abs(D.elements - ref)) < 1e-8
 
     def test_resolution_traces_and_minnorm(self):
@@ -324,6 +325,14 @@ class TestMinError:
         with pytest.raises(OutsideSpanError):
             min_error(projective_povm("z"), six_state_ensemble(), SX)
 
+    def test_target_dimension_is_checked_first(self):
+        P = sic_povm()
+        message = r"^target dimension 3 != POVM dimension 2$"
+        with pytest.raises(ValueError, match=message):
+            min_error(P, six_state_ensemble(), np.eye(3))
+        with pytest.raises(ValueError, match=message):
+            processing_from_dual(canonical_dual(P), np.eye(3))
+
     def test_single_state_ensemble_matches_pointwise_error(self):
         rng = np.random.default_rng(8)
         P = random_povm(2, 4, rng)
@@ -336,3 +345,28 @@ class TestMinError:
     def test_maximally_mixed_preset(self):
         # delta^2 at I/2 for the tetrahedral measurement of sigma_z
         assert min_error(sic_povm(), maximally_mixed_ensemble(2), SZ) == pytest.approx(3.0)
+
+
+def test_one_svd_of_the_design_matrix_serves_every_dual(monkeypatch):
+    # duals, min_error and the post-processing search all read the SVD
+    # that P caches, so a fresh P decomposes its design matrix once
+    rng = np.random.default_rng(13)
+    P = random_povm(3, 12, rng)
+    E = random_ensemble(3, 3, rng)
+    markov = rng.dirichlet(np.ones(4), size=len(P)).T
+    Q = Povm(np.tensordot(markov, P.elements, axes=(1, 0)))
+    targets = [random_hermitian(3, rng) for _ in range(3)]
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    canonical_dual(P)
+    optimal_dual(P, E)
+    for X in targets:
+        min_error(P, E, X)
+    assert find_post_processing(Q, P).feasible
+    assert shapes == [P.design_matrix.shape]

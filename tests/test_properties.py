@@ -76,6 +76,7 @@ from helpers import (
     random_povm,
     random_state,
     reference_joint_alignments,
+    reference_optimal_dual,
     reference_post_processing,
 )
 
@@ -150,6 +151,23 @@ def test_no_alternate_dual_beats_min_error(case, seed, scale):
     shifted = alternate_dual(P, optimal_dual(P, E), Y)
     value = min_error(P, E, X)
     assert ensemble_error(P, processing_from_dual(shifted, X), E) >= value - 1e-9 * max(1.0, abs(value))
+
+
+@pytest.mark.filterwarnings("ignore::povmlab.processing.DegenerateMetricWarning")
+@PROPERTY_SETTINGS
+@given(st.one_of(frame_cases(), dead_outcome_cases()))
+def test_optimal_dual_is_the_reweighted_frame_dual(case):
+    # the canonical dual corrected in the null space of V equals the
+    # canonical dual of the frame reweighted by the barycenter probabilities,
+    # completed by the minimum-norm duals of the dead outcomes
+    P, E, _ = case
+    reference = reference_optimal_dual(P, E)
+    gap = np.max(np.abs(optimal_dual(P, E).coords - reference))
+    assert gap <= 1e-9 * np.max(np.abs(reference))
+    K = P.null_basis
+    assert K.shape == (len(P), len(P) - P.span_rank)
+    assert np.max(np.abs(P.design_matrix @ K), initial=0.0) <= 1e-12
+    assert np.max(np.abs(K.T @ K - np.eye(K.shape[1])), initial=0.0) <= 1e-12
 
 
 @PROPERTY_SETTINGS
