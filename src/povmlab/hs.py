@@ -143,7 +143,7 @@ def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
 def svd_and_null_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL,
                        scale: float | None = None):
-    """One SVD of ``V``: the factors ``(U, s, Vh)`` that :func:`truncated_svd` keeps, and ``K``.
+    """One SVD of ``V``: the factors ``U, s, Vh`` that :func:`truncated_svd` keeps, and ``K``.
 
     The columns of ``K`` are the right singular vectors past the kept ones:
     an orthonormal basis of the null space of ``V``, real when ``V`` is.
@@ -155,7 +155,7 @@ def svd_and_null_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     """
     U, s, Vh = np.linalg.svd(V, full_matrices=V.shape[1] > V.shape[0])
     r = _kept(s, tol, scale)
-    return (U[:, :r], s[:r], Vh[:r]), dagger(Vh[r:])
+    return U[:, :r], s[:r], Vh[:r], dagger(Vh[r:])
 
 
 def _kept(s: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:

@@ -529,7 +529,7 @@ def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
         uniform = np.full((s + 1, len(P)), 1.0 / (s + 1))
         # the rows vanish up to rounding when every element is a function of X,
         # so their zero singular values are measured against V's largest
-        K = svd_and_null_basis(_function_of_constraints(X, P), P.tol, scale=P.svd[1][0])[1]
+        K = svd_and_null_basis(_function_of_constraints(X, P), P.tol, scale=P.svd[1][0])[3]
         m = _reduced_lp(uniform, K, cost)
         if m is None:
             return JointMeasurementResult(False, certificates, idx, False)

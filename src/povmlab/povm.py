@@ -3,14 +3,15 @@
 A POVM with outcomes ``P_1 .. P_N`` is stored as a stacked ``(N, d, d)``
 complex array.  Viewed as HS vectors the outcomes form a frame for their
 span: the columns of the real d^2 x N design matrix ``V`` of their
-coordinates (:func:`hs.coords`).  One SVD of ``V``, cached on the
-POVM, gives the span rank, the orthonormal span basis that the span
-tests measure against, the span projector, the canonical dual
-``(V^+)^dag`` and an orthonormal basis of the null space of ``V``: the
-directions in which the coefficients of any other dual differ from the
-canonical ones.  The shifted duals built from an arbitrary operator list
-complete the linear machinery used by the estimation routines.  Dual
-frames are held in the same coordinates.
+coordinates (:func:`hs.coords`).  One truncated SVD of ``V``, cached on
+the POVM, gives the span rank, the orthonormal span basis that the span
+tests measure against, the span projector and the canonical dual
+``(V^+)^dag``.  Its right factor, completed by a QR factorization, gives
+an orthonormal basis of the null space of ``V``: the directions in which
+the coefficients of any other dual differ from the canonical ones.  The
+shifted duals built from an arbitrary operator list complete the linear
+machinery used by the estimation routines.  Dual frames are held in the
+same coordinates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .hs import (
     from_coords,
     off_span,
     span_basis,
-    svd_and_null_basis,
+    truncated_svd,
 )
 
 
@@ -149,27 +150,29 @@ class Povm:
         return V
 
     @cached_property
-    def _factors(self):
-        """The one SVD of the design matrix, split by :func:`hs.svd_and_null_basis`."""
-        return svd_and_null_basis(self.design_matrix, self.tol)
-
-    @cached_property
     def svd(self):
-        """Truncated SVD ``(U, s, Vh)`` of the design matrix, cut at ``self.tol``.
+        """Truncated SVD ``(U, s, Vh)`` of the design matrix, cut at ``self.tol`` (read-only).
 
         ``U`` is the orthonormal basis of the span that every span test of
         the package measures against with :func:`hs.off_span`.
         """
-        return self._factors[0]
+        factors = truncated_svd(self.design_matrix, self.tol)
+        for a in factors:
+            a.setflags(write=False)
+        return factors
 
     @cached_property
     def null_basis(self) -> np.ndarray:
-        """Orthonormal basis ``K`` (N x k, ``k = N - span_rank``) of the null space of V.
+        """Orthonormal basis ``K`` (N x k, ``k = N - span_rank``) of V's null space (read-only).
 
-        It comes from the SVD of :attr:`svd`.  The coefficients of any dual
-        differ from the canonical ones along it.
+        The complement of the rows of :attr:`svd`'s ``Vh`` by a complete QR
+        factorization, which forms an N x N factor; only the post-processing
+        search needs it.
         """
-        return self._factors[1]
+        Vh = self.svd[2]
+        K = np.linalg.qr(Vh.T, mode="complete")[0][:, len(Vh):]
+        K.setflags(write=False)
+        return K
 
     @cached_property
     def span_projector(self) -> np.ndarray:

@@ -7,15 +7,15 @@ this module builds them, evaluates single-state and ensemble-averaged
 statistical errors, and computes the dual frame that minimizes the
 ensemble error together with the corresponding minimum.
 
-The ensemble-optimal dual minimizes ``sum_i pi_i |c_i|^2``, with ``pi_i``
-the barycenter probability of outcome i, over the coefficients ``c + K a``
-that reproduce a target: ``c`` the canonical dual's and ``K`` the null
-basis of the design matrix, both from the one SVD the POVM caches.  That
-is a least-squares problem in ``k = N - span_rank`` unknowns, none when
-the elements are linearly independent.  The duals are cached on the POVM
-per ensemble, and ``min_error`` reads its coefficients from that cache.
-Outcomes with ``pi_i <= P.tol.eig_zero`` cost nothing: the freedom the
-live outcomes leave goes to the least norm of the dead coefficients, and
+The ensemble-optimal dual shifts the canonical coefficients along the
+null space of the design matrix V to minimize ``sum_i pi_i |c_i|^2``,
+with ``pi_i`` the barycenter probability of outcome i.  It is computed in
+the span, from the truncated SVD of V that the POVM caches and one thin
+QR factorization, and is the canonical dual when the elements are
+linearly independent.  It is cached on the POVM per ensemble, and
+``min_error`` reads its coefficients from that cache.  Outcomes with
+``pi_i <= P.tol.eig_zero`` cost nothing: the live outcomes are weighted
+off the span of the dead ones, the dead duals complete the resolution, and
 a :class:`DegenerateMetricWarning` is raised.
 """
 
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances, as_operator, coords, off_span, svd_and_null_basis
-from .povm import DualFrame, Povm, _element_rules
+from .povm import DualFrame, Povm, _element_rules, canonical_dual
 
 
 class OutsideSpanError(ValueError):
@@ -213,19 +213,22 @@ def _optimal(P: Povm, ensemble: Ensemble):
         pi = metric_diagonal(P, ensemble).diag
         live = pi > tol.eig_zero
         U, s, Vh = P.svd
-        duals = (U / s) @ Vh  # the canonical dual
-        K = P.null_basis
-        if K.shape[1]:
-            K_dead = K[:, :0]
+        if len(s) == len(P):  # independent elements: the dual is unique
+            duals = canonical_dual(P).coords
+        else:
+            A = s[:, None] * Vh  # V in the span basis U
+            basis, A_L = U, A[:, live]
             if not live.all():
-                # null directions that move live coefficients, scaled so that
-                # their live parts are orthonormal, and those that move dead ones
-                # only; K is orthonormal, so K[live]'s singular values are cut against 1
-                (_, sigma, R), Z = svd_and_null_basis(K[live], tol, scale=1.0)
-                K, K_dead = K @ (R.T / sigma), K @ Z
-            KPi = K.T * pi
-            duals -= np.linalg.solve(KPi @ K, KPi @ duals.T).T @ K.T
-            duals -= (duals @ K_dead) @ K_dead.T
+                # B spans the part of the span off the dead elements
+                U_D, s_D, Vh_D, B = svd_and_null_basis(A[:, ~live].T, tol)
+                basis, A_L = U @ B, B.T @ A_L
+            root = np.sqrt(pi[live])
+            Q, R = np.linalg.qr((A_L / root).T)
+            duals = np.empty(P.design_matrix.shape)
+            duals[:, live] = np.linalg.solve(R.T, basis.T).T @ Q.T / root
+            if not live.all():
+                W_D = (U @ Vh_D.T / s_D) @ U_D.T  # (V_D^+)^dag
+                duals[:, ~live] = W_D - duals[:, live] @ (P.design_matrix[:, live].T @ W_D)
         duals.setflags(write=False)
         P.by_ensemble[ensemble] = (duals, pi)
     duals, pi = P.by_ensemble[ensemble]
@@ -244,22 +247,23 @@ def _optimal(P: Povm, ensemble: Ensemble):
 def optimal_dual(P: Povm, ensemble: Ensemble) -> DualFrame:
     """Dual frame minimizing the ensemble error for every span-contained target.
 
-    With ``pi_i = Tr[rho_E P_i]`` the barycenter outcome probabilities, the
-    coefficients ``c + K a`` of a target (``c`` the canonical dual's, ``K``
-    the POVM's null basis) cost ``sum_i pi_i |c_i + (K a)_i|^2``.  When every
-    outcome is live, ``a = -(K^T Pi K)^-1 K^T Pi c`` minimizes it for all
-    targets at once, which gives the duals
-    ``D = D_can - (D_can Pi K)(K^T Pi K)^-1 K^T`` in coordinates.  These are
-    ``D_i = G^+ P_i / pi_i`` with ``G = sum_i |P_i><P_i| / pi_i``.  When the
-    elements are linearly independent, ``K`` is empty and the optimal dual
-    is the canonical one.  The duals are cached on ``P`` per ensemble.
+    With ``pi_i = Tr[rho_E P_i]`` the barycenter outcome probabilities, a
+    target's coefficients ``c + K a`` (``c`` the canonical dual's, K a
+    basis of V's null space) cost ``sum_i pi_i |c_i + (K a)_i|^2``.  One
+    ``a`` minimizes it for every target: ``D_i = G^+ P_i / pi_i`` with
+    ``G = sum_i |P_i><P_i| / pi_i``.  With ``A = diag(s) Vh`` the design
+    matrix in the span basis U of ``P.svd``, that is
+    ``D = U (A Pi^-1 A^T)^-1 A Pi^-1 = U R^-1 Q^T Pi^-1/2`` for the thin QR
+    factorization ``(A Pi^-1/2)^T = Q R``: ``O(N r^2)`` work, no N x N
+    matrix, and A's condition number is not squared.  When the elements
+    are linearly independent, K is empty and the canonical dual is
+    returned.  The duals are cached on ``P`` per ensemble.
 
     Outcomes with ``pi_i <= P.tol.eig_zero`` (the dead set D) cost nothing
     in the ensemble error, so their coefficients are free, and a
-    :class:`DegenerateMetricWarning` is raised.  ``a`` then minimizes the
-    live outcomes' weighted norm, and the null directions that move only
-    dead coefficients are spent on the least plain norm of those.  This is
-    the live optimum completed by the minimum-norm dead duals
+    :class:`DegenerateMetricWarning` is raised.  The live outcomes L solve
+    the same problem in the part of the span off ``span(V_D)``, and the
+    dead ones take the minimum-norm completion
     ``D_D^dag = V_D^+ (Pi - V_L D_L^dag)``, with ``Pi`` the span projector.
     """
     return DualFrame(_optimal(P, ensemble)[0], P)
@@ -269,7 +273,7 @@ def min_error(P: Povm, ensemble: Ensemble, X) -> float:
     """Minimum ensemble error over all processing functions for target X.
 
     The ensemble error of the optimal dual, ``sum_i pi_i |<D_i|X>|^2 -
-    avg_j <X>_{rho_j}^2``: the canonical coefficients of X corrected along
+    avg_j <X>_{rho_j}^2``: the canonical coefficients of X shifted along
     the null space of V, with the duals taken from the per-ensemble cache of
     :func:`optimal_dual`, so each further target costs one N x d^2 product.
     When every outcome has positive probability this is

@@ -104,7 +104,7 @@ class TestPseudoinverseAndSpans:
     def test_null_basis_completes_the_row_span(self):
         rng = np.random.default_rng(6)
         A = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 7))  # rank 2
-        K = svd_and_null_basis(A + 1e-13 * rng.normal(size=(4, 7)))[1]
+        K = svd_and_null_basis(A + 1e-13 * rng.normal(size=(4, 7)))[3]
         assert K.shape == (7, 5) and K.dtype == np.float64
         assert np.allclose(K.T @ K, np.eye(5), atol=1e-12)
         assert np.max(np.abs(A @ K)) < 1e-10
@@ -113,8 +113,8 @@ class TestPseudoinverseAndSpans:
         # a remainder that is zero up to rounding is all null space at the
         # scale of the matrix it came from, but not at its own
         noise = 1e-17 * rng.normal(size=(4, 7))
-        assert svd_and_null_basis(noise, scale=1.0)[1].shape == (7, 7)
-        assert svd_and_null_basis(noise)[1].shape == (7, 3)
+        assert svd_and_null_basis(noise, scale=1.0)[3].shape == (7, 7)
+        assert svd_and_null_basis(noise)[3].shape == (7, 3)
 
     def test_span_projector_is_projector_onto_span(self):
         rng = np.random.default_rng(5)

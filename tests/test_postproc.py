@@ -274,7 +274,7 @@ class TestMarkovLpConstraints:
         P = random_povm(2, 6, np.random.default_rng(8))
         Q = apply_post_processing(P, random_markov(3, 6, np.random.default_rng(3)))
         (got,) = self._captured(monkeypatch, lambda: find_post_processing(Q, P))
-        K = svd_and_null_basis(P.design_matrix, P.tol)[1]
+        K = P.null_basis
         assert K.shape == (6, 2)
         block, sums = loop_reduced_constraints(K, len(Q))
         m0 = (np.linalg.pinv(P.design_matrix) @ Q.design_matrix).T
@@ -299,7 +299,7 @@ class TestMarkovLpConstraints:
         P, X = sic_povm(), pauli_observable("x")
         (got,) = self._captured(monkeypatch, lambda: find_joint_measurement(P, [X]))
         rows = postproc._function_of_constraints(X, P)
-        K = svd_and_null_basis(rows, P.tol, scale=P.svd[1][0])[1]
+        K = svd_and_null_basis(rows, P.tol, scale=P.svd[1][0])[3]
         n_out, k = X.spectrum_size + 1, K.shape[1]
         block, sums = loop_reduced_constraints(K, n_out)
         assert set(got) == {"cost", "A_eq", "b_eq", "bounds"}

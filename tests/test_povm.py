@@ -150,6 +150,13 @@ class TestFrameOperator:
         assert np.allclose(F, V @ V.conj().T)
 
 
+    def test_cached_factors_are_read_only(self):
+        P = random_povm(3, 12, np.random.default_rng(7))
+        for a in (P.design_matrix, *P.svd, P.null_basis):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            P.svd[0][0, 0] = 1.0
+
     def test_frame_quantities_are_real(self):
         # valid POVMs and observables are self-adjoint, so their coordinates,
         # the spectral factors and the cached optimal duals are all float64

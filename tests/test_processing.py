@@ -37,6 +37,7 @@ from helpers import (
     random_hermitian,
     random_povm,
     random_state,
+    reference_optimal_dual,
 )
 
 
@@ -268,6 +269,23 @@ class TestOptimalDual:
         traces = np.einsum("ikk->i", D.elements)
         assert np.max(np.abs(traces - 1.0)) <= P.tol.lin_solve
 
+    def test_barely_dead_outcome_split_in_two(self):
+        # outcomes 0 and 1 halve one rank-one element and have probability
+        # 1e-11, under the eig_zero cutoff: they are dead, weightless in the
+        # live optimum, and the null direction between them moves only them
+        rng = np.random.default_rng(21)
+        m = random_povm(2, 5, rng, rank_one=True).elements
+        P = Povm(np.concatenate([[0.5 * m[0], 0.5 * m[0]], m[1:]]))
+        eps = 4e-11 / np.trace(m[0]).real
+        E = Ensemble([1.0], [(1.0 - eps) * kernel_state(m[0]) + 0.5 * eps * np.eye(2)])
+        pi = metric_diagonal(P, E).diag
+        assert np.allclose(pi[:2], 1e-11, rtol=1e-6)
+        with pytest.warns(DegenerateMetricWarning, match="2 outcome"):
+            D = optimal_dual(P, E)
+        reference = reference_optimal_dual(P, E)
+        assert np.max(np.abs(D.coords - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.max(np.abs(D.coords[:, 0] - D.coords[:, 1])) <= 1e-12 * np.max(np.abs(reference))
+
     def test_degenerate_metric_warns(self):
         P = projective_povm("z")
         dead_end = Ensemble([1.0], [np.diag([1.0, 0.0])])
@@ -370,3 +388,16 @@ def test_one_svd_of_the_design_matrix_serves_every_dual(monkeypatch):
         min_error(P, E, X)
     assert find_post_processing(Q, P).feasible
     assert shapes == [P.design_matrix.shape]
+
+
+def test_duals_do_not_form_the_null_basis():
+    # the null basis is N x (N - span_rank): at N = 400 qubit outcomes it
+    # would be about 100 times the size of the duals, so they are computed
+    # in the span
+    rng = np.random.default_rng(14)
+    P = random_povm(2, 400, rng)
+    E = random_ensemble(2, 3, rng)
+    D = optimal_dual(P, E)
+    min_error(P, E, SX)
+    assert D.resolution_residual() <= P.tol.lin_solve
+    assert "null_basis" not in vars(P)

@@ -157,9 +157,9 @@ def test_no_alternate_dual_beats_min_error(case, seed, scale):
 @PROPERTY_SETTINGS
 @given(st.one_of(frame_cases(), dead_outcome_cases()))
 def test_optimal_dual_is_the_reweighted_frame_dual(case):
-    # the canonical dual corrected in the null space of V equals the
-    # canonical dual of the frame reweighted by the barycenter probabilities,
-    # completed by the minimum-norm duals of the dead outcomes
+    # the optimal dual computed in the span equals the canonical dual of the
+    # frame reweighted by the barycenter probabilities, completed by the
+    # minimum-norm duals of the dead outcomes
     P, E, _ = case
     reference = reference_optimal_dual(P, E)
     gap = np.max(np.abs(optimal_dual(P, E).coords - reference))
