@@ -348,16 +348,11 @@ def cmd_postproc_joint(args, tol: Tolerances, seed: int) -> int:
     payload = {
         "meta": _meta(tol, seed),
         "feasible": result.feasible,
-        "convex_union_shaped": result.convex_union_shaped,
-        "failed_index": result.failed_index,
         "certificates": [
-            {
-                "trivial": cert.trivial,
-                "alignment": cert.alignment,
-                "markov": markov_to_json(cert.markov),
-            }
+            {"visibility": cert.visibility, "markov": markov_to_json(cert.markov)}
             for cert in result.certificates
         ],
+        "joint": povm_to_json(result.joint),
     }
     _emit(args, payload)
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
@@ -562,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--ensemble", default="isotropic-six-state")
     pb.set_defaults(func=cmd_postproc_blur)
     pj = psub.add_parser("joint", parents=[common],
-                         help="joint-measurement certificates for observables")
+                         help="least blur of each observable from P, and their joint POVM")
     pj.add_argument("--povm", required=True)
     pj.add_argument("--x", nargs="+", required=True, metavar="OBS",
                     help="observable JSON files")

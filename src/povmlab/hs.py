@@ -141,31 +141,24 @@ def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     return U[:, :r], s[:r], Vh[:r]
 
 
-def svd_and_null_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                       scale: float | None = None):
+def svd_and_null_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """One SVD of ``V``: the factors ``U, s, Vh`` that :func:`truncated_svd` keeps, and ``K``.
 
     The columns of ``K`` are the right singular vectors past the kept ones:
     an orthonormal basis of the null space of ``V``, real when ``V`` is.
     The SVD is full only when ``V`` is wider than tall, where the thin one
-    lacks null directions.  Singular values up to ``tol.eig_zero * scale``
-    count as zero; ``scale`` defaults to the largest one of ``V``, and must
-    be given when ``V`` is the remainder of a larger matrix (as from
-    :func:`off_span`), which may be zero up to rounding.
+    lacks null directions.
     """
     U, s, Vh = np.linalg.svd(V, full_matrices=V.shape[1] > V.shape[0])
-    r = _kept(s, tol, scale)
+    r = _kept(s, tol)
     return U[:, :r], s[:r], Vh[:r], dagger(Vh[r:])
 
 
-def _kept(s: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:
-    """How many of the descending singular values ``s`` lie above ``tol.eig_zero * scale``.
-
-    ``scale`` defaults to ``s[0]``.
-    """
+def _kept(s: np.ndarray, tol: Tolerances) -> int:
+    """How many of the descending singular values ``s`` lie above ``tol.eig_zero * s[0]``."""
     if not s.size:
         return 0
-    return int(np.count_nonzero(s > tol.eig_zero * (s[0] if scale is None else scale)))
+    return int(np.count_nonzero(s > tol.eig_zero * s[0]))
 
 
 def off_span(U: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -8,11 +8,23 @@ are linearly independent, otherwise a small feasibility LP.  When neither
 finds an ``m``, a witness LP, the dual of the minimax LP over all of
 ``m``, returns the least synthesis residual together with operators
 ``Y_j`` that certify it (a guessing-game witness in the sense of Buscemi,
-CMP 310, 625 (2012)).  Joint-measurement certificates come from an
-alignment LP over the same null-space parametrization, solved as its
-dual.  The module also implements the elementary merge/permute/split
-maps, tests cleanness (maximality under the induced pseudo-order), and
-builds the smearing and blurring constructions that turn sign-indefinite
+CMP 310, 625 (2012)).
+
+The least blur of a target Q over P (:func:`least_blur`) is the largest
+``lam`` for which the uniformly blurred target ``lam Q_j + (1 - lam)/M``
+is a post-processing of P, found over the same null-space
+parametrization: a ratio test when P's elements are independent, one LP
+otherwise, and ``lam = 0`` when Q leaves P's span.  Joint measurement
+(:func:`find_joint_measurement`) takes the least blur of each
+observable's spectral POVM; the product of their Markov maps applied to P
+is a joint POVM of the blurred observables, and every visibility is
+positive exactly when P's span holds every spectral projector (for two
+observables A and B, when P is AB-infocomplete).  For qubits the least
+blur is Busch's unsharpness parameter (P. Busch, PRD 33, 2253 (1986)).
+
+The module also implements the elementary merge/permute/split maps,
+tests cleanness (maximality under the induced pseudo-order), and builds
+the smearing and blurring constructions that turn sign-indefinite
 processing coefficients into genuine conditional probabilities at a
 quantifiable noise cost.
 """
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, coords, from_coords, off_span, svd_and_null_basis
+from .hs import DEFAULT_TOL, Tolerances, coords, from_coords
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
@@ -61,41 +73,37 @@ def _stochastic(m: np.ndarray) -> np.ndarray:
     return m / m.sum(axis=0, keepdims=True)
 
 
-def _reduced_lp(m0: np.ndarray, K: np.ndarray, cost=None):
-    """A column-stochastic ``m = m0 + z K^T`` found by HiGHS, or None when there is none.
+def _null_space_rows(m0: np.ndarray, K: np.ndarray):
+    """The constraints ``A z <= b`` and ``A_eq z = b_eq`` on ``m = m0 + z K^T``.
 
     ``m0[j]`` is a particular solution for output j of some linear
     constraints on ``m[j]``, ``K`` an orthonormal basis (columns) of their
     null space, and ``z[j]`` the free coordinates along it, variables
-    ``j * k`` to ``j * k + k - 1`` for ``k = K.shape[1]``.  The constraints
-    on ``z`` are ``A z <= b``, that is ``m0[j] + K z[j] >= 0``, and
-    ``A_eq z = b_eq``, that is ``sum_j z[j] = K^T (1 - sum_j m0[j])``, which
-    makes the columns of ``m`` sum to one.
+    ``j * k`` to ``j * k + k - 1`` for ``k = K.shape[1]``.  ``A z <= b`` is
+    ``m0[j] + K z[j] >= 0``, and ``A_eq z = b_eq`` is
+    ``sum_j z[j] = K^T (1 - sum_j m0[j])``, which makes the columns of ``m``
+    sum to one.
+    """
+    n_out, k = m0.shape[0], K.shape[1]
+    return (np.kron(np.eye(n_out), -K), m0.ravel(),
+            np.kron(np.ones((1, n_out)), np.eye(k)), K.T @ (1.0 - m0.sum(axis=0)))
 
-    Without a ``cost`` HiGHS solves this feasibility LP as it stands.  With
-    a ``cost`` of ``m``'s shape, ``m`` minimizes ``cost . m``, and HiGHS
-    solves the dual LP instead: ``min b . y + b_eq . w`` subject to
-    ``A^T y + A_eq^T w = -(cost @ K)``, ``y >= 0`` and ``w`` free.  Its
-    equality marginals are the optimal ``z``, and it is unbounded exactly
-    when no ``m`` exists.  (With zero cost that dual is a Farkas system,
-    which HiGHS solves more slowly than the primal.)  With ``K`` empty,
-    ``m0`` is the only candidate and no LP runs.  The solution is returned
-    clipped at zero with its columns renormalized.
+
+def _reduced_lp(m0: np.ndarray, K: np.ndarray):
+    """A column-stochastic ``m = m0 + z K^T`` found by HiGHS, or None when there is none.
+
+    HiGHS solves the feasibility LP of :func:`_null_space_rows` as it
+    stands.  With ``K`` empty, ``m0`` is the only candidate and no LP runs.
+    The solution is returned clipped at zero with its columns renormalized.
     """
     n_out, k = m0.shape[0], K.shape[1]
     if k:
-        A, b = np.kron(np.eye(n_out), -K), m0.ravel()
-        A_eq, b_eq = np.kron(np.ones((1, n_out)), np.eye(k)), K.T @ (1.0 - m0.sum(axis=0))
-        if cost is None:
-            res = linprog(np.zeros(n_out * k), A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
-                          bounds=(None, None))
-        else:
-            res = linprog(np.concatenate([b, b_eq]), A_eq=np.hstack([A.T, A_eq.T]),
-                          b_eq=-(cost @ K).ravel(), bounds=_sign_bounds(len(b), k))
+        A, b, A_eq, b_eq = _null_space_rows(m0, K)
+        res = linprog(np.zeros(n_out * k), A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
+                      bounds=(None, None))
         if not res.success:
             return None
-        z = res.x if cost is None else res.eqlin.marginals
-        m0 = m0 + z.reshape(n_out, k) @ K.T
+        m0 = m0 + res.x.reshape(n_out, k) @ K.T
     return _stochastic(m0)
 
 
@@ -437,113 +445,93 @@ def unbias(blur: BlurResult, observed, observable: Observable | None = None):
     return recovered
 
 
-def convex_union(P: Povm, Q: Povm, lam: float) -> Povm:
-    """Random choice between measurements: elements ``lam P_i`` then ``(1-lam) Q_j``."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam!r}")
-    if P.dim != Q.dim:
-        raise ValueError("POVMs must act on the same space")
-    elements = [lam * m for m in P.elements] + [(1.0 - lam) * m for m in Q.elements]
-    return Povm(elements, tol=P.tol)
+def least_blur(P: Povm, Q: Povm) -> tuple[float, MarkovMatrix]:
+    """The largest ``lam`` in [0, 1] with ``lam Q_j + (1 - lam)/M 1`` a post-processing of P.
 
-
-def is_imperfect_measurement_of(P: Povm, X: Observable) -> bool:
-    """Is every outcome of P a classically noisy readout of the observable X?
-
-    Equivalent formulations: P is a post-processing of the spectral POVM
-    of X, or every element of P is a function of X (commutes with X and
-    lies in the span of its spectral projectors).
+    Returned with a Markov matrix ``m`` that realizes it:
+    ``sum_i m(j|i) P_i = lam Q_j + (1 - lam)/M 1`` for the M outcomes of Q.
+    Every such ``m`` is ``m_j = 1/M + lam a_j + K z_j``, with
+    ``a_j = V^+ (w_j - e/M)`` read from P's cached canonical dual (``w_j``
+    and ``e`` the coordinates of ``Q_j`` and of the identity) and
+    ``K = P.null_basis``.  When some ``Q_j`` lies off P's span only the
+    uniform map ``lam = 0`` exists, and no LP runs.  When P's elements are
+    linearly independent (K empty), a ratio test gives
+    ``lam = min(1, min over a < 0 of (1/M) / -a)``.  Otherwise one LP runs:
+    the feasibility LP of :func:`_null_space_rows` with ``lam`` as one more
+    variable, bounded by [0, 1] and maximized.  ``m`` is returned clipped at
+    zero with its columns renormalized.
     """
-    return find_post_processing(P, spectral_povm(X)).feasible
+    if Q.dim != P.dim:
+        raise ValueError("POVMs must act on the same space")
+    W, M = Q.design_matrix, len(Q)
+    uniform = np.full((M, len(P)), 1.0 / M)
+    if np.any(_span_residual(P, W) > P.tol.lin_solve):
+        return 0.0, MarkovMatrix(uniform, tol=P.tol)
+    a = (W.T - coords(np.eye(P.dim)) / M) @ P.canonical_coords  # row j is a_j
+    K = P.null_basis
+    k = K.shape[1]
+    if k:
+        A, b, A_eq, b_eq = _null_space_rows(uniform, K)
+        cost = np.zeros(M * k + 1)
+        cost[-1] = -1.0
+        res = linprog(cost, A_ub=np.hstack([A, -a.ravel()[:, None]]), b_ub=b,
+                      A_eq=np.hstack([A_eq, K.T @ a.sum(axis=0)[:, None]]), b_eq=b_eq,
+                      bounds=[(None, None)] * (M * k) + [(0.0, 1.0)])
+        if not res.success:  # pragma: no cover - lam = 0, z = 0 is feasible, and m is bounded
+            raise RuntimeError(f"least-blur LP failed: {res.message}")
+        lam = float(res.x[-1])
+        m = uniform + lam * a + res.x[:-1].reshape(M, k) @ K.T
+    else:
+        lam = float(np.min(-1.0 / (M * a[a < 0.0]), initial=1.0))
+        m = uniform + lam * a
+    return lam, MarkovMatrix(_stochastic(m), tol=P.tol)
 
 
 @dataclass(frozen=True)
 class JointCertificate:
-    """Markov map sending P's statistics to a measurement of one observable."""
+    """Markov map from P onto the least-blurred spectral POVM of one observable.
+
+    ``markov`` sends P's statistics to ``visibility X_h + (1 - visibility)/s 1``
+    for the s spectral projectors ``X_h``; see :func:`least_blur`.
+    """
 
     markov: MarkovMatrix
-    povm: Povm
-    trivial: bool
-    alignment: float
+    visibility: float
 
 
 @dataclass(frozen=True)
 class JointMeasurementResult:
+    """Per-observable certificates and the product POVM built from their maps.
+
+    ``joint`` has one outcome per tuple ``(h_1, h_2, ...)`` of the
+    observables' outcomes, in row-major order.
+    """
+
     feasible: bool
     certificates: list
-    failed_index: int | None
-    convex_union_shaped: bool
-
-
-def _function_of_constraints(X: Observable, P: Povm):
-    """Rows enforcing that a combination of P's elements is a function of X."""
-    # spectral projectors are orthogonal, so normalizing each gives an
-    # orthonormal basis of the function-of-X subspace
-    U = coords(X.projectors).real.T
-    return off_span(U / np.linalg.norm(U, axis=0), P.design_matrix)
-
-
-def looks_like_convex_union(P: Povm, observables) -> bool:
-    """Every element of P proportional to a spectral projector of some observable.
-
-    Such POVMs arise from randomly choosing which observable to measure,
-    and their joint-measurement certificates are automatic.
-    """
-    tol = P.tol
-    traces = np.real(np.trace(P.elements, axis1=1, axis2=2))
-    live = traces > tol.psd_slack
-    elements = P.elements[live] / traces[live, None, None]
-    projs = np.concatenate([X.projectors for X in observables] or [np.empty((0, P.dim, P.dim))])
-    projs = projs / np.real(np.trace(projs, axis1=1, axis2=2))[:, None, None]
-    distances = np.linalg.norm(elements[:, None] - projs[None], axis=(2, 3))
-    return bool(np.all(np.any(distances <= tol.lin_solve, axis=1)))
+    joint: Povm
 
 
 def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
-    """Joint-measurement certificates for several observables from one POVM.
+    """A joint measurement of blurred versions of several observables from P.
 
-    For each observable ``X`` with spectrum size ``s`` one LP searches a
-    Markov map from P's outcomes onto ``s + 1`` outcomes (one slack
-    outcome for discarded weight) such that the processed POVM is a
-    function of X.  The uniform map ``1/(s+1)`` is always admissible, and
-    any other differs from it by ``K_X z_h`` in each output h, with ``K_X``
-    an orthonormal basis of the null space of the function-of-X rows
-    ``(1 - Pi_X) V``; the LP runs over those ``z_h`` only.  It maximizes
-    the overlap ``sum_h Tr[Q_h X_h]`` between the first ``s`` processed
-    elements and the spectral projectors.  HiGHS solves the LP's dual, in
-    which ``m >= 0`` and the unit column sums become the variables, and
-    the optimal ``z_h`` are read from its equality marginals
-    (:func:`_reduced_lp`).  The reported ``alignment`` is the overlap of
-    the returned map.  Constant columns in the returned map flag
-    certificates that ignore the data.
+    Each observable X gets the :func:`least_blur` of its spectral POVM over
+    P, with visibility ``lam_X`` and Markov map ``m_X``.  The product POVM
+    ``G_ab... = sum_i m_A(a|i) m_B(b|i) ... P_i`` then has, as its marginals,
+    the blurred observables ``lam_X X_h + (1 - lam_X)/s_X 1``.  ``feasible``
+    is true when every visibility is positive, which happens exactly when
+    every spectral projector lies in P's span; for two observables A and B
+    that is AB-infocompleteness.  No SVD is taken beyond P's cached one.
     """
-    observables = list(observables)
     certificates = []
+    product = np.ones((1, len(P)))
     for idx, X in enumerate(observables):
         if X.dim != P.dim:
             raise ValueError(f"observable {idx} dimension mismatch")
-        s = X.spectrum_size
-        cost = np.zeros((s + 1, len(P)))
-        cost[:s] = -coords(X.projectors).real @ P.design_matrix  # maximize sum_h Tr[Q_h X_h]
-        # the uniform map is admissible, and any other differs from it in the null space
-        uniform = np.full((s + 1, len(P)), 1.0 / (s + 1))
-        # the rows vanish up to rounding when every element is a function of X,
-        # so their zero singular values are measured against V's largest
-        K = svd_and_null_basis(_function_of_constraints(X, P), P.tol, scale=P.svd[1][0])[3]
-        m = _reduced_lp(uniform, K, cost)
-        if m is None:
-            return JointMeasurementResult(False, certificates, idx, False)
-        markov = MarkovMatrix(m, tol=P.tol)
-        processed = Povm(np.tensordot(m, P.elements, axes=(1, 0)), tol=P.tol, drop_zero=False)
-        spread = float(np.max(np.abs(m - m.mean(axis=1, keepdims=True))))
-        certificates.append(
-            JointCertificate(
-                markov=markov,
-                povm=processed,
-                trivial=spread <= FEASIBILITY_RESIDUAL,
-                alignment=float(-np.sum(cost * m)),
-            )
-        )
-    return JointMeasurementResult(
-        True, certificates, None, looks_like_convex_union(P, observables)
-    )
+        visibility, markov = least_blur(P, spectral_povm(X))
+        certificates.append(JointCertificate(markov, visibility))
+        product = (product[:, None] * markov.m).reshape(len(product) * markov.rows, len(P))
+    joint = Povm(np.tensordot(product, P.elements, axes=(1, 0)), tol=P.tol,
+                 validate=False, drop_zero=False)
+    feasible = all(cert.visibility > 0.0 for cert in certificates)
+    return JointMeasurementResult(feasible, certificates, joint)

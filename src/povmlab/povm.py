@@ -162,6 +162,14 @@ class Povm:
         return factors
 
     @cached_property
+    def canonical_coords(self) -> np.ndarray:
+        """Coordinates ``(V^+)^dag = U diag(1/s) Vh`` of the canonical dual (d^2 x N, read-only)."""
+        U, s, Vh = self.svd
+        D = (U / s) @ Vh
+        D.setflags(write=False)
+        return D
+
+    @cached_property
     def null_basis(self) -> np.ndarray:
         """Orthonormal basis ``K`` (N x k, ``k = N - span_rank``) of V's null space (read-only).
 
@@ -287,8 +295,7 @@ def canonical_dual(P: Povm) -> DualFrame:
     at ``P.tol.eig_zero`` like the span projector does; forming ``F`` would
     square the condition number and drop directions the span keeps.
     """
-    U, s, Vh = P.svd
-    return DualFrame((U / s) @ Vh, P)
+    return DualFrame(P.canonical_coords, P)
 
 
 def alternate_dual(P: Povm, canonical: DualFrame, Y) -> DualFrame:

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances, as_operator, coords, off_span, svd_and_null_basis
-from .povm import DualFrame, Povm, _element_rules, canonical_dual
+from .povm import DualFrame, Povm, _element_rules
 
 
 class OutsideSpanError(ValueError):
@@ -214,7 +214,7 @@ def _optimal(P: Povm, ensemble: Ensemble):
         live = pi > tol.eig_zero
         U, s, Vh = P.svd
         if len(s) == len(P):  # independent elements: the dual is unique
-            duals = canonical_dual(P).coords
+            duals = P.canonical_coords
         else:
             A = s[:, None] * Vh  # V in the span basis U
             basis, A_L = U, A[:, live]

@@ -139,29 +139,32 @@ def reference_optimal_dual(P, ensemble):
     return duals
 
 
-def full_markov_lp(cost, rows, rhs, *, bounded):
-    """Reference LP over every entry of a column-stochastic ``m[j, i]``, built densely.
+def convex_union(P, Q, lam):
+    """Random choice between measurements: elements ``lam P_i``, then ``(1 - lam) Q_j``."""
+    return Povm(np.concatenate([lam * P.elements, (1.0 - lam) * Q.elements]), tol=P.tol)
+
+
+def full_markov_lp(cost, rows, rhs, column, *, equality, upper=None):
+    """Reference LP over every entry of a column-stochastic ``m[j, i]``, and one ``t``, built densely.
 
     Entry ``m[j, i]`` is variable ``j * n_in + i`` (``n_in = rows.shape[1]``),
-    followed by one bound ``s`` when ``bounded``.  Each output row obeys
-    ``rows @ m_j - s <= rhs[:, j]`` when ``bounded`` and
-    ``rows @ m_j == rhs[:, j]`` otherwise, each input column of ``m`` sums to
-    one, and every variable is nonnegative.  HiGHS runs at the library's
-    options.
+    and ``t`` comes last.  Each output j obeys
+    ``rows @ m_j + column[:, j] t == rhs[:, j]`` when ``equality`` and
+    ``<=`` otherwise, each input column of ``m`` sums to one, ``m >= 0`` and
+    ``0 <= t <= upper``.  HiGHS runs at the library's options.
     """
     from scipy.optimize import linprog
 
     n_in, n_out = rows.shape[1], rhs.shape[1]
-    per_outcome = np.kron(np.eye(n_out), rows)
-    stochastic = np.kron(np.ones((1, n_out)), np.eye(n_in))
+    per_outcome = np.hstack([np.kron(np.eye(n_out), rows), column.T.reshape(-1, 1)])
+    stochastic = np.hstack([np.kron(np.ones((1, n_out)), np.eye(n_in)), np.zeros((n_in, 1))])
     b, ones = rhs.T.ravel(), np.ones(n_in)
-    kwargs = dict(bounds=(0.0, None), method="highs", options=postproc._LP_OPTIONS)
-    if bounded:
-        per_outcome = np.hstack([per_outcome, np.full((per_outcome.shape[0], 1), -1.0)])
-        stochastic = np.hstack([stochastic, np.zeros((n_in, 1))])
-        return linprog(cost, A_ub=per_outcome, b_ub=b, A_eq=stochastic, b_eq=ones, **kwargs)
-    return linprog(cost, A_eq=np.vstack([per_outcome, stochastic]),
-                   b_eq=np.concatenate([b, ones]), **kwargs)
+    bounds = [(0.0, None)] * (n_out * n_in) + [(0.0, upper)]
+    kwargs = dict(bounds=bounds, method="highs", options=postproc._LP_OPTIONS)
+    if equality:
+        return linprog(cost, A_eq=np.vstack([per_outcome, stochastic]),
+                       b_eq=np.concatenate([b, ones]), **kwargs)
+    return linprog(cost, A_ub=per_outcome, b_ub=b, A_eq=stochastic, b_eq=ones, **kwargs)
 
 
 def reference_post_processing(Q, P):
@@ -173,7 +176,8 @@ def reference_post_processing(Q, P):
     V, W = P.design_matrix, Q.design_matrix
     cost = np.zeros(len(Q) * len(P) + 1)
     cost[-1] = 1.0
-    res = full_markov_lp(cost, np.vstack([V, -V]), np.vstack([W, -W]), bounded=True)
+    res = full_markov_lp(cost, np.vstack([V, -V]), np.vstack([W, -W]),
+                         -np.ones((2 * len(V), len(Q))), equality=False)
     assert res.success, res.message
     m = np.clip(res.x[:-1].reshape(len(Q), len(P)), 0.0, None)
     m /= m.sum(axis=0, keepdims=True)
@@ -181,22 +185,19 @@ def reference_post_processing(Q, P):
     return residual <= postproc.FEASIBILITY_RESIDUAL, residual
 
 
-def reference_joint_alignments(P, observables):
-    """Optimal overlap ``sum_h Tr[Q_h X_h]`` per observable, from the LP over all of m.
+def reference_least_blur(P, Q):
+    """The least blur of Q over P from the LP over all of m and ``lam``.
 
-    Each processed element ``Q_h`` must be a function of X; the LP has one
-    variable per entry of the ``(s + 1) x N`` Markov matrix.
+    Maximizes ``lam`` in [0, 1] subject to ``V m_j = lam w_j + (1 - lam) e/M``
+    (``e`` the coordinates of the identity), with m column-stochastic.
     """
-    alignments = []
-    for X in observables:
-        s = X.spectrum_size
-        rows = postproc._function_of_constraints(X, P)
-        cost = np.zeros((s + 1, len(P)))
-        cost[:s] = -coords(X.projectors).real @ P.design_matrix
-        res = full_markov_lp(cost.ravel(), rows, np.zeros((rows.shape[0], s + 1)), bounded=False)
-        assert res.success, res.message
-        alignments.append(-res.fun)
-    return alignments
+    V, W, M = P.design_matrix, Q.design_matrix, len(Q)
+    e = coords(np.eye(P.dim))[:, None] / M
+    cost = np.zeros(M * len(P) + 1)
+    cost[-1] = -1.0
+    res = full_markov_lp(cost, V, np.tile(e, (1, M)), e - W, equality=True, upper=1.0)
+    assert res.success, res.message
+    return res.x[-1]
 
 
 def plain_lookup_counts(P, rho, start, stop, seed):

@@ -35,6 +35,7 @@ from povmlab.postproc import (
     blur_for_post_processing,
     is_clean,
     is_post_processing_of,
+    least_blur,
     t1_identify,
     t3_split,
     unbias,
@@ -44,6 +45,7 @@ from povmlab.povm import (
     Povm,
     alternate_dual,
     canonical_dual,
+    spectral_povm,
     symmetrize_dual,
 )
 from povmlab.processing import (
@@ -383,3 +385,24 @@ def test_cleanness_matches_postprocessing_definition():
             relation[b][a] for b in range(len(family)) if relation[a][b]
         )
         assert is_clean(P) == oracle, f"family member {a}"
+
+
+@pytest.mark.acceptance(
+    "the four-outcome optimum's least blurs of sigma_+- saturate Busch's bound at "
+    "theta = 0.3, 0.6, pi/4 (1e-9); the three-outcome family stays below 1.47"
+)
+def test_least_blurs_saturate_the_busch_bound():
+    # |lam_+ a_+ + lam_- a_-| + |lam_+ a_+ - lam_- a_-| <= 2 for jointly
+    # measurable unsharp qubit observables (P. Busch, PRD 33, 2253 (1986))
+    def busch_sum(P, theta):
+        lam_plus, lam_minus = (least_blur(P, spectral_povm(Observable(X)))[0]
+                               for X in sigma_pm(theta))
+        plus = lam_plus * np.array([np.cos(theta), np.sin(theta)])
+        minus = lam_minus * np.array([np.cos(theta), -np.sin(theta)])
+        return np.linalg.norm(plus + minus) + np.linalg.norm(plus - minus)
+
+    start = time.perf_counter()
+    for theta in (0.3, 0.6, np.pi / 4.0):
+        assert abs(busch_sum(optimal_four_outcome(theta), theta) - 2.0) <= 1e-9
+        assert busch_sum(optimal_three_outcome(theta), theta) < 1.47
+    assert time.perf_counter() - start < 1.0

@@ -325,6 +325,7 @@ class TestPostproc:
         assert payload["blurred"]["dim"] == 2
 
     def test_joint_trivial_certificate(self, capsys, zproj_file, tmp_path):
+        # sx's projectors lie off the span of the sz projectors
         sx = write(
             tmp_path, "sx_obs.json",
             observable_to_json(Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))),
@@ -332,9 +333,10 @@ class TestPostproc:
         code, payload = run_json(
             capsys, ["postproc", "joint", "--povm", zproj_file, "--x", sx]
         )
-        assert code == 0
-        assert payload["feasible"]
-        assert payload["certificates"][0]["trivial"]
+        assert code == 3
+        assert not payload["feasible"]
+        assert payload["certificates"][0]["visibility"] == 0.0
+        assert len(payload["joint"]["elements"]) == 2
 
     def test_joint_multiple_observables(self, capsys, sic_file, tmp_path, sz_obs_file):
         sx = write(
@@ -345,9 +347,12 @@ class TestPostproc:
             capsys, ["postproc", "joint", "--povm", sic_file, "--x", sx, sz_obs_file]
         )
         assert code == 0
-        assert len(payload["certificates"]) == 2
-        assert not any(c["trivial"] for c in payload["certificates"])
-        assert payload["certificates"][1]["alignment"] == pytest.approx(1.5, abs=1e-7)
+        assert list(payload) == ["meta", "feasible", "certificates", "joint"]
+        assert payload["feasible"]
+        visibilities = [c["visibility"] for c in payload["certificates"]]
+        assert visibilities == pytest.approx([1.0 / (2.0 * np.sqrt(2.0)), 1.0 / 3.0], abs=1e-12)
+        assert all(set(c) == {"visibility", "markov"} for c in payload["certificates"])
+        assert payload["joint"]["dim"] == 2 and len(payload["joint"]["elements"]) == 4
 
 
 class TestAbspace:

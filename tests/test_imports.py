@@ -2,7 +2,7 @@
 
 The frame math, sampling and most command-line verbs run on numpy alone;
 scipy (HiGHS) is imported on the first call of ``postproc.linprog``, the
-single entry point both post-processing LPs go through.
+single entry point every post-processing LP goes through.
 """
 
 import json
@@ -15,6 +15,8 @@ import pytest
 
 import povmlab
 from povmlab import postproc
+from povmlab.povm import Observable
+from povmlab.qubit import optimal_four_outcome, sigma_pm
 from povmlab.serialize import observable_to_json, povm_to_json, save_json_file
 from povmlab.standard import pauli_observable, projective_povm, sic_povm
 
@@ -83,8 +85,11 @@ def test_both_lps_call_the_module_linprog(monkeypatch):
     monkeypatch.setattr(postproc, "linprog", counting)
     postproc.find_post_processing(projective_povm("z"), sic_povm())
     assert len(calls) == 1
+    # the four planar outcomes leave a null space of one, so each least blur
+    # runs one LP
+    plus, minus = sigma_pm(0.6)
     result = postproc.find_joint_measurement(
-        sic_povm(), [pauli_observable("x"), pauli_observable("z")]
+        optimal_four_outcome(0.6), [Observable(plus), Observable(minus)]
     )
     assert result.feasible
     assert len(calls) == 3  # one LP per observable

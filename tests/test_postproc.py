@@ -7,20 +7,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from povmlab import postproc
-from povmlab.hs import Tolerances, coords, svd_and_null_basis
-from povmlab.povm import Observable, Povm
+from povmlab.hs import Tolerances, coords
+from povmlab.povm import Observable, Povm, spectral_povm
 from povmlab.postproc import (
     FEASIBILITY_RESIDUAL,
     MarkovMatrix,
     apply_post_processing,
     blur_for_post_processing,
-    convex_union,
     find_joint_measurement,
     find_post_processing,
     is_clean,
-    is_imperfect_measurement_of,
     is_post_processing_of,
-    looks_like_convex_union,
+    least_blur,
     minimal_blur,
     smear_out,
     t1_identify,
@@ -39,7 +37,7 @@ from povmlab.standard import (
     trine_povm,
 )
 
-from helpers import ill_conditioned_minimal_povm, random_ensemble, random_povm
+from helpers import convex_union, ill_conditioned_minimal_povm, random_ensemble, random_povm
 
 I2 = np.eye(2)
 
@@ -294,24 +292,26 @@ class TestMarkovLpConstraints:
         assert np.array_equal(got["cost"], cost) and np.array_equal(got["bounds"], bounds)
 
     def test_joint_measurement(self, monkeypatch):
-        # the alignment LP is solved as its dual: min b . y + b_eq . w subject
-        # to A^T y + A_eq^T w = -(cost @ K), y >= 0 and w free
-        P, X = sic_povm(), pauli_observable("x")
+        # the four planar outcomes leave a null space of one, so each least
+        # blur is the feasibility block of the uniform map plus a column for lam
+        theta = 0.6
+        P = optimal_four_outcome(theta)
+        X = Observable(sigma_pm(theta)[0])
         (got,) = self._captured(monkeypatch, lambda: find_joint_measurement(P, [X]))
-        rows = postproc._function_of_constraints(X, P)
-        K = svd_and_null_basis(rows, P.tol, scale=P.svd[1][0])[3]
-        n_out, k = X.spectrum_size + 1, K.shape[1]
+        K = P.null_basis
+        n_out, k = X.spectrum_size, K.shape[1]
+        assert K.shape == (4, 1)
         block, sums = loop_reduced_constraints(K, n_out)
-        assert set(got) == {"cost", "A_eq", "b_eq", "bounds"}
-        assert np.array_equal(got["A_eq"], np.hstack([block.T, sums.T]))
-        # the uniform map is the particular solution, so the sums need no correction
-        assert np.array_equal(got["cost"][:-k], np.full(n_out * len(P), 1.0 / n_out))
-        assert_allclose(got["cost"][-k:], 0.0, rtol=0.0, atol=1e-15)
-        cost = np.zeros((n_out, len(P)))
-        cost[:-1] = -coords(X.projectors).real @ P.design_matrix
-        assert_allclose(got["b_eq"], -(cost @ K).ravel(), rtol=0.0, atol=1e-15)
-        assert np.array_equal(got["bounds"][:-k], np.tile([0.0, np.inf], (n_out * len(P), 1)))
-        assert np.array_equal(got["bounds"][-k:], np.tile([-np.inf, np.inf], (k, 1)))
+        e = coords(np.eye(2)) / n_out
+        a = (np.linalg.pinv(P.design_matrix) @ (coords(X.projectors).T - e[:, None])).T
+        assert np.array_equal(got["A_ub"][:, :-1], block)
+        assert_allclose(got["A_ub"][:, -1], -a.ravel(), rtol=0.0, atol=1e-12)
+        assert np.array_equal(got["b_ub"], np.full(n_out * len(P), 1.0 / n_out))
+        assert np.array_equal(got["A_eq"][:, :-1], sums)
+        assert_allclose(got["A_eq"][:, -1], 0.0, rtol=0.0, atol=1e-12)
+        assert_allclose(got["b_eq"], 0.0, rtol=0.0, atol=1e-15)
+        assert np.array_equal(got["cost"], np.append(np.zeros(n_out * k), -1.0))
+        assert got["bounds"] == [(None, None)] * (n_out * k) + [(0.0, 1.0)]
 
 
 class TestIsClean:
@@ -522,107 +522,161 @@ class TestUnbias:
         assert unbias(blur, observed, observable=loose) == pytest.approx(0.5, abs=1e-7)
 
 
-class TestConvexUnion:
-    def test_elements_and_weights(self):
-        P, Q = projective_povm("z"), projective_povm("x")
-        U = convex_union(P, Q, 0.25)
-        assert len(U) == 4
-        assert_allclose(U.elements[0], 0.25 * P.elements[0], atol=1e-14)
-        assert_allclose(U.elements[3], 0.75 * Q.elements[1], atol=1e-14)
-
-    @pytest.mark.parametrize("lam", [-0.1, 1.5])
-    def test_weight_range(self, lam):
-        with pytest.raises(ValueError, match="mixing weight"):
-            convex_union(projective_povm("z"), projective_povm("x"), lam)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="same space"):
-            convex_union(projective_povm("z"), Povm([np.eye(3)]), 0.5)
-
-
 class TestImperfectMeasurement:
+    """P measures X imperfectly when it is a post-processing of X's spectral POVM."""
+
     def test_blurred_spectral_povm_reads_out_observable(self):
         blur = blur_for_post_processing(
             sic_povm(), pauli_projective("z"), six_state_ensemble()
         )
-        assert is_imperfect_measurement_of(blur.blurred, pauli_observable("z"))
+        assert is_post_processing_of(blur.blurred, spectral_povm(pauli_observable("z")))
 
     def test_incompatible_axis(self):
-        assert not is_imperfect_measurement_of(
-            projective_povm("x"), pauli_observable("z")
+        assert not is_post_processing_of(
+            projective_povm("x"), spectral_povm(pauli_observable("z"))
         )
 
     def test_coarse_graining_of_spectral_povm(self):
         noisy = apply_post_processing(
             pauli_projective("y"), MarkovMatrix([[0.9, 0.2], [0.1, 0.8]])
         )
-        assert is_imperfect_measurement_of(noisy, pauli_observable("y"))
+        assert is_post_processing_of(noisy, spectral_povm(pauli_observable("y")))
+
+
+def assert_blurred_marginals(result, observables, dim):
+    """Each marginal of the joint POVM is ``lam X_h + (1 - lam)/s 1`` (1e-12)."""
+    G = result.joint.elements.reshape([X.spectrum_size for X in observables] + [dim, dim])
+    for axis, (cert, X) in enumerate(zip(result.certificates, observables)):
+        others = tuple(b for b in range(len(observables)) if b != axis)
+        lam, s = cert.visibility, X.spectrum_size
+        blurred = lam * X.projectors + (1.0 - lam) / s * np.eye(dim)
+        assert_allclose(G.sum(axis=others), blurred, rtol=0.0, atol=1e-12)
+
+
+class TestLeastBlur:
+    def test_independent_elements_need_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(postproc, "linprog", no_lp)
+        # the SIC's z coefficients are (2, 0, 0, 0) and (-1, 1, 1, 1)
+        lam, markov = least_blur(sic_povm(), projective_povm("z"))
+        assert lam == pytest.approx(1.0 / 3.0, abs=1e-12)
+        third = 1.0 / 3.0
+        assert_allclose(markov.m, [[1, third, third, third], [0, 2 * third, 2 * third, 2 * third]],
+                        atol=1e-12)
+
+    def test_target_off_the_span_needs_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(postproc, "linprog", no_lp)
+        lam, markov = least_blur(trine_povm(), projective_povm("z"))
+        assert lam == 0.0
+        assert_allclose(markov.m, np.full((2, 3), 0.5), rtol=0.0, atol=0.0)
+
+    def test_reachable_target_is_not_blurred(self):
+        P = random_povm(2, 6, np.random.default_rng(31))
+        m = random_markov(3, 6, np.random.default_rng(32))
+        Q = apply_post_processing(P, m)
+        lam, markov = least_blur(P, Q)
+        assert lam == pytest.approx(1.0, abs=1e-9)
+        realized = apply_post_processing(P, markov)
+        assert_allclose(realized.elements, Q.elements, rtol=0.0, atol=1e-8)
+
+    def test_blurred_target_is_synthesized(self):
+        P = random_povm(3, 12, np.random.default_rng(33))
+        Q = Povm(np.eye(3)[:, :, None] * np.eye(3)[:, None, :])  # the qutrit basis
+        lam, markov = least_blur(P, Q)
+        assert 0.0 < lam < 1.0
+        realized = apply_post_processing(P, markov).elements
+        assert_allclose(realized, lam * Q.elements + (1.0 - lam) / 3.0 * np.eye(3),
+                        rtol=0.0, atol=1e-8)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="same space"):
+            least_blur(sic_povm(), Povm([np.eye(3)]))
 
 
 class TestJointMeasurement:
     def test_four_outcome_optimum_is_union_of_axis_projectives(self):
-        # at theta = pi/4 the elements are (1/4)(1 +- sx) and (1/4)(1 +- sy)
+        # at theta = pi/4 the elements are (1/4)(1 +- sx) and (1/4)(1 +- sy):
+        # each axis is read from its own pair, the other pair adds uniform noise
         P = optimal_four_outcome(np.pi / 4.0)
         observables = [pauli_observable("x"), pauli_observable("y")]
         result = find_joint_measurement(P, observables)
         assert result.feasible
-        assert result.failed_index is None
-        assert result.convex_union_shaped
-        for cert, X in zip(result.certificates, observables):
-            assert not cert.trivial
-            assert cert.alignment == pytest.approx(1.5, abs=1e-7)
-            assert cert.markov.rows == 3 and cert.markov.cols == 4
-            # the processed elements must be functions of X
-            for q in cert.povm.elements:
-                combo = sum(
-                    np.real(np.trace(proj @ q)) / np.real(np.trace(proj)) * proj
-                    for proj in X.projectors
-                )
-                assert np.linalg.norm(q - combo) <= 1e-7
+        for cert in result.certificates:
+            assert cert.visibility == pytest.approx(0.5, abs=1e-12)
+            assert cert.markov.rows == 2 and cert.markov.cols == 4
+        assert len(result.joint) == 4
+        assert_blurred_marginals(result, observables, 2)
 
     def test_four_outcome_optimum_measures_both_rotated_targets(self):
+        # the least blurs of the rotated targets saturate Busch's bound
         theta = np.pi / 4.0
         P = optimal_four_outcome(theta)
         plus, minus = sigma_pm(theta)
-        result = find_joint_measurement(P, [Observable(plus), Observable(minus)])
+        observables = [Observable(plus), Observable(minus)]
+        result = find_joint_measurement(P, observables)
         assert result.feasible
-        # the rotated targets sit diagonally between the element axes
-        assert not result.convex_union_shaped
         for cert in result.certificates:
-            assert not cert.trivial
-            assert cert.alignment == pytest.approx(1.0 + 0.5 * np.sqrt(2.0), abs=1e-7)
+            assert cert.visibility == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert_blurred_marginals(result, observables, 2)
 
     def test_projective_certificate_for_wrong_axis_is_trivial(self):
+        # sx's projectors lie off the span of the sz projectors: no blur short
+        # of the uniform map reaches it
         result = find_joint_measurement(
             pauli_projective("z"), [pauli_observable("x")]
         )
-        assert result.feasible
-        cert = result.certificates[0]
-        assert cert.trivial
-        assert cert.alignment <= 1.0 + 1e-8
+        assert not result.feasible
+        (cert,) = result.certificates
+        assert cert.visibility == 0.0
+        assert_allclose(cert.markov.m, np.full((2, 2), 0.5), rtol=0.0, atol=0.0)
+        assert_allclose(result.joint.elements, [0.5 * I2, 0.5 * I2], rtol=0.0, atol=1e-15)
 
     def test_sic_aligns_nontrivially_with_two_axes(self):
-        result = find_joint_measurement(
-            sic_povm(), [pauli_observable("x"), pauli_observable("z")]
-        )
+        observables = [pauli_observable("x"), pauli_observable("z")]
+        result = find_joint_measurement(sic_povm(), observables)
         assert result.feasible
-        assert not result.convex_union_shaped
-        align_x, align_z = (c.alignment for c in result.certificates)
-        assert not result.certificates[0].trivial
-        assert not result.certificates[1].trivial
-        # the apex element is proportional to the +z projector, so the z
-        # alignment saturates; the x axis sits askew of all four vertices
-        assert align_z == pytest.approx(1.5, abs=1e-7)
-        assert align_x == pytest.approx((3.0 + np.sqrt(2.0)) / 3.0, abs=1e-7)
-        assert 1.0 + 1e-6 < align_x < align_z
+        lam_x, lam_z = (c.visibility for c in result.certificates)
+        # the apex element is proportional to the +z projector, and the x axis
+        # sits askew of all four vertices
+        assert lam_x == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), abs=1e-12)
+        assert lam_z == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert_blurred_marginals(result, observables, 2)
+
+    def test_joint_is_the_product_of_the_maps(self):
+        rng = np.random.default_rng(37)
+        P = random_povm(3, 12, rng)
+        observables = [Observable(random_povm(3, 3, rng).elements[0]) for _ in range(3)]
+        result = find_joint_measurement(P, observables)
+        m = [cert.markov.m for cert in result.certificates]
+        sizes = [X.spectrum_size for X in observables]
+        G = result.joint.elements.reshape(sizes + [3, 3])
+        for a, b, c in np.ndindex(*sizes):
+            expected = sum(m[0][a, i] * m[1][b, i] * m[2][c, i] * P.elements[i]
+                           for i in range(len(P)))
+            assert_allclose(G[a, b, c], expected, rtol=0.0, atol=1e-14)
+        assert_blurred_marginals(result, observables, 3)
+
+    def test_one_svd_of_the_design_matrix(self, monkeypatch):
+        # every least blur reads P's cached factors: no SVD per observable
+        rng = np.random.default_rng(38)
+        P = random_povm(3, 12, rng)
+        observables = [Observable(random_povm(3, 2, rng).elements[0]) for _ in range(2)]
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert find_joint_measurement(P, observables).feasible
+        assert shapes == [P.design_matrix.shape]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             find_joint_measurement(sic_povm(), [Observable(np.diag([0.0, 1.0, 2.0]))])
-
-    def test_convex_union_shape_detection(self):
-        union = convex_union(projective_povm("z"), projective_povm("x"), 0.5)
-        axes = [pauli_observable("z"), pauli_observable("x")]
-        assert looks_like_convex_union(union, axes)
-        assert not looks_like_convex_union(sic_povm(), axes)
-        assert not looks_like_convex_union(union, [pauli_observable("z")])

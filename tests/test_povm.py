@@ -152,10 +152,15 @@ class TestFrameOperator:
 
     def test_cached_factors_are_read_only(self):
         P = random_povm(3, 12, np.random.default_rng(7))
-        for a in (P.design_matrix, *P.svd, P.null_basis):
+        for a in (P.design_matrix, *P.svd, P.canonical_coords, P.null_basis):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             P.svd[0][0, 0] = 1.0
+        # the dual frame holds its own copy of the cached coordinates
+        D = canonical_dual(P)
+        assert D.coords is not P.canonical_coords
+        U, s, Vh = P.svd
+        assert D.coords.tobytes() == ((U / s) @ Vh).tobytes()
 
     def test_frame_quantities_are_real(self):
         # valid POVMs and observables are self-adjoint, so their coordinates,

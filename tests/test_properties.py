@@ -8,7 +8,6 @@ constructions.  ``derandomize`` keeps the examples the same on every run.
 import json
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +28,9 @@ from povmlab.postproc import (
     MarkovMatrix,
     apply_post_processing,
     blur_for_post_processing,
-    convex_union,
     find_joint_measurement,
     find_post_processing,
+    least_blur,
     t2_permute,
     t3_split,
     unbias,
@@ -50,6 +49,7 @@ from povmlab.povm import (
 )
 from povmlab.processing import (
     Ensemble,
+    OutsideSpanError,
     ensemble_error,
     min_error,
     optimal_dual,
@@ -68,6 +68,10 @@ from povmlab.serialize import (
 )
 
 from helpers import (
+    SX,
+    SY,
+    SZ,
+    convex_union,
     kernel_state,
     plain_lookup_counts,
     random_ensemble,
@@ -75,7 +79,7 @@ from helpers import (
     random_observable,
     random_povm,
     random_state,
-    reference_joint_alignments,
+    reference_least_blur,
     reference_optimal_dual,
     reference_post_processing,
 )
@@ -263,7 +267,7 @@ def test_composed_markov_maps_keep_the_target_reachable(d, seed):
 
 @st.composite
 def lp_cases(draw, kinds=("indep", "over", "deficient", "union")):
-    """A POVM of one of the ``kinds``, a target for it, and two observables.
+    """A POVM of one of the ``kinds``, a target for it, two observables and the target's kind.
 
     The POVM is linearly independent (N = d^2), overcomplete, span-deficient
     (noisy readouts of one observable, so N > span rank) or the convex union
@@ -293,13 +297,13 @@ def lp_cases(draw, kinds=("indep", "over", "deficient", "union")):
     else:
         Q = random_povm(d, int(rng.integers(2, 5)), rng)
         Q = t2_permute(Q, rng.permutation(len(Q)))
-    return P, Q, [A, B]
+    return P, Q, [A, B], target
 
 
 @PROPERTY_SETTINGS
 @given(lp_cases())
 def test_post_processing_agrees_with_the_full_minimax_lp(case):
-    P, Q, _ = case
+    P, Q, _, _ = case
     feasible, residual = reference_post_processing(Q, P)
     search = find_post_processing(Q, P)
     assert search.feasible == feasible
@@ -312,13 +316,51 @@ def test_post_processing_agrees_with_the_full_minimax_lp(case):
 
 
 @PROPERTY_SETTINGS
-@given(lp_cases())
-def test_joint_measurement_agrees_with_the_full_lp(case):
-    P, _, observables = case
+@given(lp_cases(), st.integers(0, 2 ** 32 - 1))
+def test_joint_measurement_agrees_with_the_full_lp(case, seed):
+    P, Q, observables, target = case
+    A, B = observables
     result = find_joint_measurement(P, observables)
-    assert result.feasible and len(result.certificates) == len(observables)
-    alignments = [cert.alignment for cert in result.certificates]
-    assert np.allclose(alignments, reference_joint_alignments(P, observables), rtol=0.0, atol=1e-7)
+    lams = [cert.visibility for cert in result.certificates]
+    reference = [reference_least_blur(P, spectral_povm(X)) for X in observables]
+    assert np.allclose(lams, reference, rtol=0.0, atol=1e-9)
+    assert result.feasible == is_ab_infocomplete(P, ab_space(A, B))
+    # the product of the two maps is a joint POVM of the blurred observables
+    G = Povm(result.joint.elements, tol=P.tol, drop_zero=False).elements
+    G = G.reshape(A.spectrum_size, B.spectrum_size, P.dim, P.dim)
+    for marginal, X, lam in ((G.sum(axis=1), A, lams[0]), (G.sum(axis=0), B, lams[1])):
+        blurred = lam * X.projectors + (1.0 - lam) / X.spectrum_size * np.eye(P.dim)
+        assert np.max(np.abs(marginal - blurred)) <= 1e-9
+
+    # any blur that makes Q reachable bounds the least one; with independent
+    # elements the optimal dual's coefficients are the only ones, and it is exact
+    lam = least_blur(P, Q)[0]
+    if target == "markov":
+        assert lam >= 1.0 - 1e-9
+    rng = np.random.default_rng(seed)
+    try:
+        blur = blur_for_post_processing(P, Q, random_ensemble(P.dim, 3, rng))
+    except OutsideSpanError:
+        assert lam == 0.0
+        return
+    assert lam >= 1.0 - blur.epsilon_star - 1e-9
+    if P.span_rank == len(P):
+        assert abs(lam - (1.0 - blur.epsilon_star)) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(4, 8), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_least_blurs_obey_the_busch_bound(n, rank_one, seed):
+    # unsharp qubit observables 1/2 (1 +- lam_a a.sigma) and 1/2 (1 +- lam_b b.sigma)
+    # are jointly measurable only if |lam_a a + lam_b b| + |lam_a a - lam_b b| <= 2
+    # (P. Busch, PRD 33, 2253 (1986)); the least blurs from one POVM are
+    rng = np.random.default_rng(seed)
+    P = random_povm(2, n, rng, rank_one=rank_one)
+    a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+    lam_a, lam_b = (least_blur(P, spectral_povm(Observable(v[0] * SX + v[1] * SY + v[2] * SZ)))[0]
+                    for v in (a, b))
+    busch = np.linalg.norm(lam_a * a + lam_b * b) + np.linalg.norm(lam_a * a - lam_b * b)
+    assert busch <= 2.0 + 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -326,7 +368,7 @@ def test_joint_measurement_agrees_with_the_full_lp(case):
 def test_witness_value_equals_the_residual(case):
     # Sum_j Tr[Y_j Q_j] - Sum_i max_j Tr[Y_j P_i] is at most 0 for every
     # post-processing of P, so a positive value certifies infeasibility
-    P, Q, _ = case
+    P, Q, _, _ = case
     search = find_post_processing(Q, P)
     if search.feasible:
         assert search.witness is None
@@ -337,38 +379,6 @@ def test_witness_value_equals_the_residual(case):
     on_target = np.einsum("jab,jba->", Y, Q.elements).real
     on_inputs = np.einsum("jab,iba->ji", Y, P.elements).real
     assert abs(on_target - on_inputs.max(axis=0).sum() - search.residual) <= 1e-9
-
-
-@PROPERTY_SETTINGS
-@given(lp_cases(kinds=("indep", "over", "deficient")))
-def test_joint_dual_objective_equals_the_alignment(case):
-    # each alignment LP is solved as its dual; the dual objective, recomputed
-    # from the solution, and the overlap of the m read from its marginals agree
-    P, _, observables = case
-    highs = postproc.linprog
-    for X in observables:
-        solved = []
-
-        def recording(cost, **constraints):
-            res = highs(cost, **constraints)
-            solved.append((cost, constraints, res))
-            return res
-
-        with mock.patch.object(postproc, "linprog", recording):
-            (cert,) = find_joint_measurement(P, [X]).certificates
-        s = X.spectrum_size
-        m_cost = np.zeros((s + 1, len(P)))
-        m_cost[:s] = -coords(X.projectors).real @ P.design_matrix
-        # the LP optimizes m = uniform + z K^T; its value is the change from uniform
-        uniform_value = -np.sum(m_cost) / (s + 1)
-        if not solved:  # K is empty, and the uniform map is the only one
-            assert abs(cert.alignment - uniform_value) <= 1e-9
-            continue
-        ((cost, constraints, res),) = solved
-        y = res.x[:len(P) * (s + 1)]
-        assert np.all(y >= -1e-9)
-        assert np.max(np.abs(constraints["A_eq"] @ res.x - constraints["b_eq"])) <= 1e-9
-        assert abs(uniform_value + cost @ res.x - cert.alignment) <= 1e-9
 
 
 def through_json(doc):
