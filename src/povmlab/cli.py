@@ -315,6 +315,7 @@ def cmd_postproc_check(args, tol: Tolerances, seed: int) -> int:
         "meta": _meta(tol, seed),
         "feasible": search.feasible,
         "verdict": "feasible" if search.feasible else "infeasible",
+        "visibility": search.visibility,
         "residual": search.residual,
         "markov": markov_to_json(search.markov) if search.markov is not None else None,
         "witness": (None if search.witness is None

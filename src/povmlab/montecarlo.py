@@ -174,18 +174,6 @@ def sample(P: Povm, rho, n_ex: int, seed: int, *, chunk_size: int | None = None)
     return SampleRun(seed=seed, n_ex=n_ex, counts=counts)
 
 
-def merge_runs(runs) -> SampleRun:
-    """Combine disjoint chunks of one stream into a single run."""
-    runs = list(runs)
-    if not runs:
-        raise ValueError("nothing to merge")
-    seed = runs[0].seed
-    if any(r.seed != seed for r in runs):
-        raise ValueError("runs come from different seeds")
-    counts = np.sum([r.counts for r in runs], axis=0)
-    return SampleRun(seed=seed, n_ex=int(counts.sum()), counts=counts)
-
-
 def empirical_estimate(run: SampleRun, c: ProcessingFunction,
                        tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
     """Sample mean and variance of the processed outcome stream.

@@ -2,19 +2,17 @@
 
 A POVM ``Q`` is a post-processing of ``P`` when ``Q_j = sum_i m(j|i) P_i``
 for a column-stochastic matrix ``m`` (columns indexed by the input
-outcome i).  This module decides that relation by linear programming
-over the null space of P's design matrix: a sign check when P's elements
-are linearly independent, otherwise a small feasibility LP.  When neither
-finds an ``m``, a witness LP, the dual of the minimax LP over all of
-``m``, returns the least synthesis residual together with operators
-``Y_j`` that certify it (a guessing-game witness in the sense of Buscemi,
-CMP 310, 625 (2012)).
-
-The least blur of a target Q over P (:func:`least_blur`) is the largest
-``lam`` for which the uniformly blurred target ``lam Q_j + (1 - lam)/M``
-is a post-processing of P, found over the same null-space
-parametrization: a ratio test when P's elements are independent, one LP
-otherwise, and ``lam = 0`` when Q leaves P's span.  Joint measurement
+outcome i).  Every question of this module about that relation is one
+least blur (:func:`least_blur`): the largest ``lam`` for which the
+uniformly blurred target ``lam Q_j + (1 - lam)/M`` is a post-processing
+of P, with a Markov map that realizes it and a witness that bounds it.
+It runs over the null space of P's design matrix: ``lam = 0`` with no LP
+when Q leaves P's span, a ratio test when P's elements are linearly
+independent, and otherwise one LP, solved through its dual.  Q is a
+post-processing of P exactly when ``lam = 1`` (:func:`find_post_processing`);
+otherwise the witness, operators ``Y_j`` anyone can check without an LP,
+proves it (the robustness form of the guessing-game witness, P. Skrzypczyk
+& N. Linden, PRL 122, 140403 (2019)).  Joint measurement
 (:func:`find_joint_measurement`) takes the least blur of each
 observable's spectral POVM; the product of their Markov maps applied to P
 is a joint POVM of the blurred observables, and every visibility is
@@ -24,9 +22,9 @@ blur is Busch's unsharpness parameter (P. Busch, PRD 33, 2253 (1986)).
 
 The module also implements the elementary merge/permute/split maps,
 tests cleanness (maximality under the induced pseudo-order), and builds
-the smearing and blurring constructions that turn sign-indefinite
-processing coefficients into genuine conditional probabilities at a
-quantifiable noise cost.
+the blurring construction that turns sign-indefinite processing
+coefficients into genuine conditional probabilities at a quantifiable
+noise cost.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, coords, from_coords
+from .hs import DEFAULT_TOL, Tolerances, coords, from_coords, off_span
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
@@ -71,79 +69,6 @@ def _stochastic(m: np.ndarray) -> np.ndarray:
     """``m`` clipped at zero, with its columns renormalized to sum to one."""
     m = np.clip(m, 0.0, None)
     return m / m.sum(axis=0, keepdims=True)
-
-
-def _null_space_rows(m0: np.ndarray, K: np.ndarray):
-    """The constraints ``A z <= b`` and ``A_eq z = b_eq`` on ``m = m0 + z K^T``.
-
-    ``m0[j]`` is a particular solution for output j of some linear
-    constraints on ``m[j]``, ``K`` an orthonormal basis (columns) of their
-    null space, and ``z[j]`` the free coordinates along it, variables
-    ``j * k`` to ``j * k + k - 1`` for ``k = K.shape[1]``.  ``A z <= b`` is
-    ``m0[j] + K z[j] >= 0``, and ``A_eq z = b_eq`` is
-    ``sum_j z[j] = K^T (1 - sum_j m0[j])``, which makes the columns of ``m``
-    sum to one.
-    """
-    n_out, k = m0.shape[0], K.shape[1]
-    return (np.kron(np.eye(n_out), -K), m0.ravel(),
-            np.kron(np.ones((1, n_out)), np.eye(k)), K.T @ (1.0 - m0.sum(axis=0)))
-
-
-def _reduced_lp(m0: np.ndarray, K: np.ndarray):
-    """A column-stochastic ``m = m0 + z K^T`` found by HiGHS, or None when there is none.
-
-    HiGHS solves the feasibility LP of :func:`_null_space_rows` as it
-    stands.  With ``K`` empty, ``m0`` is the only candidate and no LP runs.
-    The solution is returned clipped at zero with its columns renormalized.
-    """
-    n_out, k = m0.shape[0], K.shape[1]
-    if k:
-        A, b, A_eq, b_eq = _null_space_rows(m0, K)
-        res = linprog(np.zeros(n_out * k), A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq,
-                      bounds=(None, None))
-        if not res.success:
-            return None
-        m0 = m0 + res.x.reshape(n_out, k) @ K.T
-    return _stochastic(m0)
-
-
-def _witness_lp(V: np.ndarray, W: np.ndarray):
-    """The column-stochastic ``m`` least off ``V m^T = W`` entrywise, and a witness ``y``.
-
-    HiGHS solves the dual of that minimax LP: maximize
-    ``sum_j y_j . w_j - sum_i t_i`` subject to ``y_j . v_i <= t_i`` (row
-    ``j * n_in + i``) and ``sum_j |y_j|_1 <= 1`` (the last row), with
-    ``y = y+ - y-`` split into nonnegative parts.  The variables are
-    ``y+`` (``n_out * n_dim``, output-major), then ``y-``, then the free
-    ``t``.  Its optimum is the least largest miss ``|V m^T - W|``, and the
-    optimal ``m[j, i]`` are minus the marginals of the ``y_j . v_i <= t_i``
-    rows, returned as :func:`_stochastic` of them, with the ``(n_out,
-    n_dim)`` array of the ``y_j``.
-    """
-    from scipy import sparse
-
-    n_dim, n_in = V.shape
-    n_out = W.shape[1]
-    n_y, rows = n_out * n_dim, n_out * n_in
-    # row j * n_in + i holds v_i at y+_j, -v_i at y-_j and -1 at t_i; the
-    # block grows with n_out * V.size, so the matrix is built sparse, by rows
-    y_cols = np.arange(n_y).reshape(n_out, 1, n_dim).repeat(n_in, axis=1).reshape(rows, n_dim)
-    t_cols = 2 * n_y + np.tile(np.arange(n_in), n_out)[:, None]
-    v = np.tile(V.T, (n_out, 1))
-    data = np.hstack([v, -v, -np.ones((rows, 1))])
-    indices = np.hstack([y_cols, n_y + y_cols, t_cols])
-    A = sparse.csr_array(
-        (np.append(data, np.ones(2 * n_y)), np.append(indices, np.arange(2 * n_y)),
-         np.append(np.arange(rows + 1) * data.shape[1], data.size + 2 * n_y)),
-        shape=(rows + 1, 2 * n_y + n_in),
-    )
-    w = W.T.ravel()
-    res = linprog(np.concatenate([-w, w, np.ones(n_in)]), A_ub=A,
-                  b_ub=np.append(np.zeros(rows), 1.0), bounds=_sign_bounds(2 * n_y, n_in))
-    if not res.success:  # pragma: no cover - the LP is always feasible and bounded
-        raise RuntimeError(f"post-processing witness LP failed: {res.message}")
-    m = -res.ineqlin.marginals[:-1].reshape(n_out, n_in)
-    return _stochastic(m), (res.x[:n_y] - res.x[n_y:2 * n_y]).reshape(n_out, n_dim)
 
 
 class MarkovMatrix:
@@ -225,8 +150,9 @@ def t3_split(P: Povm, l: int, p: float) -> Povm:
 
 @dataclass(frozen=True)
 class PostProcessingSearch:
-    """Outcome of the post-processing LPs.
+    """Outcome of the post-processing search.
 
+    ``visibility`` is the least blur of the target (:func:`least_blur`).
     ``witness`` holds the operators ``Y_j`` (an ``(M, d, d)`` array, one per
     target outcome) that certify an infeasible verdict; it is None when
     the target is feasible.
@@ -236,50 +162,36 @@ class PostProcessingSearch:
     markov: MarkovMatrix | None
     residual: float
     witness: np.ndarray | None
+    visibility: float
 
 
 def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
     """Search for a Markov matrix ``m`` with ``Q_j = sum_i m(j|i) P_i``.
 
-    Every solution of the synthesis equations ``V m_j = w_j`` (V and W the
-    design matrices of P and Q) is ``m_j = m0_j + K z_j``, with
-    ``m0 = V^+ W`` and K the orthonormal basis of the null space of V
-    (:attr:`Povm.null_basis`), both from P's one cached SVD.  When K is
-    empty (P's elements are linearly independent), ``m0`` is the only
-    candidate and no LP runs; otherwise a small feasibility LP in the
-    ``z_j`` imposes ``m >= 0`` and unit column sums.  A candidate whose
-    largest synthesis residual, recomputed from the returned ``m``, is at
-    most :data:`FEASIBILITY_RESIDUAL` is returned as feasible with that
-    residual.
+    Q is a post-processing of P exactly when its least blur over P
+    (:func:`least_blur`) is 1, so the search is one least blur: no LP when
+    Q leaves P's span or P's elements are linearly independent, one LP
+    otherwise.  ``residual`` is the largest synthesis miss ``|V m^T - W|``
+    (V and W the design matrices of P and Q) of the least blur's map ``m``;
+    it is ``(1 - lam) max_j |w_j - e/M|`` up to rounding, for the
+    visibility ``lam`` and ``e`` the coordinates of the identity.  The
+    target is feasible, with that map, when the residual is at most
+    :data:`FEASIBILITY_RESIDUAL`.
 
-    Otherwise the witness LP runs (:func:`_witness_lp`); it stays behind
-    the sign check and the feasibility LP because on feasible targets it
-    is much slower than they are.  It looks for
-    self-adjoint ``Y_j``, with HS coordinates ``y_j`` and
-    ``sum_j |y_j|_1 <= 1``, that maximize
-    ``sum_j Tr[Y_j Q_j] - sum_i max_j Tr[Y_j P_i]``.  By LP duality the
-    maximum is the least largest synthesis residual, in the HS coordinates
-    of the design matrices, over all column-stochastic matrices, and the
-    LP's marginals give an ``m`` that attains it; ``residual`` is
-    recomputed from that ``m``.  Q is a post-processing of P exactly when
-    the maximum is zero.  When the residual exceeds
-    :data:`FEASIBILITY_RESIDUAL` the ``Y_j`` are returned as ``witness``:
-    anyone can check, without an LP, that their value above equals the
-    residual, and any post-processing ``m`` of P would make it at most 0.
+    Otherwise the least blur's witness is returned: self-adjoint ``Y_j``
+    with ``sum_j Tr[Y_j (Q_j - 1/M)] = 1`` whose bound
+    ``sum_i max_j Tr[Y_j P_i] - sum_j Tr[Y_j]/M`` equals the visibility.
+    Anyone can check, without an LP, that every post-processing of P
+    reaching ``l Q_j + (1 - l)/M 1`` has ``l`` at most that bound, so a
+    bound below 1 certifies that Q is none.  This is the robustness form of
+    the guessing-game witness (P. Skrzypczyk & N. Linden, PRL 122, 140403
+    (2019); M. Oszmaniec & T. Biswas, Quantum 3, 133 (2019)).
     """
-    if Q.dim != P.dim:
-        raise ValueError("POVMs must act on the same space")
-    V, W = P.design_matrix, Q.design_matrix
-    U, s, Vh = P.svd
-    m0 = ((W.T @ U) / s) @ Vh  # row j is V^+ w_j
-    m = _reduced_lp(m0, P.null_basis)
-    y = None
-    if m is None or np.max(np.abs(V @ m.T - W)) > FEASIBILITY_RESIDUAL:
-        m, y = _witness_lp(V, W)
-    residual = float(np.max(np.abs(V @ m.T - W)))
+    lam, m, y = _least_blur(P, Q)
+    residual = float(np.max(np.abs(P.design_matrix @ m.T - Q.design_matrix)))
     if residual <= FEASIBILITY_RESIDUAL:
-        return PostProcessingSearch(True, MarkovMatrix(m, tol=P.tol), residual, None)
-    return PostProcessingSearch(False, None, residual, from_coords(y))
+        return PostProcessingSearch(True, MarkovMatrix(m, tol=P.tol), residual, None, lam)
+    return PostProcessingSearch(False, None, residual, from_coords(y), lam)
 
 
 def is_post_processing_of(Q: Povm, P: Povm) -> bool:
@@ -297,34 +209,6 @@ def is_clean(P: Povm) -> bool:
     lam = np.linalg.eigvalsh(0.5 * (P.elements + np.conj(np.transpose(P.elements, (0, 2, 1)))))
     cutoff = np.maximum(tol.eig_zero * lam[:, -1:], tol.psd_slack)
     return bool(np.all(np.count_nonzero(lam > cutoff, axis=1) <= 1))
-
-
-def smear_out(Q: Povm, c: np.ndarray) -> tuple[Povm, MarkovMatrix]:
-    """Shift-and-rescale a processing array into a genuine post-processing.
-
-    ``c[i, j]`` are coefficients with ``sum_i c[i, j] P_i = Q_j`` and rows
-    summing to one.  With ``a_j = max_i max(0, -c[i, j])`` and
-    ``t = 1 + sum_j a_j`` the smeared POVM ``(Q_j + a_j 1)/t`` is a genuine
-    post-processing of P with Markov entries ``(c[i, j] + a_j)/t``.
-    Both are built at ``Q.tol``.
-    """
-    tol = Q.tol
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[1] != len(Q):
-        raise ValueError("coefficient array must have one column per target outcome")
-    row_sums = c.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > tol.lin_solve):
-        i = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ValueError(f"row {i} of the coefficient array sums to {row_sums[i]!r}, expected 1")
-    alpha = np.max(np.clip(-c, 0.0, None), axis=0)
-    total = 1.0 + alpha.sum()
-    eye = np.eye(Q.dim)
-    smeared = Povm(
-        [(q + a * eye) / total for q, a in zip(Q.elements, alpha)],
-        tol=tol,
-    )
-    markov = MarkovMatrix(((c + alpha[np.newaxis, :]) / total).T, tol=tol)
-    return smeared, markov
 
 
 @dataclass(frozen=True)
@@ -445,6 +329,49 @@ def unbias(blur: BlurResult, observed, observable: Observable | None = None):
     return recovered
 
 
+def _least_blur(P: Povm, Q: Povm):
+    """:func:`least_blur`'s ``lam`` and map (an array), and a witness ``y`` bounding ``lam``.
+
+    ``y`` holds the HS coordinates ``y_j`` (rows) of self-adjoint ``Y_j``
+    with ``sum_j Tr[Y_j (Q_j - 1/M)] = 1`` whenever ``lam < 1``.  Every
+    post-processing of P that reaches ``l Q_j + (1 - l)/M 1`` has
+    ``l <= sum_i max_j Tr[Y_j P_i] - sum_j Tr[Y_j]/M``, and for ``y`` that
+    bound is ``lam``.
+    """
+    if Q.dim != P.dim:
+        raise ValueError("POVMs must act on the same space")
+    W, M, N = Q.design_matrix, len(Q), len(P)
+    uniform = np.full((M, N), 1.0 / M)
+    U, s, Vh = P.svd
+    off = off_span(U, W)
+    if np.any(np.linalg.norm(off, axis=0) > P.tol.lin_solve):
+        # Tr[Y_j P_i] = 0 = Tr[Y_j], so the bound is 0
+        return 0.0, uniform, off.T / np.sum(off * off)
+    a = (W.T - coords(np.eye(P.dim)) / M) @ P.canonical_coords  # row j is a_j
+    K = P.null_basis
+    k = K.shape[1]
+    if k:
+        n = M * N
+        res = linprog(np.concatenate([np.full(n, 1.0 / M), [1.0], np.zeros(k)]),
+                      A_ub=np.concatenate([a.ravel(), [-1.0], np.zeros(k)])[None], b_ub=[-1.0],
+                      A_eq=np.hstack([np.kron(np.eye(M), K.T), np.zeros((M * k, 1)),
+                                      np.tile(-np.eye(k), (M, 1))]),
+                      b_eq=np.zeros(M * k), bounds=_sign_bounds(n + 1, k))
+        if not res.success:  # pragma: no cover - mu = 0, beta = 1 is feasible, and the cost is >= 0
+            raise RuntimeError(f"least-blur LP failed: {res.message}")
+        lam = float(min(max(res.fun, 0.0), 1.0))
+        m = uniform + lam * a - res.eqlin.marginals.reshape(M, k) @ K.T
+        mu = res.x[:n].reshape(M, N) - res.x[n + 1:] @ K.T  # mu_j - K nu, in V's row space
+    else:
+        j, i = np.unravel_index(np.argmin(a), a.shape)
+        lam = float(-1.0 / (M * a[j, i])) if M * a[j, i] < -1.0 else 1.0
+        m = uniform + lam * a
+        mu = np.zeros((M, N))
+        if lam < 1.0:
+            mu[j, i] = -1.0 / a[j, i]
+    return lam, _stochastic(m), -((mu @ Vh.T) / s) @ U.T
+
+
 def least_blur(P: Povm, Q: Povm) -> tuple[float, MarkovMatrix]:
     """The largest ``lam`` in [0, 1] with ``lam Q_j + (1 - lam)/M 1`` a post-processing of P.
 
@@ -456,35 +383,18 @@ def least_blur(P: Povm, Q: Povm) -> tuple[float, MarkovMatrix]:
     ``K = P.null_basis``.  When some ``Q_j`` lies off P's span only the
     uniform map ``lam = 0`` exists, and no LP runs.  When P's elements are
     linearly independent (K empty), a ratio test gives
-    ``lam = min(1, min over a < 0 of (1/M) / -a)``.  Otherwise one LP runs:
-    the feasibility LP of :func:`_null_space_rows` with ``lam`` as one more
-    variable, bounded by [0, 1] and maximized.  ``m`` is returned clipped at
-    zero with its columns renormalized.
+    ``lam = min(1, min over a < 0 of (1/M) / -a)``.  Otherwise one LP runs,
+    the dual of "maximize ``lam`` subject to ``m >= 0`` and
+    ``sum_j z_j = 0``": minimize ``sum_j sum_i mu_ji / M + beta`` over
+    ``mu >= 0`` (one per entry of m), ``beta >= 0`` (for ``lam <= 1``) and a
+    free ``nu`` (k entries, for the column sums), subject to
+    ``K^T mu_j = nu`` and ``sum_j a_j . mu_j - beta <= -1``.  Its optimum
+    is ``lam``, and the marginals of the ``K^T mu_j = nu`` rows are
+    ``-z_j``.  ``m`` is returned clipped at zero with its columns
+    renormalized.
     """
-    if Q.dim != P.dim:
-        raise ValueError("POVMs must act on the same space")
-    W, M = Q.design_matrix, len(Q)
-    uniform = np.full((M, len(P)), 1.0 / M)
-    if np.any(_span_residual(P, W) > P.tol.lin_solve):
-        return 0.0, MarkovMatrix(uniform, tol=P.tol)
-    a = (W.T - coords(np.eye(P.dim)) / M) @ P.canonical_coords  # row j is a_j
-    K = P.null_basis
-    k = K.shape[1]
-    if k:
-        A, b, A_eq, b_eq = _null_space_rows(uniform, K)
-        cost = np.zeros(M * k + 1)
-        cost[-1] = -1.0
-        res = linprog(cost, A_ub=np.hstack([A, -a.ravel()[:, None]]), b_ub=b,
-                      A_eq=np.hstack([A_eq, K.T @ a.sum(axis=0)[:, None]]), b_eq=b_eq,
-                      bounds=[(None, None)] * (M * k) + [(0.0, 1.0)])
-        if not res.success:  # pragma: no cover - lam = 0, z = 0 is feasible, and m is bounded
-            raise RuntimeError(f"least-blur LP failed: {res.message}")
-        lam = float(res.x[-1])
-        m = uniform + lam * a + res.x[:-1].reshape(M, k) @ K.T
-    else:
-        lam = float(np.min(-1.0 / (M * a[a < 0.0]), initial=1.0))
-        m = uniform + lam * a
-    return lam, MarkovMatrix(_stochastic(m), tol=P.tol)
+    lam, m, _ = _least_blur(P, Q)
+    return lam, MarkovMatrix(m, tol=P.tol)
 
 
 @dataclass(frozen=True)

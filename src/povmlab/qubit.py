@@ -200,17 +200,6 @@ def noise_quantities(P: Povm, ensemble: Ensemble, theta: float) -> NoiseSummary:
     )
 
 
-def symmetrize_delta(P: Povm) -> Povm:
-    """Halved union of a qubit POVM with its gamma-flipped mirror image.
-
-    Complex conjugation flips gamma and keeps alpha, beta and delta.  The
-    result has twice the outcomes, the same B and Gamma, and
-    ``Delta = 0`` exactly, so symmetrizing never hurts (``Dtm`` can only
-    grow).
-    """
-    return Povm(0.5 * np.concatenate([P.elements, P.elements.conj()]), tol=P.tol)
-
-
 def _check_theta(theta: float) -> None:
     if not (0.0 <= theta <= np.pi / 2.0):
         raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")

@@ -286,6 +286,7 @@ class TestPostproc:
         assert payload["verdict"] == "feasible"
         assert payload["markov"]["rows"] == 3 and payload["markov"]["cols"] == 4
         assert payload["witness"] is None
+        assert payload["visibility"] == pytest.approx(1.0, abs=1e-12)
 
     def test_check_infeasible(self, capsys, sic_file, zproj_file):
         code, payload = run_json(
@@ -297,18 +298,20 @@ class TestPostproc:
         assert payload["residual"] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_check_infeasible_prints_its_witness(self, capsys, sic_file, zproj_file):
-        # the printed Y_j certify the printed residual with no LP:
-        # sum_j Tr[Y_j Q_j] - sum_i max_j Tr[Y_j P_i]
+        # the printed Y_j, normalized by sum_j Tr[Y_j (Q_j - 1/M)] = 1, bound
+        # the printed visibility with no LP: sum_i max_j Tr[Y_j P_i] - sum_j Tr[Y_j]/M
         code, payload = run_json(
             capsys, ["postproc", "check", "--q", zproj_file, "--p", sic_file]
         )
         assert code == 3
         Y = np.array([operator_from_json(y) for y in payload["witness"]])
         P, Q = sic_povm().elements, projective_povm("z").elements
-        value = (np.einsum("jab,jba->", Y, Q).real
-                 - np.einsum("jab,iba->ji", Y, P).real.max(axis=0).sum())
-        assert value == pytest.approx(payload["residual"], abs=1e-9)
-        assert payload["residual"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+        uniform = np.eye(2) / len(Q)
+        assert np.einsum("jab,jba->", Y, Q - uniform).real == pytest.approx(1.0, abs=1e-9)
+        bound = (np.einsum("jab,iba->ji", Y, P).real.max(axis=0).sum()
+                 - np.einsum("jaa->", Y).real / len(Q))
+        assert bound == pytest.approx(payload["visibility"], abs=1e-9)
+        assert payload["visibility"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_blur(self, capsys, sic_file, zproj_file):
         code, payload = run_json(

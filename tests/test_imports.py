@@ -15,15 +15,16 @@ import pytest
 
 import povmlab
 from povmlab import postproc
-from povmlab.povm import Observable
+from povmlab.povm import Observable, spectral_povm
 from povmlab.qubit import optimal_four_outcome, sigma_pm
 from povmlab.serialize import observable_to_json, povm_to_json, save_json_file
-from povmlab.standard import pauli_observable, projective_povm, sic_povm
+from povmlab.standard import pauli_observable, sic_povm
 
 SRC = str(Path(povmlab.__file__).resolve().parent.parent)
 
 # Runs in a fresh interpreter: the scipy modules loaded after importing
-# the CLI and running three verbs, then after one post-processing LP.
+# the CLI and running three verbs, then after one post-processing LP (the
+# four planar outcomes leave a null space of one, so sigma_+ needs the LP).
 SCRIPT = """
 import json, sys
 import povmlab, povmlab.cli
@@ -40,8 +41,9 @@ codes = [
 ]
 after_verbs = scipy_modules()
 from povmlab.postproc import find_post_processing
-from povmlab.standard import projective_povm, sic_povm
-find_post_processing(projective_povm("z"), sic_povm())
+from povmlab.povm import Observable, spectral_povm
+from povmlab.qubit import optimal_four_outcome, sigma_pm
+find_post_processing(spectral_povm(Observable(sigma_pm(0.6)[0])), optimal_four_outcome(0.6))
 print(json.dumps({"codes": codes, "after_verbs": after_verbs, "after_lp": scipy_modules()}))
 """
 
@@ -75,6 +77,8 @@ def test_post_processing_lp_loads_scipy_optimize(loaded):
 
 
 def test_both_lps_call_the_module_linprog(monkeypatch):
+    # the post-processing search and the joint measurement solve the one
+    # least-blur LP, and every call goes through postproc.linprog
     calls = []
     original = postproc.linprog
 
@@ -83,13 +87,12 @@ def test_both_lps_call_the_module_linprog(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(postproc, "linprog", counting)
-    postproc.find_post_processing(projective_povm("z"), sic_povm())
-    assert len(calls) == 1
     # the four planar outcomes leave a null space of one, so each least blur
     # runs one LP
+    P = optimal_four_outcome(0.6)
     plus, minus = sigma_pm(0.6)
-    result = postproc.find_joint_measurement(
-        optimal_four_outcome(0.6), [Observable(plus), Observable(minus)]
-    )
+    assert not postproc.find_post_processing(spectral_povm(Observable(plus)), P).feasible
+    assert len(calls) == 1
+    result = postproc.find_joint_measurement(P, [Observable(plus), Observable(minus)])
     assert result.feasible
     assert len(calls) == 3  # one LP per observable

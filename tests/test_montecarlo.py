@@ -10,7 +10,6 @@ from povmlab.montecarlo import (
     ClampedProbabilityWarning,
     SampleRun,
     empirical_estimate,
-    merge_runs,
     outcome_distribution,
     sample,
     sample_range,
@@ -137,13 +136,9 @@ class TestSampling:
         rho = bloch_state([0.3, 0.0, 0.4])
         n = 9999
         edges = [0, 1, 4, 5, 4093, 4096, n]
-        pieces = [
-            SampleRun(seed=3, n_ex=b - a, counts=sample_range(P, rho, a, b, seed=3))
-            for a, b in zip(edges, edges[1:])
-        ]
-        merged = merge_runs(pieces)
+        pieces = [sample_range(P, rho, a, b, seed=3) for a, b in zip(edges, edges[1:])]
         full = sample(P, rho, n, seed=3)
-        assert np.array_equal(merged.counts, full.counts)
+        assert np.array_equal(np.sum(pieces, axis=0), full.counts)
 
     def test_single_draw_alignment(self):
         # drawing one index at a time must walk the same stream
@@ -187,14 +182,6 @@ class TestSampling:
             sample(P, rho, 1000.0, seed=5)
         with pytest.raises(TypeError):
             sample(P, rho, 1000, seed=5, chunk_size=7.0)
-
-    def test_merge_rejects_mixed_seeds(self):
-        a = SampleRun(seed=0, n_ex=2, counts=np.array([1, 1]))
-        b = SampleRun(seed=1, n_ex=2, counts=np.array([2, 0]))
-        with pytest.raises(ValueError, match="different seeds"):
-            merge_runs([a, b])
-        with pytest.raises(ValueError, match="nothing"):
-            merge_runs([])
 
 
 def test_counts_are_pinned():

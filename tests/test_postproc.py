@@ -1,4 +1,4 @@
-"""Tests for classical post-processing: Markov maps, cleanness, smearing, blurring."""
+"""Tests for classical post-processing: Markov maps, cleanness, blurring, least blur."""
 
 import dataclasses
 
@@ -20,7 +20,6 @@ from povmlab.postproc import (
     is_post_processing_of,
     least_blur,
     minimal_blur,
-    smear_out,
     t1_identify,
     t2_permute,
     t3_split,
@@ -207,50 +206,58 @@ class TestFindPostProcessing:
         with pytest.raises(ValueError, match="same space"):
             find_post_processing(Povm([np.eye(3)]), sic_povm())
 
+    @pytest.mark.parametrize("P, Q, lps", [
+        (sic_povm(), projective_povm("z"), 0),  # independent, infeasible
+        (sic_povm(), t1_identify(sic_povm(), 0, 1), 0),  # independent, feasible
+        (convex_union(projective_povm("z"), projective_povm("z"), 0.3),
+         projective_povm("x"), 0),  # off the span
+        (random_povm(2, 6, np.random.default_rng(8)), projective_povm("z"), 1),
+        (random_povm(2, 6, np.random.default_rng(8)),
+         t1_identify(random_povm(2, 6, np.random.default_rng(8)), 0, 1), 1),
+    ], ids=["indep-infeasible", "indep-feasible", "off-span", "over-infeasible",
+            "over-feasible"])
+    def test_one_lp_per_search(self, monkeypatch, P, Q, lps):
+        calls = []
+        original = postproc.linprog
 
-def loop_witness_lp(V, W):
-    """Reference witness LP, entry by entry: ``(cost, A_ub, b_ub, bounds)``.
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
 
-    The variables are ``y+_j``, then ``y-_j`` (``d^2`` HS coordinates per
-    target outcome j), then ``t_i``.  Row ``j * n_in + i`` is
-    ``(y+_j - y-_j) . v_i - t_i <= 0``, and the last row bounds
-    ``sum_j |y_j|_1`` by one.
+        monkeypatch.setattr(postproc, "linprog", counting)
+        find_post_processing(Q, P)
+        assert len(calls) == lps
+
+
+def loop_least_blur_dual(a, K):
+    """Reference least-blur dual LP, entry by entry: ``(cost, A_eq, A_ub, bounds)``.
+
+    The variables are ``mu_j`` (N per output j, output-major), then
+    ``beta``, then ``nu`` (k).  Row ``j * k + c`` of ``A_eq`` is
+    ``K[:, c] . mu_j - nu_c = 0``; the one row of ``A_ub`` is
+    ``sum_j a_j . mu_j - beta <= -1``.
     """
-    n_dim, n_in = V.shape
-    n_out = W.shape[1]
-    n_y = n_out * n_dim
-    cost, bounds = np.ones(2 * n_y + n_in), np.zeros((2 * n_y + n_in, 2))
-    block, b = np.zeros((n_out * n_in + 1, 2 * n_y + n_in)), np.zeros(n_out * n_in + 1)
-    for j in range(n_out):
-        for a in range(n_dim):
-            cost[j * n_dim + a], cost[n_y + j * n_dim + a] = -W[a, j], W[a, j]
-            for i in range(n_in):
-                block[j * n_in + i, j * n_dim + a] = V[a, i]
-                block[j * n_in + i, n_y + j * n_dim + a] = -V[a, i]
-        for i in range(n_in):
-            block[j * n_in + i, 2 * n_y + i] = -1.0
-    block[-1, :2 * n_y], b[-1] = 1.0, 1.0
-    bounds[:, 1] = np.inf
-    bounds[2 * n_y:, 0] = -np.inf
-    return cost, block, b, bounds
-
-
-def loop_reduced_constraints(K, n_out):
-    """Reference, entry by entry: the ``-K`` blocks of ``m0_j + K z_j >= 0``, the ``sum_j z_j`` rows."""
-    n_in, k = K.shape
-    block = np.zeros((n_out * n_in, n_out * k))
-    sums = np.zeros((k, n_out * k))
+    n_out, n_in = a.shape
+    k = K.shape[1]
+    n = n_out * n_in
+    cost, bounds = np.zeros(n + 1 + k), np.zeros((n + 1 + k, 2))
+    A_eq, A_ub = np.zeros((n_out * k, n + 1 + k)), np.zeros((1, n + 1 + k))
     for j in range(n_out):
         for i in range(n_in):
+            cost[j * n_in + i] = 1.0 / n_out
+            A_ub[0, j * n_in + i] = a[j, i]
             for c in range(k):
-                block[j * n_in + i, j * k + c] = -K[i, c]
+                A_eq[j * k + c, j * n_in + i] = K[i, c]
         for c in range(k):
-            sums[c, j * k + c] = 1.0
-    return block, sums
+            A_eq[j * k + c, n + 1 + c] = -1.0
+    cost[n], A_ub[0, n] = 1.0, -1.0
+    bounds[:, 1] = np.inf
+    bounds[n + 1:, 0] = -np.inf
+    return cost, A_eq, A_ub, bounds
 
 
 class TestMarkovLpConstraints:
-    """Each LP hands HiGHS exactly the constraints of the loop-built reference."""
+    """The one LP hands HiGHS exactly the constraints of the loop-built reference."""
 
     @staticmethod
     def _captured(monkeypatch, call):
@@ -258,60 +265,44 @@ class TestMarkovLpConstraints:
         original = postproc.linprog
 
         def capturing(cost, **kwargs):
-            constraints.append({k: v.toarray() if hasattr(v, "toarray") else v
-                                for k, v in kwargs.items()})
-            constraints[-1]["cost"] = cost
+            constraints.append(dict(kwargs, cost=cost))
             return original(cost, **kwargs)
 
         monkeypatch.setattr(postproc, "linprog", capturing)
         call()
         return constraints
 
+    @staticmethod
+    def _assert_least_blur_dual(got, P, Q):
+        K = P.null_basis
+        e = coords(np.eye(P.dim)) / len(Q)
+        a = (np.linalg.pinv(P.design_matrix) @ (Q.design_matrix - e[:, None])).T
+        cost, A_eq, A_ub, bounds = loop_least_blur_dual(a, K)
+        n = a.size
+        assert np.array_equal(got["cost"], cost) and np.array_equal(got["A_eq"], A_eq)
+        assert np.array_equal(got["bounds"], bounds)
+        assert np.array_equal(got["A_ub"][:, n:], A_ub[:, n:])
+        assert_allclose(got["A_ub"][:, :n], A_ub[:, :n], rtol=0.0, atol=1e-12)
+        assert np.array_equal(got["b_ub"], [-1.0]) and not np.any(got["b_eq"])
+        assert len(got["b_eq"]) == len(A_eq)
+
     def test_post_processing(self, monkeypatch):
         # six qubit outcomes span the four HS directions, leaving a null space of two
         P = random_povm(2, 6, np.random.default_rng(8))
         Q = apply_post_processing(P, random_markov(3, 6, np.random.default_rng(3)))
         (got,) = self._captured(monkeypatch, lambda: find_post_processing(Q, P))
-        K = P.null_basis
-        assert K.shape == (6, 2)
-        block, sums = loop_reduced_constraints(K, len(Q))
-        m0 = (np.linalg.pinv(P.design_matrix) @ Q.design_matrix).T
-        assert np.array_equal(got["A_ub"], block) and np.array_equal(got["A_eq"], sums)
-        assert_allclose(got["b_ub"], m0.ravel(), rtol=0.0, atol=1e-12)
-        assert_allclose(got["b_eq"], K.T @ (1.0 - m0.sum(axis=0)), rtol=0.0, atol=1e-12)
-        assert got["bounds"] == (None, None) and not np.any(got["cost"])
-
-    def test_infeasible_target_runs_the_full_minimax_lp(self, monkeypatch):
-        # the SIC elements are independent, so only the witness LP, the dual of
-        # the minimax LP over all of m, runs
-        P, Q = sic_povm(), projective_povm("z")
-        (got,) = self._captured(monkeypatch, lambda: find_post_processing(Q, P))
-        cost, block, b_ub, bounds = loop_witness_lp(P.design_matrix, Q.design_matrix)
-        assert set(got) == {"cost", "A_ub", "b_ub", "bounds"}
-        assert np.array_equal(got["A_ub"], block) and np.array_equal(got["b_ub"], b_ub)
-        assert np.array_equal(got["cost"], cost) and np.array_equal(got["bounds"], bounds)
+        assert P.null_basis.shape == (6, 2)
+        self._assert_least_blur_dual(got, P, Q)
 
     def test_joint_measurement(self, monkeypatch):
-        # the four planar outcomes leave a null space of one, so each least
-        # blur is the feasibility block of the uniform map plus a column for lam
+        # the four planar outcomes leave a null space of one, so the least blur
+        # of sigma_+ runs one LP
         theta = 0.6
         P = optimal_four_outcome(theta)
         X = Observable(sigma_pm(theta)[0])
         (got,) = self._captured(monkeypatch, lambda: find_joint_measurement(P, [X]))
-        K = P.null_basis
-        n_out, k = X.spectrum_size, K.shape[1]
-        assert K.shape == (4, 1)
-        block, sums = loop_reduced_constraints(K, n_out)
-        e = coords(np.eye(2)) / n_out
-        a = (np.linalg.pinv(P.design_matrix) @ (coords(X.projectors).T - e[:, None])).T
-        assert np.array_equal(got["A_ub"][:, :-1], block)
-        assert_allclose(got["A_ub"][:, -1], -a.ravel(), rtol=0.0, atol=1e-12)
-        assert np.array_equal(got["b_ub"], np.full(n_out * len(P), 1.0 / n_out))
-        assert np.array_equal(got["A_eq"][:, :-1], sums)
-        assert_allclose(got["A_eq"][:, -1], 0.0, rtol=0.0, atol=1e-12)
-        assert_allclose(got["b_eq"], 0.0, rtol=0.0, atol=1e-15)
-        assert np.array_equal(got["cost"], np.append(np.zeros(n_out * k), -1.0))
-        assert got["bounds"] == [(None, None)] * (n_out * k) + [(0.0, 1.0)]
+        assert P.null_basis.shape == (4, 1)
+        self._assert_least_blur_dual(got, P, spectral_povm(X))
 
 
 class TestIsClean:
@@ -329,50 +320,6 @@ class TestIsClean:
             sic_povm(), projective_povm("z"), six_state_ensemble()
         )
         assert not is_clean(blur.blurred)
-
-
-class TestSmearOut:
-    def test_single_negative_entry_example(self):
-        Q = projective_povm("z")
-        c = np.array([[1.2, -0.2], [0.3, 0.7]])
-        smeared, markov = smear_out(Q, c)
-        # alpha = (0, 0.2) so every element is rescaled by 1.2
-        assert_allclose(smeared.elements[0], Q.elements[0] / 1.2, atol=1e-14)
-        assert_allclose(smeared.elements[1], (Q.elements[1] + 0.2 * I2) / 1.2, atol=1e-14)
-        assert_allclose(markov.m, [[1.0, 0.25], [0.0, 0.75]], atol=1e-14)
-
-    def test_smeared_target_is_post_processing(self):
-        # exact coefficients of the z-projectors over the SIC elements
-        P = sic_povm()
-        Q = projective_povm("z")
-        c = np.array([[2.0, -1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-        for j in range(2):
-            assert_allclose(
-                np.tensordot(c[:, j], P.elements, axes=(0, 0)), Q.elements[j], atol=1e-12
-            )
-        smeared, markov = smear_out(Q, c)
-        assert_allclose(markov.m, [[1, 0, 0, 0], [0, 1, 1, 1]], atol=1e-14)
-        realized = apply_post_processing(P, markov)
-        for a, b in zip(realized.elements, smeared.elements):
-            assert_allclose(a, b, atol=1e-12)
-        # the smeared "+1" element collapses onto the apex SIC element
-        assert_allclose(smeared.elements[0], P.elements[0], atol=1e-14)
-
-    def test_nonnegative_coefficients_unchanged(self):
-        Q = projective_povm("x")
-        c = np.array([[0.7, 0.3], [0.2, 0.8]])
-        smeared, markov = smear_out(Q, c)
-        for a, b in zip(smeared.elements, Q.elements):
-            assert_allclose(a, b, atol=1e-14)
-        assert_allclose(markov.m, c.T, atol=1e-14)
-
-    def test_row_sum_violation_rejected(self):
-        with pytest.raises(ValueError, match="row 0"):
-            smear_out(projective_povm("z"), np.array([[0.5, 0.2], [0.3, 0.7]]))
-
-    def test_wrong_column_count_rejected(self):
-        with pytest.raises(ValueError, match="one column per target outcome"):
-            smear_out(projective_povm("z"), np.array([[0.5, 0.3, 0.2]]))
 
 
 class TestMinimalBlur:

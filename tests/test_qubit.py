@@ -18,7 +18,6 @@ from povmlab.qubit import (
     optimal_four_outcome,
     optimal_three_outcome,
     sigma_pm,
-    symmetrize_delta,
 )
 from povmlab.standard import sic_povm, six_state_ensemble, trine_povm
 
@@ -178,12 +177,14 @@ class TestOptimalFamilies:
 
 class TestSymmetrization:
     def test_kills_delta_and_keeps_B(self):
+        # the halved union with the complex-conjugate POVM flips gamma and
+        # keeps alpha, beta and delta, so Delta vanishes and B, Gamma stay
         rng = np.random.default_rng(7)
         E = six_state_ensemble()
         for _ in range(5):
             P = random_planar_rank_one_povm(4, rng)
             s0 = noise_quantities(P, E, np.pi / 4)
-            sym = symmetrize_delta(P)
+            sym = Povm(0.5 * np.concatenate([P.elements, P.elements.conj()]))
             s1 = noise_quantities(sym, E, np.pi / 4)
             assert s1.Delta == pytest.approx(0.0, abs=1e-12)
             assert s1.B == pytest.approx(s0.B, abs=1e-12)
