@@ -1,21 +1,27 @@
 """Seeded Born-rule outcome sampling and empirical error estimates.
 
 Sampling uses the counter-based Philox generator keyed directly by the
-seed.  Draw number k consumes exactly the k-th 64-bit word of that
-stream, so any index range ``[start, stop)`` can be sampled on its own by
-advancing the counter to ``start``; merging counts over a disjoint cover
-of ``[0, n)`` reproduces the single-pass result bit for bit, which makes
-parallel chunked sampling safe and the output independent of chunking.
+seed.  Draw k reads the k-th 64-bit word w of that stream and takes the
+uniform ``u = (w >> 11) * 2**-53``, the double numpy's ``random()``
+gives for the same word.  Any index range ``[start, stop)`` can be
+sampled on its own by advancing the counter to ``start``, so counts
+merged over a disjoint cover of ``[0, n)`` equal the single-pass counts
+bit for bit, whatever the chunking.
 
-Each draw's outcome is the plain inverse-CDF lookup of its uniform; a
+Each draw's outcome is the plain inverse-CDF lookup of its uniform.  A
 cell table over [0, 1) finds it without a binary search for almost every
-draw.  A range is read in fixed private blocks of uniforms, so memory is
-bounded whatever its length.
+draw; a draw's cell is a shift of its word.  A range is read in fixed
+blocks of words, so memory is bounded whatever its length.  Its whole
+blocks are cut into ``min(CPUs in the process's affinity set, blocks)``
+contiguous runs, counted in parallel threads; integer totals do not
+depend on the cut, so neither do the counts.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -41,14 +47,15 @@ class SampleRun:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or np.any(counts < 0):
+        n_ex = operator.index(self.n_ex)
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or counts.dtype.kind not in "iu" or np.any(counts < 0):
             raise ValueError("counts must be a nonnegative integer vector")
-        if int(counts.sum()) != self.n_ex:
-            raise ValueError(
-                f"counts sum to {int(counts.sum())}, expected n_ex = {self.n_ex}"
-            )
+        counts = counts.astype(np.int64)
+        if int(counts.sum()) != n_ex:
+            raise ValueError(f"counts sum to {int(counts.sum())}, expected n_ex = {n_ex}")
         counts.setflags(write=False)
+        object.__setattr__(self, "n_ex", n_ex)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -86,48 +93,91 @@ def outcome_distribution(P: Povm, rho) -> np.ndarray:
     return probs
 
 
-# Draws are read in blocks of this many uniforms, so the buffers stay in
+# Draws are read in blocks of this many words, so the buffers stay in
 # cache and memory does not grow with the range.
 _BLOCK = 1 << 16
 # Largest cell table, in bits; the table grows with the range up to this.
 _MAX_CELL_BITS = 16
 
 
-def _stream_at(seed: int, start: int) -> np.random.Generator:
-    """Generator positioned at draw ``start`` of the seed's uniform stream.
+def _check_seed(seed) -> int:
+    """The seed as a Philox key: an integer in [0, 2**128)."""
+    message = f"seed must be an integer in [0, 2**128), got {seed!r}"
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(message) from None
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(message)
+    return seed
 
-    One double consumes one 64-bit word, and ``Philox.advance`` counts in
-    blocks of four words, so jump to the enclosing block and discard the
-    in-block remainder.  Successive ``random`` calls continue the stream.
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_run(seed: int, lo: int, hi: int, shift: int, edges: np.ndarray,
+               split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell counts and searched outcome counts of draws ``[lo, hi)``.
+
+    ``Philox.advance`` counts in blocks of four words, so jump to the
+    enclosing block and discard the in-block remainder.
     """
     bg = np.random.Philox(key=seed)
-    bg.advance(start // 4)
-    gen = np.random.Generator(bg)
-    gen.random(start % 4)
-    return gen
+    bg.advance(lo // 4)
+    bg.random_raw(lo % 4)
+    per_cell = np.zeros(len(split), dtype=np.int64)
+    counts = np.zeros(len(edges), dtype=np.int64)
+    for a in range(lo, hi, _BLOCK):
+        k = bg.random_raw(min(_BLOCK, hi - a))
+        k >>= 11  # the draw's uniform is k * 2**-53
+        # floor(u * cells) is k's top bits; ``shift`` is at least 37, which
+        # matters because numpy shifts a uint64 by 64 as by 0
+        cell = (k >> shift).view(np.intp)
+        per_cell += np.bincount(cell, minlength=len(split))
+        u = k[split[cell]] * 2.0 ** -53
+        counts += np.bincount(np.searchsorted(edges, u, side="right"), minlength=len(edges))
+    return per_cell, counts
 
 
 def sample_range(P: Povm, rho, start: int, stop: int, seed: int) -> np.ndarray:
     """Counts from draws ``[start, stop)`` of the seeded outcome stream.
 
-    Draw k with uniform u has outcome ``searchsorted(edges, u, "right")``
-    over the cumulative distribution ``edges``.  A guide table (Chen and
-    Asau, 1974) gives every draw that outcome with little searching:
-    [0, 1) is cut into ``cells`` equal cells, a power of two so that
-    ``u * cells`` and ``edges * cells`` are exact.  A draw in a cell with
-    no edge strictly inside has the outcome of the cell's left end, so
-    only the draws in the at most N - 1 split cells are searched.
-    ``start`` and ``stop`` may be any integers, numpy's included; a float
-    raises ``TypeError``.
+    Draw k reads word w of the seed's Philox stream and has uniform
+    ``u = (w >> 11) * 2**-53`` and outcome ``searchsorted(edges, u,
+    "right")`` over the cumulative distribution ``edges``.  A guide table
+    (Chen and Asau, 1974) gives every draw that outcome with little
+    searching: [0, 1) is cut into ``cells = 2**bits`` equal cells, so a
+    draw's cell ``floor(u * cells)`` is exactly ``(w >> 11) >> (53 -
+    bits)`` and ``edges * cells`` is exact.  A draw in a cell with no
+    edge strictly inside has the outcome of the cell's left end, so only
+    the draws in the at most N - 1 split cells are searched.
+
+    The range is read in blocks of ``_BLOCK`` words, and the blocks are
+    cut into ``min(CPUs in the process's affinity set, blocks)``
+    contiguous runs of whole blocks.  The caller's thread counts the
+    first run and one thread each counts the others; a one-block range
+    starts no thread.  Integer totals do not depend on the cut, so the
+    counts do not depend on the number of CPUs, and an exception in any
+    run is raised here once every thread has finished.
+
+    ``start``, ``stop`` and ``seed`` may be any integers, numpy's
+    included; a float raises ``TypeError``.  The seed must lie in
+    [0, 2**128).
     """
     start, stop = operator.index(start), operator.index(stop)
+    seed = _check_seed(seed)
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
     probs = outcome_distribution(P, rho)
     edges = np.cumsum(probs)
     edges[-1] = 1.0  # guard against rounding so every uniform lands in range
     # a 10-draw range should not pay for a 2^16-cell table
-    cells = 1 << min(_MAX_CELL_BITS, ((stop - start) // 16).bit_length())
+    bits = min(_MAX_CELL_BITS, ((stop - start) // 16).bit_length())
+    cells = 1 << bits
     # first[k] counts the edges e <= k/cells, i.e. ceil(e * cells) <= k: the
     # outcome searchsorted gives at the cell's left end.  below[k] counts the
     # edges e < (k+1)/cells, i.e. floor(e * cells) <= k, so the two differ
@@ -137,19 +187,32 @@ def sample_range(P: Povm, rho, start: int, stop: int, seed: int) -> np.ndarray:
     below = np.cumsum(np.bincount(np.floor(scaled).astype(np.intp), minlength=cells))[:cells]
     split = first != below
 
-    per_cell = np.zeros(cells, dtype=np.int64)
-    counts = np.zeros(len(edges), dtype=np.int64)
-    u = np.empty(min(_BLOCK, stop - start))
-    cell = np.empty(len(u), dtype=np.intp)
-    gen = _stream_at(seed, start)
-    for lo in range(start, stop, _BLOCK):
-        m = min(_BLOCK, stop - lo)
-        draws, index = u[:m], cell[:m]
-        gen.random(out=draws)
-        np.multiply(draws, cells, out=index, casting="unsafe")
-        per_cell += np.bincount(index, minlength=cells)
-        searched = np.searchsorted(edges, draws[split[index]], side="right")
-        counts += np.bincount(searched, minlength=len(edges))
+    blocks = -(-(stop - start) // _BLOCK)
+    workers = max(1, min(_cpu_count(), blocks))
+    cuts = [min(start + blocks * i // workers * _BLOCK, stop) for i in range(workers + 1)]
+    runs = list(zip(cuts, cuts[1:]))
+    results: list = [None] * workers
+
+    def count(i: int) -> None:
+        try:
+            results[i] = _count_run(seed, *runs[i], 53 - bits, edges, split)
+        except BaseException as exc:  # re-raised by the caller after the joins
+            results[i] = exc
+
+    threads = [threading.Thread(target=count, args=(i,)) for i in range(1, workers)]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        count(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    per_cell, counts = map(sum, zip(*results))
     whole = ~split
     np.add.at(counts, first[whole], per_cell[whole])
     return counts
@@ -163,6 +226,7 @@ def sample(P: Povm, rho, n_ex: int, seed: int, *, chunk_size: int | None = None)
     and the counts do not depend on it.
     """
     n_ex = operator.index(n_ex)
+    seed = _check_seed(seed)
     if n_ex < 1:
         raise ValueError("n_ex must be at least 1")
     chunk_size = n_ex if chunk_size is None else operator.index(chunk_size)

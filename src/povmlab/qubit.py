@@ -250,10 +250,3 @@ def optimal_four_outcome(theta: float, tol: Tolerances = DEFAULT_TOL) -> Povm:
         ]
     )
     return bloch_povm(coeffs, tol)
-
-
-def optimal_B(theta: float) -> float:
-    """Arg-min of the rank-one total error over B: ``2 cos t / (cos t + sin t)``."""
-    if not (0.0 <= theta <= np.pi / 2.0):
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
-    return 2.0 * np.cos(theta) / (np.cos(theta) + np.sin(theta))

@@ -13,6 +13,11 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def optimal_B(theta):
+    """Arg-min of the rank-one total error over B: ``2 cos t / (cos t + sin t)``."""
+    return 2.0 * np.cos(theta) / (np.cos(theta) + np.sin(theta))
+
+
 def random_hermitian(d, rng, scale=1.0):
     G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * 0.5 * (G + G.conj().T)

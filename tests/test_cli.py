@@ -11,10 +11,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import povmlab
-from helpers import SZ, bloch_state, random_povm
+from helpers import SZ, bloch_state, optimal_B, random_povm
 from povmlab.cli import main
 from povmlab.postproc import t1_identify
-from povmlab.qubit import DegeneratePovmWarning, optimal_B
+from povmlab.qubit import DegeneratePovmWarning
 from povmlab.serialize import (
     observable_to_json,
     operator_from_json,
@@ -548,6 +548,34 @@ class TestSimulate:
         )
         assert code == 2 and not out
         assert "bad_state.json" in err and err.count("\n") == 1
+
+    def test_negative_seed_flag_is_one_line(self, capsys, sic_file, state_file, sz_file):
+        code, out, err = run(
+            capsys,
+            ["simulate", "--povm", sic_file, "--state", state_file, "--x", sz_file,
+             "--n", "10", "--seed", "-1"],
+        )
+        assert code == 2 and not out
+        assert err == "povmlab: seed must be an integer in [0, 2**128), got -1\n"
+
+    def test_negative_environment_seed_is_one_line(self, capsys, sic_file, state_file,
+                                                   sz_file, monkeypatch):
+        monkeypatch.setenv("POVMLAB_SEED", "-5")
+        code, out, err = run(
+            capsys,
+            ["simulate", "--povm", sic_file, "--state", state_file, "--x", sz_file,
+             "--n", "10"],
+        )
+        assert code == 2 and not out
+        assert err == "povmlab: seed must be an integer in [0, 2**128), got -5\n"
+
+    def test_seed_zero_runs(self, capsys, sic_file, state_file, sz_file):
+        code, payload = run_json(
+            capsys,
+            ["simulate", "--povm", sic_file, "--state", state_file, "--x", sz_file,
+             "--n", "10", "--seed", "0"],
+        )
+        assert code == 0 and sum(payload["counts"]) == 10
 
     def test_deterministic_bytes(self, sic_file, state_file, sz_file, tmp_path):
         argv = ["simulate", "--povm", sic_file, "--state", state_file,

@@ -1,10 +1,14 @@
 """Tests for seeded Born-rule sampling and empirical error estimates."""
 
+import re
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helpers import SZ, bloch_state, random_povm, random_state
+from povmlab import montecarlo
 from povmlab.montecarlo import (
     GENERATOR_NAME,
     ClampedProbabilityWarning,
@@ -98,6 +102,16 @@ class TestSampleRun:
         with pytest.raises(ValueError):
             run.counts[0] = 5
 
+    def test_non_integral_counts_rejected(self):
+        with pytest.raises(ValueError, match="integer vector"):
+            SampleRun(seed=0, n_ex=3, counts=[1.5, 2.7])
+
+    def test_n_ex_is_an_integer(self):
+        run = SampleRun(seed=0, n_ex=np.int64(3), counts=[1, 2])
+        assert type(run.n_ex) is int
+        with pytest.raises(TypeError):
+            SampleRun(seed=0, n_ex=3.0, counts=[1, 2])
+
 
 class TestSampling:
     def test_generator_name(self):
@@ -182,6 +196,80 @@ class TestSampling:
             sample(P, rho, 1000.0, seed=5)
         with pytest.raises(TypeError):
             sample(P, rho, 1000, seed=5, chunk_size=7.0)
+
+
+SEED_MESSAGE = r"^seed must be an integer in \[0, 2\*\*128\), got "
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed,error", [(1.5, TypeError), ("3", TypeError),
+                                            (-1, ValueError), (2 ** 128, ValueError)])
+    def test_bad_seed_rejected(self, seed, error):
+        with pytest.raises(error, match=SEED_MESSAGE + re.escape(repr(seed)) + "$"):
+            sample(sic_povm(), I2 / 2.0, 10, seed)
+        with pytest.raises(error, match=SEED_MESSAGE):
+            sample_range(sic_povm(), I2 / 2.0, 0, 10, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(2 ** 64 - 1)])
+    def test_seed_range_ends_accepted(self, seed):
+        run = sample(sic_povm(), I2 / 2.0, 10, seed)
+        assert type(run.seed) is int and run.seed == int(seed)
+
+    def test_bad_seed_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo.threading, "Thread", None)
+        with pytest.raises(ValueError, match=SEED_MESSAGE):
+            sample_range(sic_povm(), I2 / 2.0, 0, 5 * montecarlo._BLOCK, -3)
+
+
+class TestWorkers:
+    """A range's whole blocks are cut into one run per CPU, each run in a thread."""
+
+    @staticmethod
+    def count_threads(monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(montecarlo.threading, "Thread", Counted)
+        return started
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 6])
+    def test_one_thread_per_run_but_the_first(self, monkeypatch, cpus, blocks):
+        started = self.count_threads(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        stop = 3 + (blocks - 1) * montecarlo._BLOCK + 10
+        counts = sample_range(sic_povm(), I2 / 2.0, 3, stop, 8)
+        assert counts.sum() == stop - 3
+        assert len(started) == min(cpus, blocks) - 1
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        started = self.count_threads(monkeypatch)
+        run = sample(sic_povm(), bloch_state([0.1, 0.2, 0.3]), montecarlo._BLOCK, 4)
+        assert run.counts.sum() == montecarlo._BLOCK
+        assert started == []
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "second", "last"])
+    def test_a_run_error_reaches_the_caller(self, monkeypatch, failing):
+        baseline = threading.active_count()
+        original = montecarlo._count_run
+        start, blocks = 5, 3
+        failing_lo = start + failing * montecarlo._BLOCK
+
+        def count_run(seed, lo, hi, *rest):
+            if lo == failing_lo:
+                raise RuntimeError(f"run at {lo} failed")
+            return original(seed, lo, hi, *rest)
+
+        monkeypatch.setattr(montecarlo, "_count_run", count_run)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: blocks)
+        with pytest.raises(RuntimeError, match=f"run at {failing_lo} failed"):
+            sample_range(sic_povm(), I2 / 2.0, start, start + blocks * montecarlo._BLOCK, 1)
+        assert threading.active_count() == baseline
 
 
 def test_counts_are_pinned():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from povmlab import postproc
+from povmlab import montecarlo, postproc
 from povmlab.abspace import (
     ab_space,
     independent_powers,
@@ -229,6 +229,40 @@ def sampling_cases(draw):
 def test_sample_range_matches_the_plain_lookup(case):
     (P, rho), start, stop, seed = case
     counts = sample_range(P, rho, start, stop, seed)
+    assert np.array_equal(counts, plain_lookup_counts(P, rho, start, stop, seed))
+
+
+BLOCK = montecarlo._BLOCK
+
+
+@st.composite
+def worker_cases(draw):
+    """A range of 0-6 sampler blocks from any start, a 64-bit seed and a worker count.
+
+    All but the outcome count come from the drawn generator, so block
+    counts, worker counts and seeds spread evenly over the examples.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.random(draw(st.integers(1, 40)))
+    blocks = int(rng.integers(0, 7))
+    start = int(rng.integers(0, 2 * BLOCK))
+    stop = start + (int(rng.integers((blocks - 1) * BLOCK, blocks * BLOCK)) + 1 if blocks else 0)
+    seed = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+    return diagonal_case(p / p.sum()), start, stop, seed, int(rng.choice([1, 2, 3, 5]))
+
+
+# four blocks from an unaligned start: three block boundaries, one per worker count
+@PROPERTY_SETTINGS
+@given(worker_cases())
+@example((diagonal_case([0.25, 0.5, 0.25]), 6, 6 + 3 * BLOCK + 1, 2 ** 64 - 1, 1))
+@example((diagonal_case([0.25, 0.5, 0.25]), 6, 6 + 3 * BLOCK + 1, 2 ** 64 - 1, 2))
+@example((diagonal_case([0.25, 0.5, 0.25]), 6, 6 + 3 * BLOCK + 1, 2 ** 64 - 1, 3))
+@example((diagonal_case([0.25, 0.5, 0.25]), 6, 6 + 3 * BLOCK + 1, 2 ** 64 - 1, 5))
+def test_counts_do_not_depend_on_the_worker_count(case):
+    (P, rho), start, stop, seed, workers = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_cpu_count", lambda: workers)
+        counts = sample_range(P, rho, start, stop, seed)
     assert np.array_equal(counts, plain_lookup_counts(P, rho, start, stop, seed))
 
 

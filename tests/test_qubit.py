@@ -14,14 +14,13 @@ from povmlab.qubit import (
     bloch_povm,
     error_bound,
     noise_quantities,
-    optimal_B,
     optimal_four_outcome,
     optimal_three_outcome,
     sigma_pm,
 )
 from povmlab.standard import sic_povm, six_state_ensemble, trine_povm
 
-from helpers import SX, SY, SZ, random_planar_rank_one_povm
+from helpers import SX, SY, SZ, optimal_B, random_planar_rank_one_povm
 
 THETAS = [np.pi / 8, np.pi / 4, 3 * np.pi / 8]
 
