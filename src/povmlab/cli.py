@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .abspace import ab_space, is_ab_infocomplete, is_minimal_ab_infocomplete
 from .hs import DEFAULT_TOL, Tolerances, as_operator
-from .montecarlo import empirical_estimate, sample
+from .montecarlo import _check_seed, empirical_estimate, sample
 from .postproc import blur_for_post_processing, find_joint_measurement, find_post_processing
 from .povm import (
     Observable,
@@ -141,7 +141,7 @@ def _resolve_options(args) -> tuple[Tolerances, int]:
             ) from None
     else:
         seed = 0
-    return tol, seed
+    return tol, _check_seed(seed)
 
 
 def _meta(tol: Tolerances, seed: int) -> dict:

@@ -6,7 +6,8 @@ uniform ``u = (w >> 11) * 2**-53``, the double numpy's ``random()``
 gives for the same word.  Any index range ``[start, stop)`` can be
 sampled on its own by advancing the counter to ``start``, so counts
 merged over a disjoint cover of ``[0, n)`` equal the single-pass counts
-bit for bit, whatever the chunking.
+bit for bit, whatever the cover.  ``sample`` is that single pass: one
+distribution, one table and one cut of ``[0, n)`` across the CPUs.
 
 Each draw's outcome is the plain inverse-CDF lookup of its uniform.  A
 cell table over [0, 1) finds it without a binary search for almost every
@@ -221,21 +222,18 @@ def sample_range(P: Povm, rho, start: int, stop: int, seed: int) -> np.ndarray:
 def sample(P: Povm, rho, n_ex: int, seed: int, *, chunk_size: int | None = None) -> SampleRun:
     """``n_ex`` i.i.d. Born-rule draws; deterministic given the seed.
 
-    ``chunk_size`` only splits ``[0, n_ex)`` into :func:`sample_range`
-    calls; memory is bounded by that function's internal block either way,
-    and the counts do not depend on it.
+    All of ``[0, n_ex)`` is one :func:`sample_range` call: one outcome
+    distribution, one guide table and one CPU-wide pass.  ``chunk_size``
+    is checked (an integer of at least 1) but splits nothing: the counts
+    never depended on it, and the work does not either.
     """
     n_ex = operator.index(n_ex)
     seed = _check_seed(seed)
     if n_ex < 1:
         raise ValueError("n_ex must be at least 1")
-    chunk_size = n_ex if chunk_size is None else operator.index(chunk_size)
-    if chunk_size < 1:
+    if chunk_size is not None and operator.index(chunk_size) < 1:
         raise ValueError("chunk_size must be at least 1")
-    counts = np.zeros(len(P), dtype=np.int64)
-    for start in range(0, n_ex, chunk_size):
-        counts += sample_range(P, rho, start, min(start + chunk_size, n_ex), seed)
-    return SampleRun(seed=seed, n_ex=n_ex, counts=counts)
+    return SampleRun(seed=seed, n_ex=n_ex, counts=sample_range(P, rho, 0, n_ex, seed))
 
 
 def empirical_estimate(run: SampleRun, c: ProcessingFunction,

@@ -172,6 +172,54 @@ class TestSeedResolution:
         assert err.startswith("povmlab: ") and "povmlab.cfg" in err and err.count("\n") == 1
 
 
+class TestEveryVerbChecksTheSeed:
+    """Every verb checks the seed with the sampler's rule, wherever it came from."""
+
+    @staticmethod
+    def argv(verb, sic_file, sz_file):
+        return {
+            "validate": ["validate", sic_file],
+            "min-error": ["min-error", "--povm", sic_file, "--x", sz_file],
+            "qubit optimal": ["qubit", "optimal", "--theta", "0.5", "--family", "4"],
+        }[verb]
+
+    @staticmethod
+    def with_seed(argv, source, seed, tmp_path, monkeypatch):
+        monkeypatch.delenv("POVMLAB_SEED", raising=False)
+        if source == "flag":
+            return argv + ["--seed", str(seed)]
+        if source == "environment":
+            monkeypatch.setenv("POVMLAB_SEED", str(seed))
+            return argv
+        config = tmp_path / "povmlab.cfg"
+        config.write_text(f"seed = {seed}\n")
+        return argv + ["--config", str(config)]
+
+    VERBS = ["validate", "min-error", "qubit optimal"]
+    SOURCES = ["flag", "environment", "config"]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_out_of_range_seed_is_one_line(self, capsys, sic_file, sz_file, tmp_path,
+                                           monkeypatch, verb, source, seed):
+        argv = self.with_seed(self.argv(verb, sic_file, sz_file), source, seed,
+                              tmp_path, monkeypatch)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert err == f"povmlab: seed must be an integer in [0, 2**128), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1])
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_range_ends_are_recorded(self, capsys, sic_file, sz_file, tmp_path,
+                                     monkeypatch, verb, source, seed):
+        argv = self.with_seed(self.argv(verb, sic_file, sz_file), source, seed,
+                              tmp_path, monkeypatch)
+        code, payload = run_json(capsys, argv)
+        assert code == 0 and payload["meta"]["seed"] == seed
+
+
 class TestToleranceFlags:
     def test_flag_applied(self, capsys, sic_file):
         _, payload = run_json(

@@ -140,6 +140,17 @@ class TestSampling:
         chunked = sample(P, rho, 10_001, seed=7, chunk_size=chunk)
         assert np.array_equal(full.counts, chunked.counts)
 
+    @pytest.mark.parametrize("cover,n", [(1, 10_001), (137, 10_001), (4096, 10_001),
+                                         (8192, 10_001), (4096, 3 * montecarlo._BLOCK + 5),
+                                         (8192, 3 * montecarlo._BLOCK + 5)])
+    def test_chunk_covers_sum_to_the_pass(self, cover, n):
+        # sample() is one pass whatever its chunk_size, so cut [0, n) here
+        P = sic_povm()
+        rho = bloch_state([0.0, 0.5, 0.1])
+        pieces = sum(sample_range(P, rho, a, min(a + cover, n), seed=7)
+                     for a in range(0, n, cover))
+        assert np.array_equal(pieces, sample(P, rho, n, seed=7).counts)
+
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_chunk_size_must_be_positive(self, chunk):
         with pytest.raises(ValueError, match="chunk_size must be at least 1"):
@@ -252,6 +263,26 @@ class TestWorkers:
         run = sample(sic_povm(), bloch_state([0.1, 0.2, 0.3]), montecarlo._BLOCK, 4)
         assert run.counts.sum() == montecarlo._BLOCK
         assert started == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("chunk", [7, 4096, 65536, None])
+    def test_chunked_sample_is_one_pass(self, monkeypatch, cpus, chunk):
+        started = self.count_threads(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        calls = []
+        original = montecarlo.outcome_distribution
+
+        def outcome_distribution(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "outcome_distribution", outcome_distribution)
+        blocks = 3
+        n = (blocks - 1) * montecarlo._BLOCK + 5
+        run = sample(sic_povm(), bloch_state([0.1, 0.2, 0.3]), n, 4, chunk_size=chunk)
+        assert run.counts.sum() == n
+        assert len(calls) == 1
+        assert len(started) == min(cpus, blocks) - 1
 
     @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "second", "last"])
     def test_a_run_error_reaches_the_caller(self, monkeypatch, failing):
