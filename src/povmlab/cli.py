@@ -7,7 +7,8 @@ postproc {check, blur, joint}, abspace {build, check},
 qubit {optimal, sweep}, simulate
 
 Exit codes: 0 success, 1 file/parse error, 2 validation failure,
-3 negative verdict (the verdict JSON is still written).
+3 negative verdict (the verdict JSON is still written), 4 solver failure
+(HiGHS stopped short of an optimal solution; nothing is written).
 
 Repeated runs with identical inputs, options, and seed produce
 byte-identical primary output: no timestamps, fixed key order, and a
@@ -27,7 +28,12 @@ from . import __version__
 from .abspace import ab_space, is_ab_infocomplete, is_minimal_ab_infocomplete
 from .hs import DEFAULT_TOL, Tolerances, as_operator
 from .montecarlo import _check_seed, empirical_estimate, sample
-from .postproc import blur_for_post_processing, find_joint_measurement, find_post_processing
+from .postproc import (
+    SolverError,
+    blur_for_post_processing,
+    find_joint_measurement,
+    find_post_processing,
+)
 from .povm import (
     Observable,
     canonical_dual,
@@ -68,6 +74,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_NEGATIVE = 3
+EXIT_SOLVER = 4
 
 _TOL_FIELDS = ("eig_zero", "psd_slack", "lin_solve", "cluster")
 
@@ -634,6 +641,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"povmlab: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except SolverError as exc:
+        print(f"povmlab: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     finally:
         warnings.formatwarning = formatwarning
 

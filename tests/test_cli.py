@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import povmlab
 from helpers import SZ, bloch_state, optimal_B, random_povm
+from povmlab import postproc
 from povmlab.cli import main
 from povmlab.postproc import t1_identify
 from povmlab.qubit import DegeneratePovmWarning
@@ -404,6 +406,23 @@ class TestPostproc:
         assert visibilities == pytest.approx([1.0 / (2.0 * np.sqrt(2.0)), 1.0 / 3.0], abs=1e-12)
         assert all(set(c) == {"visibility", "markov"} for c in payload["certificates"])
         assert payload["joint"]["dim"] == 2 and len(payload["joint"]["elements"]) == 4
+
+    @pytest.mark.parametrize("verb", ["check", "joint"])
+    def test_solver_failure_exits_4_with_one_line(self, capsys, monkeypatch, tmp_path,
+                                                  zproj_file, sz_obs_file, verb):
+        # six qubit outcomes leave a null space of two, so each verb solves an LP
+        p = write(tmp_path, "six.json",
+                  povm_to_json(random_povm(2, 6, np.random.default_rng(8))))
+        monkeypatch.setattr(postproc, "linprog",
+                            lambda *args, **kwargs: SimpleNamespace(
+                                success=False, message="Time limit reached"))
+        argv = {"check": ["postproc", "check", "--q", zproj_file, "--p", p],
+                "joint": ["postproc", "joint", "--povm", p, "--x", sz_obs_file]}[verb]
+        code, out, err = run(capsys, argv)
+        assert code == 4
+        assert out == ""
+        assert err == ("povmlab: least-blur LP not solved: "
+                       "HiGHS model status Time limit reached\n")
 
 
 class TestAbspace:

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
 from numpy.testing import assert_allclose
 
 from povmlab import postproc
@@ -37,6 +38,7 @@ from povmlab.standard import (
 )
 
 from helpers import convex_union, ill_conditioned_minimal_povm, random_ensemble, random_povm
+from test_properties import PROPERTY_SETTINGS, lp_cases
 
 I2 = np.eye(2)
 
@@ -303,6 +305,50 @@ class TestMarkovLpConstraints:
         (got,) = self._captured(monkeypatch, lambda: find_joint_measurement(P, [X]))
         assert P.null_basis.shape == (4, 1)
         self._assert_least_blur_dual(got, P, spectral_povm(X))
+
+
+class TestLinprogSeam:
+    """``postproc.linprog`` returns what ``scipy.optimize.linprog`` does, on the fields read."""
+
+    @PROPERTY_SETTINGS
+    @given(lp_cases())
+    def test_least_blur_optimum_matches_scipy(self, case):
+        from scipy.optimize import linprog
+
+        P, Q, observables, _ = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            lps = TestMarkovLpConstraints._captured(
+                monkeypatch, lambda: (find_post_processing(Q, P),
+                                      find_joint_measurement(P, observables)))
+        for lp in lps:
+            ours = postproc.linprog(**lp)
+            lp["c"] = lp.pop("cost")
+            reference = linprog(**lp, method="highs", options=postproc._LP_OPTIONS)
+            assert ours.success and reference.success
+            assert abs(ours.fun - reference.fun) <= 1e-9
+
+    @pytest.mark.parametrize("cost, lp, status", [
+        ([1.0, 1.0], dict(A_eq=[[1.0, 1.0]], b_eq=[-1.0]), "Infeasible"),  # x >= 0 sums to -1
+        ([-1.0, 1.0], dict(A_ub=[[0.0, 1.0]], b_ub=[1.0]), "Unbounded"),  # x_0 grows freely
+    ], ids=["infeasible", "unbounded"])
+    def test_failure_carries_the_model_status(self, cost, lp, status):
+        res = postproc.linprog(cost, **lp)
+        assert not res.success
+        assert res.message == status
+
+    def test_equality_marginals_take_scipys_sign(self):
+        from scipy.optimize import linprog
+
+        # optimum x = (3/4, 0, 1/4) with row duals (1, 3/4); the slack
+        # inequality row comes first, and x_1's reduced cost is 1/4 > 0
+        lp = dict(A_ub=[[1.0, 0.0, 0.0]], b_ub=[5.0],
+                  A_eq=[[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], b_eq=[1.0, 0.5])
+        cost = [1.0, 2.0, 2.5]
+        ours = postproc.linprog(cost, **lp)
+        reference = linprog(cost, **lp, method="highs", options=postproc._LP_OPTIONS)
+        assert_allclose(ours.x, [0.75, 0.0, 0.25], rtol=0.0, atol=1e-12)
+        assert_allclose(ours.eqlin.marginals, [1.0, 0.75], rtol=0.0, atol=1e-12)
+        assert_allclose(ours.eqlin.marginals, reference.eqlin.marginals, rtol=0.0, atol=1e-12)
 
 
 class TestIsClean:
