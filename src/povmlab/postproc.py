@@ -10,12 +10,14 @@ It runs over the null space of P's design matrix: ``lam = 0`` with no LP
 when Q leaves P's span, a ratio test when P's elements are linearly
 independent, and otherwise one LP, solved through its dual by HiGHS's
 dual simplex (Q. Huangfu & J. A. J. Hall, Math. Prog. Comp. 10, 119
-(2018)), called once per LP on scipy's bundled bindings by
-:func:`linprog`, the one seam every LP goes through.  Q is a
-post-processing of P exactly when ``lam = 1`` (:func:`find_post_processing`);
-otherwise the witness, operators ``Y_j`` anyone can check without an LP,
-proves it (the robustness form of the guessing-game witness, P. Skrzypczyk
-& N. Linden, PRL 122, 140403 (2019)).  Joint measurement
+(2018)).  The LP's constraint matrix is built column by column from its
+known structure and handed to scipy's bundled bindings as arrays by
+:func:`linprog`, the one seam every LP goes through, on one solver
+reused per thread.  Q is a post-processing of P exactly when ``lam = 1``
+(:func:`find_post_processing`); otherwise the witness, operators ``Y_j``
+anyone can check without an LP, proves it (the robustness form of the
+guessing-game witness, P. Skrzypczyk & N. Linden, PRL 122, 140403
+(2019)).  Joint measurement
 (:func:`find_joint_measurement`) takes the least blur of each
 observable's spectral POVM; the product of their Markov maps applied to P
 is a joint POVM of the blurred observables, and every visibility is
@@ -32,6 +34,7 @@ noise cost.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +53,7 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+_SOLVER = threading.local()  # one HiGHS instance per thread, made on its first LP
 
 
 class SolverError(RuntimeError):
@@ -60,58 +64,49 @@ class SolverError(RuntimeError):
         super().__init__(f"least-blur LP not solved: HiGHS model status {status}")
 
 
-def linprog(cost, bounds=(0.0, np.inf), *, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """Minimize ``cost @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x == b_eq`` and ``bounds``.
+def linprog(cost, bounds, start, index, value, row_lower, row_upper):
+    """Minimize ``cost @ x`` subject to ``row_lower <= A x <= row_upper`` and ``bounds``.
 
-    ``bounds`` is one ``(lower, upper)`` pair for every variable, or one row
-    per variable; an infinite entry leaves that side free.  The dense
-    constraint rows go to HiGHS column-wise, inequality rows first, and
-    HiGHS runs its dual simplex once at :data:`_LP_OPTIONS` with presolve
-    off.  On the least-blur LP presolve removes no row or column, yet it
-    took about half of HiGHS's own time: over the 96 LPs of the overcomplete
-    inputs of the ``lp`` benchmark at seed 7, HiGHS ran 0.32 s with it and
-    0.18 s without, and the least blurs of the ``lp`` inputs of seeds 1-3
-    come out bit-identical either way.
+    ``A`` comes column-wise: column c holds ``value[start[c]:start[c + 1]]``
+    in rows ``index[start[c]:start[c + 1]]``, ascending.  ``bounds`` is one
+    ``(lower, upper)`` pair for every variable, or one row per variable; an
+    infinite entry leaves that side free.  The arrays go to HiGHS as they
+    are, through the array form of ``passModel``, and HiGHS runs its dual
+    simplex once at :data:`_LP_OPTIONS` with presolve off.  On the
+    least-blur LP presolve removes no row or column, yet it took about half
+    of HiGHS's own time: over the 96 LPs of the overcomplete inputs of the
+    ``lp`` benchmark at seed 7, HiGHS ran 0.32 s with it and 0.18 s
+    without, and the least blurs of the ``lp`` inputs of seeds 1-3 come out
+    bit-identical either way.  Each thread keeps one solver and passes it
+    the options once; ``passModel`` replaces the model and drops the basis,
+    so every LP is solved from scratch.
 
     The result is a ``scipy.optimize.OptimizeResult`` with the fields the
     least blur reads: ``success`` (an optimal solution), ``message``
     (HiGHS's model status), and on success ``fun``, ``x`` and
-    ``eqlin.marginals``, the row duals of the equality rows, with the sign
-    ``scipy.optimize.linprog`` gives them.  scipy is imported here, on the
-    first call, so that only callers that solve an LP pay for loading it.
+    ``marginals``, the row duals, with the sign ``scipy.optimize.linprog``
+    gives them.  scipy is imported here, on the first call, so that only
+    callers that solve an LP pay for loading it.
     """
     from scipy.optimize import OptimizeResult
     from scipy.optimize._highspy import _core as highs
 
-    cost = np.asarray(cost, dtype=float)
-    n = len(cost)
-    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    A = np.vstack([A_ub, A_eq])
-    col, row = np.nonzero(A.T)  # column-major: row indices ascend within each column
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = n, len(A)
-    lp.col_cost_ = cost
-    lp.col_lower_, lp.col_upper_ = np.broadcast_to(np.asarray(bounds, dtype=float), (n, 2)).T
-    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
-    matrix = lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = n, len(A)
-    # the bindings copy a list into HiGHS's vectors about twice as fast as an array
-    matrix.start_ = np.searchsorted(col, np.arange(n + 1)).tolist()
-    matrix.index_ = row.tolist()
-    matrix.value_ = A[row, col].tolist()
-    options = highs.HighsOptions()
-    options.output_flag = False
-    options.presolve = "off"
-    for name, value in _LP_OPTIONS.items():
-        setattr(options, name, value)
-    solver = highs._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
+    solver = getattr(_SOLVER, "highs", None)
+    if solver is None:
+        options = highs.HighsOptions()
+        options.output_flag = False
+        options.presolve = "off"
+        for name, setting in _LP_OPTIONS.items():
+            setattr(options, name, setting)
+        solver = _SOLVER.highs = highs._Highs()
+        solver.passOptions(options)
+    n, m = len(cost), len(row_lower)
+    lower, upper = np.broadcast_to(np.asarray(bounds, dtype=float), (n, 2)).T.copy()
+    passed = solver.passModel(n, m, len(value), highs.MatrixFormat.kColwise,
+                              highs.ObjSense.kMinimize, 0.0, cost, lower, upper, row_lower,
+                              row_upper, start, index, value, np.zeros(n, np.int32))
+    if passed == highs.HighsStatus.kError:  # the solver may still hold parts of the last LP
+        raise ValueError("HiGHS rejected the LP's arrays")
     solver.run()
     status = solver.getModelStatus()
     res = OptimizeResult(success=status == highs.HighsModelStatus.kOptimal,
@@ -120,7 +115,7 @@ def linprog(cost, bounds=(0.0, np.inf), *, A_ub=None, b_ub=None, A_eq=None, b_eq
         solution = solver.getSolution()
         res.fun = solver.getInfo().objective_function_value
         res.x = np.array(solution.col_value)
-        res.eqlin = OptimizeResult(marginals=np.array(solution.row_dual)[len(b_ub):])
+        res.marginals = np.array(solution.row_dual)
     return res
 
 
@@ -416,15 +411,25 @@ def _least_blur(P: Povm, Q: Povm):
     k = K.shape[1]
     if k:
         n = M * N
+        # column mu_ji holds a_ji in row 0 and K[i, :] in rows 1 + jk .. 1 + (j + 1)k,
+        # column beta -1 in row 0, and column nu_c -1 in row 1 + jk + c for every j
+        value = np.empty((M, N, 1 + k))
+        value[..., 0], value[..., 1:] = a, K
+        index = np.zeros((M, N, 1 + k), np.int32)
+        index[..., 1:] = 1 + k * np.arange(M)[:, None, None] + np.arange(k)
+        end = n * (1 + k) + 1
+        row_upper = np.concatenate([[-1.0], np.zeros(M * k)])  # row 0 is the one inequality
         res = linprog(np.concatenate([np.full(n, 1.0 / M), [1.0], np.zeros(k)]),
-                      A_ub=np.concatenate([a.ravel(), [-1.0], np.zeros(k)])[None], b_ub=[-1.0],
-                      A_eq=np.hstack([np.kron(np.eye(M), K.T), np.zeros((M * k, 1)),
-                                      np.tile(-np.eye(k), (M, 1))]),
-                      b_eq=np.zeros(M * k), bounds=_sign_bounds(n + 1, k))
+                      _sign_bounds(n + 1, k),
+                      np.concatenate([np.arange(0, end, 1 + k), np.arange(end, end + M * k + 1, M)],
+                                     dtype=np.int32),
+                      np.concatenate([index.ravel(), [0], index[:, 0, 1:].T.ravel()], dtype=np.int32),
+                      np.concatenate([value.ravel(), np.full(1 + M * k, -1.0)]),
+                      np.where(row_upper < 0.0, -np.inf, 0.0), row_upper)
         if not res.success:  # mu = 0, beta = 1 is feasible and the cost is >= 0, yet HiGHS may stop
             raise SolverError(res.message)
         lam = float(min(max(res.fun, 0.0), 1.0))
-        m = uniform + lam * a - res.eqlin.marginals.reshape(M, k) @ K.T
+        m = uniform + lam * a - res.marginals[1:].reshape(M, k) @ K.T
         mu = res.x[:n].reshape(M, N) - res.x[n + 1:] @ K.T  # mu_j - K nu, in V's row space
     else:
         j, i = np.unravel_index(np.argmin(a), a.shape)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances
-from .postproc import is_clean
 from .povm import Povm
 from .processing import Ensemble
 
@@ -175,16 +174,6 @@ def noise_quantities(P: Povm, ensemble: Ensemble, theta: float) -> NoiseSummary:
     error_plus = (2.0 / Dtm) * (c2 * Gamma + s2 * B + cross * Delta) - m_plus
     error_minus = (2.0 / Dtm) * (c2 * Gamma + s2 * B - cross * Delta) - m_minus
     total = error_plus + error_minus
-
-    # For rank-one planar POVMs with Delta = 0 the total collapses to the
-    # single-parameter form in B; verify the two evaluations coincide.
-    if is_clean(P) and abs(Delta) <= tol.lin_solve:
-        simplified = 4.0 * (c2 / B + (1.0 - c2) / (2.0 - B) - kappa / 2.0)
-        if abs(simplified - total) > 1e-8 * max(1.0, abs(total)):
-            raise RuntimeError(
-                f"internal inconsistency: simplified total error {simplified!r} "
-                f"!= general form {total!r}"
-            )
 
     return NoiseSummary(
         theta=float(theta),

@@ -8,6 +8,7 @@ fixed key order, two-space indent, shortest round-trippable floats.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -51,6 +52,8 @@ def _real_matrix(rows, shape: tuple[int, int], path: str) -> np.ndarray:
         raise SchemaError(path, f"not a numeric matrix ({exc})") from None
     if M.shape != shape:
         raise SchemaError(path, f"expected shape {shape}, got {M.shape}")
+    if bool in map(type, itertools.chain.from_iterable(rows)):  # float(True) is 1.0
+        raise SchemaError(path, "expected numbers, got a boolean")
     return M
 
 

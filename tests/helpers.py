@@ -172,6 +172,43 @@ def full_markov_lp(cost, rows, rhs, column, *, equality, upper=None):
     return linprog(cost, A_ub=per_outcome, b_ub=b, A_eq=stochastic, b_eq=ones, **kwargs)
 
 
+def dense(start, index, value, n_row):
+    """The ``n_row``-row matrix of column-wise arrays, checked: ``index`` ascends in each column."""
+    A = np.zeros((n_row, len(start) - 1))
+    assert start[0] == 0 and start[-1] == len(index) == len(value)
+    for c, (lo, hi) in enumerate(zip(start[:-1], start[1:])):
+        assert np.all(np.diff(index[lo:hi]) > 0)
+        A[index[lo:hi], c] = value[lo:hi]
+    return A
+
+
+def dense_rows(A_ub=(), b_ub=(), A_eq=(), b_eq=()):
+    """``postproc.linprog``'s ``(start, index, value, row_lower, row_upper)`` for dense rows.
+
+    The ``A_ub x <= b_ub`` rows come first, then the ``A_eq x == b_eq`` rows.
+    """
+    A = np.vstack([np.reshape(rows, (len(rhs), -1))
+                   for rows, rhs in ((A_ub, b_ub), (A_eq, b_eq)) if len(rhs)])
+    col, row = np.nonzero(A.T)  # column-major: row indices ascend within each column
+    start = np.searchsorted(col, np.arange(A.shape[1] + 1)).astype(np.int32)
+    lower = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+    return start, row.astype(np.int32), A[row, col], lower, np.concatenate([b_ub, b_eq])
+
+
+def scipy_linprog(cost, bounds, start, index, value, row_lower, row_upper):
+    """``scipy.optimize.linprog`` on ``postproc.linprog``'s arguments, at the library's options.
+
+    Rows with equal bounds are equalities; the others must be ``<=`` rows.
+    """
+    from scipy.optimize import linprog
+
+    A = dense(start, index, value, len(row_lower))
+    eq = row_lower == row_upper
+    assert np.all(row_lower[~eq] == -np.inf)
+    return linprog(cost, A_ub=A[~eq], b_ub=row_upper[~eq], A_eq=A[eq], b_eq=row_upper[eq],
+                   bounds=bounds, method="highs", options=postproc._LP_OPTIONS)
+
+
 def reference_post_processing(Q, P):
     """``(feasible, residual)`` from the minimax LP over all of m.
 

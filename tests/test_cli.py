@@ -473,6 +473,21 @@ class TestQubit:
         assert summary["gap"] == pytest.approx(0.0, abs=1e-9)
         assert summary["total_error"] == pytest.approx(summary["bound"], abs=1e-9)
 
+    @pytest.mark.parametrize("family", ["3", "4"])
+    def test_optimal_near_zero_angle(self, capsys, family):
+        # 1 - cos^2 cancels at this angle; both families still meet the bound exactly
+        code, payload = run_json(
+            capsys, ["qubit", "optimal", "--theta", "1e-8", "--family", family])
+        assert code == 0
+        assert payload["summary"]["total_error"] == pytest.approx(4.0 / 3.0 + 4e-8, abs=1e-15)
+        assert payload["summary"]["gap"] == 0.0
+
+    def test_sweep_near_zero_angle(self, capsys):
+        code, out, err = run(capsys, ["qubit", "sweep", "--thetas", "1e-8:1e-8:1"])
+        assert code == 0 and err == ""
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[4:]]
+        assert len(rows) == 2 and all(row[6] == 0.0 for row in rows)
+
     def test_sweep_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         code, out, err = run(
@@ -676,6 +691,14 @@ class TestInputErrorsNameTheirFile:
         code, out, err = run(capsys, ["validate", str(bad)])
         self.assert_names(code, out, err, str(bad))
         assert "finite" in err
+
+    def test_boolean_entry(self, capsys, sic_file, tmp_path):
+        # JSON true would otherwise be read as 1.0
+        bad = tmp_path / "x.json"
+        bad.write_text('{"dim": 2, "re": [[true, 0], [0, 1]], "im": [[0, 0], [0, 0]]}\n')
+        code, out, err = run(capsys, ["min-error", "--povm", sic_file, "--x", str(bad)])
+        self.assert_names(code, out, err, str(bad))
+        assert err.endswith(": operator.re: expected numbers, got a boolean\n")
 
     def test_povm(self, capsys, sic_file, tmp_path):
         # completes the identity, but element 1 is not positive semidefinite

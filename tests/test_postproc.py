@@ -1,6 +1,10 @@
 """Tests for classical post-processing: Markov maps, cleanness, blurring, least blur."""
 
 import dataclasses
+import inspect
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -37,7 +41,15 @@ from povmlab.standard import (
     trine_povm,
 )
 
-from helpers import convex_union, ill_conditioned_minimal_povm, random_ensemble, random_povm
+from helpers import (
+    convex_union,
+    dense,
+    dense_rows,
+    ill_conditioned_minimal_povm,
+    random_ensemble,
+    random_povm,
+    scipy_linprog,
+)
 from test_properties import PROPERTY_SETTINGS, lp_cases
 
 I2 = np.eye(2)
@@ -266,9 +278,9 @@ class TestMarkovLpConstraints:
         constraints = []
         original = postproc.linprog
 
-        def capturing(cost, **kwargs):
-            constraints.append(dict(kwargs, cost=cost))
-            return original(cost, **kwargs)
+        def capturing(*args, **kwargs):
+            constraints.append(inspect.signature(original).bind(*args, **kwargs).arguments)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(postproc, "linprog", capturing)
         call()
@@ -281,12 +293,15 @@ class TestMarkovLpConstraints:
         a = (np.linalg.pinv(P.design_matrix) @ (Q.design_matrix - e[:, None])).T
         cost, A_eq, A_ub, bounds = loop_least_blur_dual(a, K)
         n = a.size
-        assert np.array_equal(got["cost"], cost) and np.array_equal(got["A_eq"], A_eq)
-        assert np.array_equal(got["bounds"], bounds)
-        assert np.array_equal(got["A_ub"][:, n:], A_ub[:, n:])
-        assert_allclose(got["A_ub"][:, :n], A_ub[:, :n], rtol=0.0, atol=1e-12)
-        assert np.array_equal(got["b_ub"], [-1.0]) and not np.any(got["b_eq"])
-        assert len(got["b_eq"]) == len(A_eq)
+        assert got["start"].dtype == got["index"].dtype == np.int32
+        # the inequality row first, then the equality rows
+        A = dense(got["start"], got["index"], got["value"], len(got["row_lower"]))
+        reference = np.vstack([A_ub, A_eq])
+        assert np.array_equal(got["cost"], cost) and np.array_equal(got["bounds"], bounds)
+        assert np.array_equal(A[1:], reference[1:]) and np.array_equal(A[0, n:], reference[0, n:])
+        assert_allclose(A[0, :n], reference[0, :n], rtol=0.0, atol=1e-12)
+        assert np.array_equal(got["row_lower"], np.concatenate([[-np.inf], np.zeros(len(A_eq))]))
+        assert np.array_equal(got["row_upper"], np.concatenate([[-1.0], np.zeros(len(A_eq))]))
 
     def test_post_processing(self, monkeypatch):
         # six qubit outcomes span the four HS directions, leaving a null space of two
@@ -313,8 +328,6 @@ class TestLinprogSeam:
     @PROPERTY_SETTINGS
     @given(lp_cases())
     def test_least_blur_optimum_matches_scipy(self, case):
-        from scipy.optimize import linprog
-
         P, Q, observables, _ = case
         with pytest.MonkeyPatch.context() as monkeypatch:
             lps = TestMarkovLpConstraints._captured(
@@ -322,8 +335,7 @@ class TestLinprogSeam:
                                       find_joint_measurement(P, observables)))
         for lp in lps:
             ours = postproc.linprog(**lp)
-            lp["c"] = lp.pop("cost")
-            reference = linprog(**lp, method="highs", options=postproc._LP_OPTIONS)
+            reference = scipy_linprog(**lp)
             assert ours.success and reference.success
             assert abs(ours.fun - reference.fun) <= 1e-9
 
@@ -332,7 +344,7 @@ class TestLinprogSeam:
         ([-1.0, 1.0], dict(A_ub=[[0.0, 1.0]], b_ub=[1.0]), "Unbounded"),  # x_0 grows freely
     ], ids=["infeasible", "unbounded"])
     def test_failure_carries_the_model_status(self, cost, lp, status):
-        res = postproc.linprog(cost, **lp)
+        res = postproc.linprog(cost, (0.0, np.inf), *dense_rows(**lp))
         assert not res.success
         assert res.message == status
 
@@ -344,11 +356,70 @@ class TestLinprogSeam:
         lp = dict(A_ub=[[1.0, 0.0, 0.0]], b_ub=[5.0],
                   A_eq=[[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], b_eq=[1.0, 0.5])
         cost = [1.0, 2.0, 2.5]
-        ours = postproc.linprog(cost, **lp)
+        ours = postproc.linprog(cost, (0.0, np.inf), *dense_rows(**lp))
         reference = linprog(cost, **lp, method="highs", options=postproc._LP_OPTIONS)
         assert_allclose(ours.x, [0.75, 0.0, 0.25], rtol=0.0, atol=1e-12)
-        assert_allclose(ours.eqlin.marginals, [1.0, 0.75], rtol=0.0, atol=1e-12)
-        assert_allclose(ours.eqlin.marginals, reference.eqlin.marginals, rtol=0.0, atol=1e-12)
+        assert_allclose(ours.marginals[1:], [1.0, 0.75], rtol=0.0, atol=1e-12)
+        assert_allclose(ours.marginals[1:], reference.eqlin.marginals, rtol=0.0, atol=1e-12)
+        assert_allclose(ours.marginals[:1], reference.ineqlin.marginals, rtol=0.0, atol=1e-12)
+
+
+class TestReusedSolver:
+    """Each thread's one HiGHS instance carries nothing from one LP to the next."""
+
+    @staticmethod
+    def _least_blur():
+        # six qubit outcomes leave a null space of two, so the least blur runs an LP
+        P = random_povm(2, 6, np.random.default_rng(8))
+        return postproc._least_blur(P, projective_povm("z"))
+
+    def test_failed_solves_leave_no_trace(self):
+        before = self._least_blur()
+        for cost, lp, status in [([1.0, 1.0], dict(A_eq=[[1.0, 1.0]], b_eq=[-1.0]), "Infeasible"),
+                                 ([-1.0, 1.0], dict(A_ub=[[0.0, 1.0]], b_ub=[1.0]), "Unbounded")]:
+            assert postproc.linprog(cost, (0.0, np.inf), *dense_rows(**lp)).message == status
+        after = self._least_blur()
+        assert before[0] == after[0]
+        assert np.array_equal(before[1], after[1]) and np.array_equal(before[2], after[2])
+
+    def test_rejected_arrays_raise(self):
+        # row index 5 of a one-row LP
+        start, index = np.array([0, 1, 2], np.int32), np.array([0, 5], np.int32)
+        with pytest.raises(ValueError, match="rejected"):
+            postproc.linprog([2.0, 2.0], (0.0, np.inf), start, index, np.ones(2), [1.0], [np.inf])
+
+    def test_concurrent_threads_match_sequential(self):
+        # every null space is nonempty, and the computational-basis projectors
+        # lie in each full-rank span, so every least blur runs an LP
+        povms = [random_povm(d, n, np.random.default_rng(seed))
+                 for seed, (d, n) in enumerate([(2, 6), (3, 14), (2, 7), (3, 12)])]
+        targets = [Povm([np.diag(e) for e in np.eye(P.dim)]) for P in povms]
+        sequential = [postproc._least_blur(P, Q) for P, Q in zip(povms, targets)]
+        n_threads = (os.cpu_count() or 1) + 2  # more threads than cores
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def solve(t):
+            barrier.wait(timeout=60)
+            case = [(povms[(t + r) % 4], targets[(t + r) % 4]) for r in range(12)]
+            results[t] = [postproc._least_blur(P, Q) for P, Q in case]
+
+        threads = [threading.Thread(target=solve, args=(t,)) for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between the solver's calls
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for t, got in enumerate(results):
+            assert got is not None and len(got) == 12
+            for r, (lam, m, y) in enumerate(got):
+                ref_lam, ref_m, ref_y = sequential[(t + r) % 4]
+                assert lam == ref_lam and np.array_equal(m, ref_m) and np.array_equal(y, ref_y)
 
 
 class TestIsClean:

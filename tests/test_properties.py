@@ -55,6 +55,13 @@ from povmlab.processing import (
     optimal_dual,
     processing_from_dual,
 )
+from povmlab.qubit import (
+    error_bound,
+    noise_quantities,
+    optimal_four_outcome,
+    optimal_three_outcome,
+    sigma_pm,
+)
 from povmlab.serialize import (
     dump_json,
     ensemble_from_json,
@@ -66,6 +73,7 @@ from povmlab.serialize import (
     povm_from_json,
     povm_to_json,
 )
+from povmlab.standard import six_state_ensemble
 
 from helpers import (
     SX,
@@ -85,6 +93,27 @@ from helpers import (
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([optimal_three_outcome, optimal_four_outcome]), st.booleans(),
+       st.floats(-9.5, -0.3))
+@example(optimal_three_outcome, False, -8.0)
+def test_rank_one_closed_form_meets_min_error_and_bound(family, near_half_pi, exponent):
+    # for a rank-one planar POVM with Delta = 0 the total error is
+    # 4 (c2/B + s2/(2 - B) - kappa/2); written with 1 - c2 for s2 it cancels
+    # near theta = 0, where 2 - B ~ 2 theta.  Below 10^-9.5 from either end
+    # the families drop their vanishing elements.
+    theta = np.pi / 2 - 10.0 ** exponent if near_half_pi else 10.0 ** exponent
+    P, E = family(theta), six_state_ensemble()
+    s = noise_quantities(P, E, theta)
+    assert abs(s.Delta) <= 1e-12
+    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    closed = 4.0 * (c2 / s.B + s2 / (2.0 - s.B) - s.kappa / 2.0)
+    plus, minus = sigma_pm(theta)
+    assert abs(closed - (min_error(P, E, plus) + min_error(P, E, minus))) <= 1e-12
+    assert abs(closed - error_bound(theta, s.kappa)) <= 1e-12
+    assert abs(closed - s.total_error) <= 1e-12
 
 
 @st.composite
