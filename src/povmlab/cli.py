@@ -6,6 +6,13 @@ validate, dual, optimal-dual, min-error, infocheck,
 postproc {check, blur, joint}, abspace {build, check},
 qubit {optimal, sweep}, simulate
 
+A verb ``cmd_*`` writes nothing: it returns its document (a dict, or the
+CSV text of ``qubit sweep``) and its exit code, or raises ``CommandError``.
+``main`` is the one writer. It puts ``meta`` first in a dict (or fills the
+``"meta"`` key the verb placed), renders it with ``dump_json`` and writes
+it to ``--out`` or stdout. A ``CommandError`` that carries a document (an
+all-degenerate sweep) has it written before its one-line message.
+
 Exit codes: 0 success, 1 file/parse error, 2 validation failure,
 3 negative verdict (the verdict JSON is still written), 4 solver failure
 (HiGHS stopped short of an optimal solution; nothing is written).
@@ -77,13 +84,15 @@ EXIT_NEGATIVE = 3
 EXIT_SOLVER = 4
 
 _TOL_FIELDS = ("eig_zero", "psd_slack", "lin_solve", "cluster")
+MAX_SWEEP_ANGLES = 10 ** 5  # --thetas count; checked before any angle is made
 
 
 class CommandError(Exception):
-    """A handled failure carrying its exit code."""
+    """A handled failure carrying its exit code, and the document to write anyway, if any."""
 
-    def __init__(self, code: int, message: str):
+    def __init__(self, code: int, message: str, document: str | None = None):
         self.code = code
+        self.document = document
         super().__init__(message)
 
 
@@ -172,10 +181,6 @@ def _write_output(path: str | None, text: str) -> None:
         raise CommandError(EXIT_PARSE, f"{path}: {exc.strerror or exc}") from None
 
 
-def _emit(args, payload: dict) -> None:
-    _write_output(args.out, dump_json(payload))
-
-
 # ---------------------------------------------------------------------------
 # input loading
 
@@ -244,7 +249,7 @@ def _format_float(x: float) -> str:
 # ---------------------------------------------------------------------------
 # verbs
 
-def cmd_validate(args, tol: Tolerances, seed: int) -> int:
+def cmd_validate(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     def build(obj):
         # parse the raw element list leniently: the point is to report problems
         elements_json = obj.get("elements") if isinstance(obj, dict) else None
@@ -256,14 +261,11 @@ def cmd_validate(args, tol: Tolerances, seed: int) -> int:
         )
 
     report = _from_file(args.povm, build)
-    payload = {"meta": _meta(tol, seed), "report": report}
-    _emit(args, payload)
-    return EXIT_OK if report["valid"] else EXIT_INVALID
+    return {"report": report}, EXIT_OK if report["valid"] else EXIT_INVALID
 
 
-def _dual_payload(P, D, tol: Tolerances, seed: int) -> dict:
+def _dual_payload(P, D) -> dict:
     return {
-        "meta": _meta(tol, seed),
         "dim": P.dim,
         "n_elements": len(P),
         "elements": [operator_to_json(m) for m in D.elements],
@@ -271,36 +273,28 @@ def _dual_payload(P, D, tol: Tolerances, seed: int) -> dict:
     }
 
 
-def cmd_dual(args, tol: Tolerances, seed: int) -> int:
+def cmd_dual(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.povm, tol)
-    D = canonical_dual(P)
-    _emit(args, _dual_payload(P, D, tol, seed))
-    return EXIT_OK
+    return _dual_payload(P, canonical_dual(P)), EXIT_OK
 
 
-def cmd_optimal_dual(args, tol: Tolerances, seed: int) -> int:
+def cmd_optimal_dual(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.povm, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
-    D = optimal_dual(P, ensemble)
-    payload = _dual_payload(P, D, tol, seed)
-    payload["metric"] = metric_diagonal(P, ensemble).diag.tolist()
-    _emit(args, payload)
-    return EXIT_OK
+    return {**_dual_payload(P, optimal_dual(P, ensemble)),
+            "metric": metric_diagonal(P, ensemble).diag.tolist()}, EXIT_OK
 
 
-def cmd_min_error(args, tol: Tolerances, seed: int) -> int:
+def cmd_min_error(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.povm, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
     X = _load_target(args.x, tol)
-    value = min_error(P, ensemble, X)
-    _emit(args, {"meta": _meta(tol, seed), "min_error": value})
-    return EXIT_OK
+    return {"min_error": min_error(P, ensemble, X)}, EXIT_OK
 
 
-def cmd_infocheck(args, tol: Tolerances, seed: int) -> int:
+def cmd_infocheck(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.povm, tol)
     payload = {
-        "meta": _meta(tol, seed),
         "dim": P.dim,
         "span_rank": P.span_rank,
         "infocomplete": is_infocomplete(P),
@@ -310,16 +304,14 @@ def cmd_infocheck(args, tol: Tolerances, seed: int) -> int:
         operators = [_load_target(f, tol) for f in args.r]
         payload["r_infocomplete"] = is_r_infocomplete(P, operators)
         verdict = payload["r_infocomplete"]
-    _emit(args, payload)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+    return payload, EXIT_OK if verdict else EXIT_NEGATIVE
 
 
-def cmd_postproc_check(args, tol: Tolerances, seed: int) -> int:
+def cmd_postproc_check(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     Q = _load_povm(args.q, tol)
     P = _load_povm(args.p, tol)
     search = find_post_processing(Q, P)
-    payload = {
-        "meta": _meta(tol, seed),
+    return {
         "feasible": search.feasible,
         "verdict": "feasible" if search.feasible else "infeasible",
         "visibility": search.visibility,
@@ -327,72 +319,58 @@ def cmd_postproc_check(args, tol: Tolerances, seed: int) -> int:
         "markov": markov_to_json(search.markov) if search.markov is not None else None,
         "witness": (None if search.witness is None
                     else [operator_to_json(Y) for Y in search.witness]),
-    }
-    _emit(args, payload)
-    return EXIT_OK if search.feasible else EXIT_NEGATIVE
+    }, EXIT_OK if search.feasible else EXIT_NEGATIVE
 
 
-def cmd_postproc_blur(args, tol: Tolerances, seed: int) -> int:
+def cmd_postproc_blur(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.p, tol)
     Q = _load_povm(args.q, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
     blur = blur_for_post_processing(P, Q, ensemble)
-    payload = {
-        "meta": _meta(tol, seed),
+    return {
         "epsilon_star": blur.epsilon_star,
         "inflation": blur.inflation,
         "markov": markov_to_json(blur.markov),
         "blurred": povm_to_json(blur.blurred),
         "coefficients": blur.coefficients.tolist(),
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_postproc_joint(args, tol: Tolerances, seed: int) -> int:
+def cmd_postproc_joint(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.povm, tol)
     observables = [_load_observable(f, tol) for f in args.x]
     result = find_joint_measurement(P, observables)
-    payload = {
-        "meta": _meta(tol, seed),
+    return {
         "feasible": result.feasible,
         "certificates": [
             {"visibility": cert.visibility, "markov": markov_to_json(cert.markov)}
             for cert in result.certificates
         ],
         "joint": povm_to_json(result.joint),
-    }
-    _emit(args, payload)
-    return EXIT_OK if result.feasible else EXIT_NEGATIVE
+    }, EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
-def cmd_abspace_build(args, tol: Tolerances, seed: int) -> int:
+def cmd_abspace_build(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     A = _load_observable(args.A, tol)
     B = _load_observable(args.B, tol)
     space = ab_space(A, B)
-    payload = {
-        "meta": _meta(tol, seed),
+    return {
         "span_dim": space.dim,
         "basis": [operator_to_json(b) for b in space.basis],
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_abspace_check(args, tol: Tolerances, seed: int) -> int:
+def cmd_abspace_check(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.povm, tol)
     A = _load_observable(args.A, tol)
     B = _load_observable(args.B, tol)
     space = ab_space(A, B)
     ab_ok = is_ab_infocomplete(P, space)
-    payload = {
-        "meta": _meta(tol, seed),
+    return {
         "ab_infocomplete": ab_ok,
         "minimal": is_minimal_ab_infocomplete(P, space),
         "span_dim": space.dim,
-    }
-    _emit(args, payload)
-    return EXIT_OK if ab_ok else EXIT_NEGATIVE
+    }, EXIT_OK if ab_ok else EXIT_NEGATIVE
 
 
 def _optimal_family(family: str, theta: float, tol: Tolerances):
@@ -401,12 +379,11 @@ def _optimal_family(family: str, theta: float, tol: Tolerances):
     return optimal_four_outcome(theta, tol)
 
 
-def cmd_qubit_optimal(args, tol: Tolerances, seed: int) -> int:
+def cmd_qubit_optimal(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _optimal_family(args.family, args.theta, tol)
     summary = noise_quantities(P, six_state_ensemble(tol), args.theta)
-    payload = povm_to_json(P)
-    payload["meta"] = _meta(tol, seed)
-    payload["summary"] = {
+    # a loadable POVM document: main fills "meta" in after the POVM's keys
+    return {**povm_to_json(P), "meta": None, "summary": {
         "theta": summary.theta,
         "family": int(args.family),
         "B": summary.B,
@@ -416,9 +393,7 @@ def cmd_qubit_optimal(args, tol: Tolerances, seed: int) -> int:
         "total_error": summary.total_error,
         "bound": summary.bound,
         "gap": summary.total_error - summary.bound,
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    }}, EXIT_OK
 
 
 def _parse_theta_range(text: str) -> np.ndarray:
@@ -431,18 +406,18 @@ def _parse_theta_range(text: str) -> np.ndarray:
         raise CommandError(EXIT_INVALID, f"--thetas expects numbers, got {text!r}") from None
     if count < 1:
         raise CommandError(EXIT_INVALID, "--thetas count must be at least 1")
+    if count > MAX_SWEEP_ANGLES:
+        raise CommandError(EXIT_INVALID, f"--thetas count must be at most {MAX_SWEEP_ANGLES}")
     return np.linspace(start, stop, count)
 
 
-def cmd_qubit_sweep(args, tol: Tolerances, seed: int) -> int:
+def cmd_qubit_sweep(args, tol: Tolerances, seed: int) -> tuple[str, int]:
     thetas = _parse_theta_range(args.thetas)
     families = ("3", "4") if args.family == "both" else (args.family,)
     ensemble = _load_ensemble(args.ensemble, 2, tol)
-    meta = _meta(tol, seed)
     lines = [
-        f"# povmlab {meta['version']}",
-        "# tolerances: "
-        + " ".join(f"{k}={v:g}" for k, v in meta["tolerances"].items()),
+        f"# povmlab {__version__}",
+        "# tolerances: " + " ".join(f"{f}={getattr(tol, f):g}" for f in _TOL_FIELDS),
         f"# seed: {seed}",
     ]
     rows, skipped = [], []
@@ -461,13 +436,14 @@ def cmd_qubit_sweep(args, tol: Tolerances, seed: int) -> int:
     if skipped:
         lines.append("# skipped (degenerate): " + " ".join(_format_float(t) for t in skipped))
     lines.append("theta,B,Gamma,Delta,total_error,bound,gap")
-    _write_output(args.csv, "\n".join(lines + rows) + "\n")
+    csv = "\n".join(lines + rows) + "\n"
     if not rows:
-        raise CommandError(EXIT_INVALID, "every angle in --thetas gives a degenerate noise matrix")
-    return EXIT_OK
+        raise CommandError(EXIT_INVALID, "every angle in --thetas gives a degenerate noise matrix",
+                           document=csv)
+    return csv, EXIT_OK
 
 
-def cmd_simulate(args, tol: Tolerances, seed: int) -> int:
+def cmd_simulate(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.povm, tol)
     rho = _load_state(args.state, tol)
     X = _load_target(args.x, tol)
@@ -483,16 +459,13 @@ def cmd_simulate(args, tol: Tolerances, seed: int) -> int:
     # standard error of the mean of n draws with the known variance ``predicted``
     se = float(np.sqrt(predicted / run.n_ex))
     z = (mean - exact) / se if se > 0 else 0.0
-    payload = {
-        "meta": _meta(tol, seed),
+    return {
         "counts": [int(k) for k in run.counts],
         "mean": mean,
         "variance": variance,
         "predicted_error": predicted,
         "z_score": z,
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (default: POVMLAB_SEED env, else 0)")
     common.add_argument("--out", default=None, metavar="FILE",
-                        help="write the primary JSON output here instead of stdout")
+                        help="write the primary output here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="povmlab",
@@ -599,8 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="N angles evenly spaced from A to B")
     qs.add_argument("--family", choices=("3", "4", "both"), default="both")
     qs.add_argument("--ensemble", default="six-state")
-    qs.add_argument("--csv", default=None, metavar="FILE",
-                    help="write CSV here instead of stdout")
+    qs.add_argument("--csv", dest="out", metavar="FILE", help="the same as --out")
     qs.set_defaults(func=cmd_qubit_sweep)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -628,16 +600,28 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         tol, seed = _resolve_options(args)
-        return args.func(args, tol, seed)
+        failure = None
+        try:
+            document, code = args.func(args, tol, seed)
+        except CommandError as exc:
+            if exc.document is None:
+                raise
+            document, failure = exc.document, exc
+        if isinstance(document, dict):
+            if "meta" not in document:  # else the verb placed it (qubit optimal)
+                document = {"meta": None, **document}
+            document["meta"] = _meta(tol, seed)
+            document = dump_json(document)
+        _write_output(args.out, document)
+        if failure is not None:
+            raise failure
+        return code
     except CommandError as exc:
         print(f"povmlab: {exc}", file=sys.stderr)
         return exc.code
     except ParseError as exc:
         print(f"povmlab: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SchemaError as exc:
-        print(f"povmlab: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ValueError, KeyError) as exc:
         print(f"povmlab: {exc}", file=sys.stderr)
         return EXIT_INVALID

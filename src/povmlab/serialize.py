@@ -45,15 +45,36 @@ def _require(obj, key: str, path: str):
     return obj[key]
 
 
+def _number(obj, key: str, path: str, integer: bool = False):
+    """``obj[key]`` as a float, or as a positive int when ``integer``.
+
+    JSON ``true`` is no number (``float(True)`` is 1.0), and an integer too
+    large for a float is out of range.
+    """
+    value, where = _require(obj, key, path), f"{path}.{key}"
+    if integer:
+        if type(value) is int and value >= 1:
+            return value
+        raise SchemaError(where, f"expected a positive integer (JSON integers only), got {value!r}")
+    if type(value) not in (int, float):
+        raise SchemaError(where, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(where, "number too large for a float") from None
+
+
 def _real_matrix(rows, shape: tuple[int, int], path: str) -> np.ndarray:
     try:
         M = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(path, f"not a numeric matrix ({exc})") from None
     if M.shape != shape:
         raise SchemaError(path, f"expected shape {shape}, got {M.shape}")
     if bool in map(type, itertools.chain.from_iterable(rows)):  # float(True) is 1.0
         raise SchemaError(path, "expected numbers, got a boolean")
+    if not np.isfinite(M).all():
+        raise SchemaError(path, "entries must be finite")
     return M
 
 
@@ -70,9 +91,7 @@ def operator_to_json(X) -> dict:
 
 
 def operator_from_json(obj, path: str = "operator") -> np.ndarray:
-    d = _require(obj, "dim", path)
-    if not isinstance(d, int) or d < 1:
-        raise SchemaError(f"{path}.dim", f"expected a positive integer, got {d!r}")
+    d = _number(obj, "dim", path, integer=True)
     re = _real_matrix(_require(obj, "re", path), (d, d), f"{path}.re")
     im = _real_matrix(_require(obj, "im", path), (d, d), f"{path}.im")
     return re + 1j * im
@@ -98,7 +117,7 @@ def _label_text(lab) -> str:
 
 
 def povm_from_json(obj, tol: Tolerances = DEFAULT_TOL, path: str = "povm") -> Povm:
-    d = _require(obj, "dim", path)
+    d = _number(obj, "dim", path, integer=True)
     elements_json = _require(obj, "elements", path)
     if not isinstance(elements_json, list) or not elements_json:
         raise SchemaError(f"{path}.elements", "expected a nonempty array")
@@ -151,10 +170,7 @@ def ensemble_from_json(obj, tol: Tolerances = DEFAULT_TOL,
         raise SchemaError(f"{path}.states", "expected a nonempty array")
     weights, states = [], []
     for i, entry in enumerate(states_json):
-        q = _require(entry, "q", f"{path}.states[{i}]")
-        if not isinstance(q, (int, float)):
-            raise SchemaError(f"{path}.states[{i}].q", f"expected a number, got {q!r}")
-        weights.append(float(q))
+        weights.append(_number(entry, "q", f"{path}.states[{i}]"))
         states.append(operator_from_json(_require(entry, "rho", f"{path}.states[{i}]"),
                                          f"{path}.states[{i}].rho"))
     return Ensemble(weights, states, tol=tol)
@@ -173,10 +189,8 @@ def markov_to_json(M: MarkovMatrix) -> dict:
 
 def markov_from_json(obj, tol: Tolerances = DEFAULT_TOL,
                      path: str = "markov") -> MarkovMatrix:
-    rows = _require(obj, "rows", path)
-    cols = _require(obj, "cols", path)
-    if not isinstance(rows, int) or not isinstance(cols, int):
-        raise SchemaError(path, "'rows' and 'cols' must be integers")
+    rows = _number(obj, "rows", path, integer=True)
+    cols = _number(obj, "cols", path, integer=True)
     m = _real_matrix(_require(obj, "m", path), (rows, cols), f"{path}.m")
     return MarkovMatrix(m, tol=tol)
 

@@ -1,19 +1,24 @@
 """End-to-end tests of the command line, run in process through ``main``."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import povmlab
 from helpers import SZ, bloch_state, optimal_B, random_povm
-from povmlab import postproc
+from povmlab import cli, postproc
 from povmlab.cli import main
 from povmlab.postproc import t1_identify
 from povmlab.qubit import DegeneratePovmWarning
@@ -700,6 +705,43 @@ class TestInputErrorsNameTheirFile:
         self.assert_names(code, out, err, str(bad))
         assert err.endswith(": operator.re: expected numbers, got a boolean\n")
 
+    @pytest.mark.parametrize("role, path, value, message", [
+        ("x", ["re", 0, 0], 10 ** 400,
+         "operator.re: not a numeric matrix (int too large to convert to float)"),
+        ("ensemble", ["states", 0, "q"], 10 ** 400,
+         "ensemble.states[0].q: number too large for a float"),
+        ("x", ["dim"], True,
+         "operator.dim: expected a positive integer (JSON integers only), got True"),
+        ("povm", ["dim"], True,
+         "povm.dim: expected a positive integer (JSON integers only), got True"),
+        ("ensemble", ["states", 0, "q"], True,
+         "ensemble.states[0].q: expected a number, got True"),
+        ("x", ["im", 0, 0], float("inf"), "operator.im: entries must be finite"),
+    ], ids=["huge-entry", "huge-weight", "boolean-operator-dim", "boolean-povm-dim",
+            "boolean-weight", "infinite-target-entry"])
+    def test_number_fields(self, capsys, tmp_path, role, path, value, message):
+        # float(10**400) overflows and float(True) is 1.0; each bad field is
+        # named together with its file
+        docs = {"povm": povm_to_json(sic_povm()), "x": operator_to_json(SZ),
+                "ensemble": {"states": [{"q": 1.0, "rho": operator_to_json(np.eye(2) / 2)}]}}
+        node = docs[role]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        files = _write_documents(tmp_path, docs)  # json.dumps writes Infinity
+        code, out, err = run(capsys, ["min-error", "--povm", files["povm"], "--x", files["x"],
+                                      "--ensemble", files["ensemble"]])
+        self.assert_names(code, out, err, files[role])
+        assert err.endswith(f": {message}\n")
+
+    def test_validate_boolean_element_dim(self, capsys, tmp_path):
+        element = {"dim": True, "re": [[1]], "im": [[0]]}
+        bad = write(tmp_path, "p.json", {"dim": 1, "elements": [element]})
+        code, out, err = run(capsys, ["validate", bad])
+        self.assert_names(code, out, err, bad)
+        assert err.endswith(": povm.elements[0].dim: expected a positive integer "
+                            "(JSON integers only), got True\n")
+
     def test_povm(self, capsys, sic_file, tmp_path):
         # completes the identity, but element 1 is not positive semidefinite
         bad = write(tmp_path, "bad_q.json", {
@@ -763,3 +805,198 @@ class TestOutputFile:
             main(["--version"])
         assert exc.value.code == 0
         assert "povmlab" in capsys.readouterr().out
+
+
+def _documents():
+    """One qubit and one qutrit document per file role, in the schemas the verbs read."""
+    def povm(elements, labels=None):
+        doc = {"dim": elements[0]["dim"], "elements": elements}
+        return doc if labels is None else {**doc, "labels": labels}
+
+    def ensemble(states):
+        return {"states": [{"q": 1.0 / len(states), "rho": operator_to_json(s)}
+                           for s in states]}
+
+    # three z projectors blended with the maximally mixed state: the span is not full
+    qutrit_povm = [operator_to_json(0.5 * np.diag(np.eye(3)[k]) + np.eye(3) / 6)
+                   for k in range(3)]
+    qubit = {
+        "povm": povm(povm_to_json(sic_povm())["elements"], ["a", "b", "c", "d"]),
+        "povm2": povm_to_json(projective_povm("z")),
+        "operator": operator_to_json(SZ),
+        "observable": observable_to_json(Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+        "ensemble": ensemble([bloch_state([0.0, 0.0, 1.0]), bloch_state([0.0, 0.0, -1.0])]),
+        "state": operator_to_json(bloch_state([0.1, 0.2, 0.3])),
+    }
+    qutrit = {
+        "povm": povm(qutrit_povm, ["a", "b", "c"]),
+        "povm2": povm(qutrit_povm),
+        "operator": operator_to_json(np.diag([1.0, 0.0, -1.0])),
+        "observable": observable_to_json(Observable(np.diag([1.0, 2.0, 3.0]))),
+        "ensemble": ensemble([np.eye(3) / 3]),
+        "state": operator_to_json(np.eye(3) / 3),
+    }
+    return qubit, qutrit
+
+
+def _write_documents(folder, documents):
+    folder.mkdir(exist_ok=True)
+    for role, doc in documents.items():
+        (folder / f"{role}.json").write_text(json.dumps(doc))
+    return {role: str(folder / f"{role}.json") for role in documents}
+
+
+# every verb that reads files, with the file roles of _documents
+VERB_ARGV = {
+    "validate": ["validate", "{povm}"],
+    "dual": ["dual", "--povm", "{povm}"],
+    "optimal-dual": ["optimal-dual", "--povm", "{povm}", "--ensemble", "{ensemble}"],
+    "min-error": ["min-error", "--povm", "{povm}", "--ensemble", "{ensemble}",
+                  "--x", "{operator}"],
+    "infocheck": ["infocheck", "--povm", "{povm}", "--r", "{operator}"],
+    "postproc check": ["postproc", "check", "--q", "{povm2}", "--p", "{povm}"],
+    "postproc blur": ["postproc", "blur", "--p", "{povm}", "--q", "{povm2}",
+                      "--ensemble", "{ensemble}"],
+    "postproc joint": ["postproc", "joint", "--povm", "{povm}", "--x", "{observable}"],
+    "abspace build": ["abspace", "build", "--A", "{observable}", "--B", "{operator}"],
+    "abspace check": ["abspace", "check", "--povm", "{povm}", "--A", "{observable}",
+                      "--B", "{operator}"],
+    "simulate": ["simulate", "--povm", "{povm}", "--state", "{state}", "--x", "{operator}",
+                 "--n", "50", "--ensemble", "{ensemble}"],
+}
+
+
+class TestOneExitPath:
+    """``main`` writes every verb's document, with ``meta`` first but in ``qubit optimal``."""
+
+    KEYS = {
+        "validate": ["report"],
+        "dual": ["dim", "n_elements", "elements", "resolution_residual"],
+        "optimal-dual": ["dim", "n_elements", "elements", "resolution_residual", "metric"],
+        "min-error": ["min_error"],
+        "infocheck": ["dim", "span_rank", "infocomplete", "r_infocomplete"],
+        "postproc check": ["feasible", "verdict", "visibility", "residual", "markov",
+                           "witness"],
+        "postproc blur": ["epsilon_star", "inflation", "markov", "blurred", "coefficients"],
+        "postproc joint": ["feasible", "certificates", "joint"],
+        "abspace build": ["span_dim", "basis"],
+        "abspace check": ["ab_infocomplete", "minimal", "span_dim"],
+        "simulate": ["counts", "mean", "variance", "predicted_error", "z_score"],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    def test_meta_leads(self, capsys, tmp_path, verb):
+        names = _write_documents(tmp_path, _documents()[0])
+        code, payload = run_json(capsys, [arg.format(**names) for arg in VERB_ARGV[verb]])
+        assert code in {0, 3}
+        assert list(payload) == ["meta"] + self.KEYS[verb]
+        assert list(payload["meta"]) == ["tool", "version", "tolerances", "seed"]
+
+    @pytest.mark.parametrize("family", ["3", "4"])
+    def test_qubit_optimal_keeps_meta_after_the_povm(self, capsys, family):
+        code, payload = run_json(capsys, ["qubit", "optimal", "--theta", "0.5",
+                                          "--family", family, "--seed", "4"])
+        assert code == 0
+        assert list(payload) == ["dim", "elements", "meta", "summary"]
+        assert payload["meta"]["seed"] == 4
+
+    def test_sweep_out_writes_the_file(self, capsys, tmp_path):
+        argv = ["qubit", "sweep", "--thetas", "0.3:1.2:2"]
+        target = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, argv + ["--out", str(target)])
+        assert code == 0 and out == "" and err == ""
+        _, printed, _ = run(capsys, argv)
+        assert target.read_text() == printed
+
+    def test_all_degenerate_sweep_writes_its_file_before_failing(self, capsys, tmp_path):
+        target = tmp_path / "sweep.csv"
+        with pytest.warns(DegeneratePovmWarning), pytest.warns(ZeroElementWarning):
+            code, out, err = run(capsys, ["qubit", "sweep", "--thetas", "0:0:1",
+                                          "--csv", str(target)])
+        assert code == 2 and out == ""
+        assert target.read_text().endswith(
+            "# skipped (degenerate): 0\ntheta,B,Gamma,Delta,total_error,bound,gap\n")
+        assert err == "povmlab: every angle in --thetas gives a degenerate noise matrix\n"
+
+    def test_sweep_count_is_capped_before_any_angle_is_made(self, capsys, monkeypatch):
+        def linspace(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        count = cli.MAX_SWEEP_ANGLES + 1
+        code, out, err = run(capsys, ["qubit", "sweep", "--thetas", f"0.3:1.2:{count}"])
+        assert code == 2 and out == ""
+        assert err == f"povmlab: --thetas count must be at most {cli.MAX_SWEEP_ANGLES}\n"
+
+
+_OTHER_DIM = object()  # the node at the same path in the qutrit document
+_MUTATIONS = [True, False, 10 ** 400, -(10 ** 400), float("nan"), float("inf"),
+              float("-inf"), [], {}, [[]], [[1.0]], [1.0, 0.0], [[1, 0, 0], [0, 1, 0]],
+              0, -1, "2", None, _OTHER_DIM]
+
+
+def _mutate(doc, other, path, value):
+    """``doc`` with the node that ``path`` leads to replaced by ``value``.
+
+    Each step of ``path`` picks a key or an index, modulo the node's size; the
+    walk stops early at a scalar or an empty node.  ``_OTHER_DIM`` stands for the
+    node at the same place in ``other``, the document of another dimension.
+    """
+    def at(node, key):
+        try:
+            return node[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+
+    doc = json.loads(json.dumps(doc))
+    parent, key, node = None, None, doc
+    for step in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, keys[step % len(node)]
+        node, other = node[key], at(other, key)
+    value = other if value is _OTHER_DIM else value
+    if parent is None:
+        return value
+    parent[key] = value
+    return doc
+
+
+def assert_one_line_at_most(argv):
+    """``main`` returns a documented exit code and prints at most one line to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    # warnings are recorded, not shown: only the handled message reaches stderr
+    with warnings.catch_warnings(record=True), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)  # an unhandled exception fails the property here
+    assert code in {0, 1, 2, 3, 4}
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(verb=st.sampled_from(sorted(VERB_ARGV)),
+       role=st.sampled_from(["povm", "povm2", "operator", "observable", "ensemble", "state"]),
+       path=st.lists(st.integers(0, 7), max_size=6),
+       value=st.sampled_from(_MUTATIONS))
+@example(verb="min-error", role="operator", path=[1, 0, 0], value=10 ** 400)
+@example(verb="min-error", role="ensemble", path=[0, 0, 0], value=10 ** 400)
+def test_mutated_documents_end_in_one_line(tmp_path_factory, verb, role, path, value):
+    qubit, qutrit = _documents()
+    files = {**qubit, role: _mutate(qubit[role], qutrit[role], path, value)}
+    names = _write_documents(tmp_path_factory.getbasetemp() / "mutated", files)
+    assert_one_line_at_most([arg.format(**names) for arg in VERB_ARGV[verb]])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sweep=st.booleans(), family=st.sampled_from(["3", "4"]),
+       near_half_pi=st.booleans(), exponent=st.floats(-17.0, 0.0),
+       field=st.sampled_from(["eig-zero", "psd-slack", "lin-solve", "cluster"]),
+       tol=st.sampled_from([None, "0", "1e-300", "1e-17", "0.5", "1e300", "inf", "nan", "-1"]))
+def test_extreme_angles_and_tolerances_end_in_one_line(sweep, family, near_half_pi, exponent,
+                                                       field, tol):
+    # angles log-spaced within 1e-17 ... 1 of 0 and of pi/2
+    theta = repr(np.pi / 2 - 10 ** exponent if near_half_pi else 10 ** exponent)
+    argv = (["qubit", "sweep", "--thetas", f"{theta}:{theta}:2", "--family", family] if sweep
+            else ["qubit", "optimal", "--theta", theta, "--family", family])
+    assert_one_line_at_most(argv + ([] if tol is None else [f"--tol-{field}", tol]))

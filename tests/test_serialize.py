@@ -154,6 +154,14 @@ class TestMarkov:
         with pytest.raises(SchemaError, match="integers"):
             markov_from_json(doc)
 
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_boolean_shape_key_rejected(self, key):
+        # float(True) is 1.0, so a 1-wide matrix would otherwise load
+        doc = markov_to_json(MarkovMatrix([[1.0]]))
+        doc[key] = True
+        with pytest.raises(SchemaError, match=f"markov.{key}: .*got True"):
+            markov_from_json(doc)
+
     def test_entries_revalidated(self):
         doc = {"rows": 2, "cols": 1, "m": [[0.6], [0.6]]}
         with pytest.raises(ValueError, match="column 0"):
