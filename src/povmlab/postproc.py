@@ -11,9 +11,10 @@ when Q leaves P's span, a ratio test when P's elements are linearly
 independent, and otherwise one LP, solved through its dual by HiGHS's
 dual simplex (Q. Huangfu & J. A. J. Hall, Math. Prog. Comp. 10, 119
 (2018)).  The LP's constraint matrix is built column by column from its
-known structure and handed to scipy's bundled bindings as arrays by
-:func:`linprog`, the one seam every LP goes through, on one solver
-reused per thread.  Q is a post-processing of P exactly when ``lam = 1``
+known structure and handed as arrays by :func:`linprog`, the one seam
+every LP goes through, to scipy's compiled HiGHS core, loaded without
+``scipy.optimize``, on one solver reused per thread.  Q is a
+post-processing of P exactly when ``lam = 1``
 (:func:`find_post_processing`); otherwise the witness, operators ``Y_j``
 anyone can check without an LP, proves it (the robustness form of the
 guessing-game witness, P. Skrzypczyk & N. Linden, PRL 122, 140403
@@ -34,6 +35,10 @@ noise cost.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -54,6 +59,8 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 _SOLVER = threading.local()  # one HiGHS instance per thread, made on its first LP
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()  # the first LPs of several threads load the core once
 
 
 class SolverError(RuntimeError):
@@ -62,6 +69,50 @@ class SolverError(RuntimeError):
     def __init__(self, status: str):
         self.status = status
         super().__init__(f"least-blur LP not solved: HiGHS model status {status}")
+
+
+@dataclass
+class LpResult:
+    """What :func:`linprog` reports; ``fun``, ``x`` and ``marginals`` are set on success only."""
+
+    success: bool
+    message: str
+    fun: float | None = None
+    x: np.ndarray | None = None
+    marginals: np.ndarray | None = None
+
+
+def _highs_core():
+    """scipy's compiled HiGHS bindings, ``scipy.optimize._highspy._core``, loaded on their own.
+
+    ``import scipy.optimize`` runs that package's init, which loads
+    ``scipy.linalg``, ``scipy.sparse`` and the array-API layer, none of which
+    an LP here needs: 0.3-0.55 s of a cold start, against 5-9 ms for the
+    extension alone.  So the extension is found in scipy's directory
+    (``find_spec("scipy")`` imports nothing) and loaded under its full name.
+    It is registered in ``sys.modules``, where a later ``import
+    scipy.optimize`` finds it, and an entry already there, from an earlier
+    LP or from scipy, is reused: the process holds one module object, and
+    no LP after the first looks for the file.
+    """
+    with _HIGHS_LOCK:
+        core = sys.modules.get(_HIGHS_CORE)
+        if core is not None:
+            return core
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            _HIGHS_CORE, [os.path.join(root, "optimize", "_highspy")
+                          for root in scipy.submodule_search_locations])
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {_HIGHS_CORE!r}", name=_HIGHS_CORE)
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = core
+        try:
+            spec.loader.exec_module(core)
+        except BaseException:
+            del sys.modules[_HIGHS_CORE]
+            raise
+        return core
 
 
 def linprog(cost, bounds, start, index, value, row_lower, row_upper):
@@ -81,16 +132,14 @@ def linprog(cost, bounds, start, index, value, row_lower, row_upper):
     the options once; ``passModel`` replaces the model and drops the basis,
     so every LP is solved from scratch.
 
-    The result is a ``scipy.optimize.OptimizeResult`` with the fields the
-    least blur reads: ``success`` (an optimal solution), ``message``
-    (HiGHS's model status), and on success ``fun``, ``x`` and
+    The result is an :class:`LpResult`: ``success`` (an optimal solution),
+    ``message`` (HiGHS's model status), and on success ``fun``, ``x`` and
     ``marginals``, the row duals, with the sign ``scipy.optimize.linprog``
-    gives them.  scipy is imported here, on the first call, so that only
-    callers that solve an LP pay for loading it.
+    gives them.  HiGHS's compiled core is loaded here, on the first call
+    (:func:`_highs_core`), so that only callers that solve an LP pay for
+    loading it; ``scipy.optimize`` itself is never imported.
     """
-    from scipy.optimize import OptimizeResult
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs_core()
     solver = getattr(_SOLVER, "highs", None)
     if solver is None:
         options = highs.HighsOptions()
@@ -109,8 +158,8 @@ def linprog(cost, bounds, start, index, value, row_lower, row_upper):
         raise ValueError("HiGHS rejected the LP's arrays")
     solver.run()
     status = solver.getModelStatus()
-    res = OptimizeResult(success=status == highs.HighsModelStatus.kOptimal,
-                         message=solver.modelStatusToString(status))
+    res = LpResult(success=status == highs.HighsModelStatus.kOptimal,
+                   message=solver.modelStatusToString(status))
     if res.success:
         solution = solver.getSolution()
         res.fun = solver.getInfo().objective_function_value

@@ -208,6 +208,8 @@ def load_json_file(filename: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(filename, exc.lineno, exc.colno, exc.msg) from None
+    except ValueError as exc:  # an integer past Python's integer-string limit (4300 digits)
+        raise ParseError(filename, 0, 0, str(exc).partition(":")[0]) from None
     except RecursionError:
         raise ParseError(filename, 0, 0, "arrays or objects nested too deeply") from None
 

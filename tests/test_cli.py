@@ -734,6 +734,17 @@ class TestInputErrorsNameTheirFile:
         self.assert_names(code, out, err, files[role])
         assert err.endswith(f": {message}\n")
 
+    def test_integer_past_the_digit_limit(self, capsys, sic_file, tmp_path):
+        # json.loads cannot read an integer of more than 4300 digits: a parse
+        # failure of the named file, not an invalid field
+        bad = tmp_path / "x.json"
+        bad.write_text('{"dim": 2, "re": [[%s, 0], [0, 1]], "im": [[0, 0], [0, 0]]}\n'
+                       % ("1" * 5001))
+        code, out, err = run(capsys, ["min-error", "--povm", sic_file, "--x", str(bad)])
+        assert code == 1 and not out
+        assert err == (f"povmlab: {bad}:0:0: "
+                       "Exceeds the limit (4300 digits) for integer string conversion\n")
+
     def test_validate_boolean_element_dim(self, capsys, tmp_path):
         element = {"dim": True, "re": [[1]], "im": [[0]]}
         bad = write(tmp_path, "p.json", {"dim": 1, "elements": [element]})
