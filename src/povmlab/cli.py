@@ -282,7 +282,7 @@ def cmd_optimal_dual(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     P = _load_povm(args.povm, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
     return {**_dual_payload(P, optimal_dual(P, ensemble)),
-            "metric": metric_diagonal(P, ensemble).diag.tolist()}, EXIT_OK
+            "metric": metric_diagonal(P, ensemble).tolist()}, EXIT_OK
 
 
 def cmd_min_error(args, tol: Tolerances, seed: int) -> tuple[dict, int]:

@@ -18,6 +18,18 @@ of some operators?) is answered one way: the Frobenius norm of
 
 Everything in this module works on plain ``numpy`` arrays; the
 higher-level modules wrap them in richer types.
+
+Tolerances (:class:`Tolerances`) follow one rule.  An object (``Povm``,
+``Observable``, ``Ensemble``, ``MarkovMatrix``) keeps the ``tol`` it was
+built with.  A function of several objects reads the POVM's tolerance,
+or else its first argument's (``ab_space`` reads ``A.tol``,
+``vandermonde_recovery`` its observable's), and takes no ``tol`` of its
+own.  The exceptions: :func:`truncated_svd` and :func:`span_basis` work
+on bare arrays and operators, so they take ``tol`` directly, as do
+``montecarlo.empirical_estimate`` and ``povm.povm_report``, whose inputs
+carry none; and ``postproc.unbias`` matches the blur's outcome labels
+to the observable's eigenvalues at the observable's ``lin_solve``, the
+second argument's, because the eigenvalues are the observable's.
 """
 
 from __future__ import annotations
@@ -137,28 +149,18 @@ def truncated_svd(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     (``Vh^dag diag(1/s) U^dag``), all with one cutoff.
     """
     U, s, Vh = np.linalg.svd(V, full_matrices=False)
-    r = _kept(s, tol)
+    r = int(np.count_nonzero(s > tol.eig_zero * s[0])) if s.size else 0
     return U[:, :r], s[:r], Vh[:r]
 
 
-def svd_and_null_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """One SVD of ``V``: the factors ``U, s, Vh`` that :func:`truncated_svd` keeps, and ``K``.
+def orthogonal_complement(Q: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (n x (n - k) columns) of the complement of ``Q``'s span.
 
-    The columns of ``K`` are the right singular vectors past the kept ones:
-    an orthonormal basis of the null space of ``V``, real when ``V`` is.
-    The SVD is full only when ``V`` is wider than tall, where the thin one
-    lacks null directions.
+    ``Q`` is n x k with orthonormal columns, e.g. a kept factor of
+    :func:`truncated_svd`.  The trailing columns of a complete QR
+    factorization of ``Q``, which forms an n x n factor; real when ``Q`` is.
     """
-    U, s, Vh = np.linalg.svd(V, full_matrices=V.shape[1] > V.shape[0])
-    r = _kept(s, tol)
-    return U[:, :r], s[:r], Vh[:r], dagger(Vh[r:])
-
-
-def _kept(s: np.ndarray, tol: Tolerances) -> int:
-    """How many of the descending singular values ``s`` lie above ``tol.eig_zero * s[0]``."""
-    if not s.size:
-        return 0
-    return int(np.count_nonzero(s > tol.eig_zero * s[0]))
+    return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
 
 
 def off_span(U: np.ndarray, V: np.ndarray) -> np.ndarray:

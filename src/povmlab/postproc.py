@@ -182,20 +182,19 @@ def _stochastic(m: np.ndarray) -> np.ndarray:
 class MarkovMatrix:
     """Column-stochastic conditional-probability matrix ``m[j, i] = m(j|i)``."""
 
-    def __init__(self, m, tol: Tolerances = DEFAULT_TOL, *, validate: bool = True):
+    def __init__(self, m, tol: Tolerances = DEFAULT_TOL):
         mat = np.asarray(m, dtype=float)
         if mat.ndim != 2:
             raise ValueError("Markov matrix must be two-dimensional")
         if not np.all(np.isfinite(mat)):
             raise ValueError("Markov matrix entries must be finite")
-        if validate:
-            if np.any(mat < -tol.psd_slack):
-                j, i = np.unravel_index(np.argmin(mat), mat.shape)
-                raise ValueError(f"negative conditional probability m({j}|{i}) = {mat[j, i]!r}")
-            col_sums = mat.sum(axis=0)
-            if np.any(np.abs(col_sums - 1.0) > tol.lin_solve):
-                i = int(np.argmax(np.abs(col_sums - 1.0)))
-                raise ValueError(f"column {i} sums to {col_sums[i]!r}, expected 1")
+        if np.any(mat < -tol.psd_slack):
+            j, i = np.unravel_index(np.argmin(mat), mat.shape)
+            raise ValueError(f"negative conditional probability m({j}|{i}) = {mat[j, i]!r}")
+        col_sums = mat.sum(axis=0)
+        if np.any(np.abs(col_sums - 1.0) > tol.lin_solve):
+            i = int(np.argmax(np.abs(col_sums - 1.0)))
+            raise ValueError(f"column {i} sums to {col_sums[i]!r}, expected 1")
         mat = np.clip(mat, 0.0, None)
         mat.setflags(write=False)
         self.m = mat

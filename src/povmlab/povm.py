@@ -31,6 +31,7 @@ from .hs import (
     dagger,
     from_coords,
     off_span,
+    orthogonal_complement,
     span_basis,
     truncated_svd,
 )
@@ -173,12 +174,11 @@ class Povm:
     def null_basis(self) -> np.ndarray:
         """Orthonormal basis ``K`` (N x k, ``k = N - span_rank``) of V's null space (read-only).
 
-        The complement of the rows of :attr:`svd`'s ``Vh`` by a complete QR
-        factorization, which forms an N x N factor; only the post-processing
-        search needs it.
+        The :func:`hs.orthogonal_complement` of the rows of :attr:`svd`'s
+        ``Vh``, which forms an N x N factor; only the post-processing search
+        needs it.
         """
-        Vh = self.svd[2]
-        K = np.linalg.qr(Vh.T, mode="complete")[0][:, len(Vh):]
+        K = orthogonal_complement(self.svd[2].T)
         K.setflags(write=False)
         return K
 

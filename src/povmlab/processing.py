@@ -16,7 +16,9 @@ linearly independent.  It is cached on the POVM per ensemble, and
 ``min_error`` reads its coefficients from that cache.  Outcomes with
 ``pi_i <= P.tol.eig_zero`` cost nothing: the live outcomes are weighted
 off the span of the dead ones, the dead duals complete the resolution, and
-a :class:`DegenerateMetricWarning` is raised.
+a :class:`DegenerateMetricWarning` is raised.  That span comes from a
+truncated SVD of the dead columns, completed by QR as ``Povm.null_basis``
+completes the POVM's.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, as_operator, coords, off_span, svd_and_null_basis
+from .hs import (
+    DEFAULT_TOL,
+    Tolerances,
+    as_operator,
+    coords,
+    off_span,
+    orthogonal_complement,
+    truncated_svd,
+)
 from .povm import DualFrame, Povm, _element_rules
 
 
@@ -99,10 +109,6 @@ class Ensemble:
         avg.setflags(write=False)
         return avg
 
-    def mean(self, X) -> float:
-        """Ensemble average of ``Tr[rho_j X]``, i.e. ``Tr[barycenter X]``."""
-        return float(np.real(np.trace(self.barycenter @ as_operator(X))))
-
     def second_moment(self, X) -> float:
         """Ensemble average of ``Tr[rho_j X]^2`` (not the square of the mean)."""
         X = as_operator(X)
@@ -110,34 +116,19 @@ class Ensemble:
         return float(np.dot(self.weights, vals ** 2))
 
 
-@dataclass(frozen=True)
-class MetricMatrix:
-    """Diagonal metric ``pi_ii = Tr[rho_E P_i]`` used by the optimal dual.
+def metric_diagonal(P: Povm, ensemble: Ensemble) -> np.ndarray:
+    """Outcome probabilities ``pi_i = Tr[rho_E P_i]`` of P under the ensemble barycenter.
 
-    Entries below ``-tol.psd_slack`` are rejected; smaller negatives are clipped to zero.
+    The diagonal of the metric the optimal dual minimizes, as a read-only
+    vector.  Entries below ``-P.tol.psd_slack`` are rejected; smaller
+    negatives are clipped to zero.
     """
-
-    diag: np.ndarray
-    tol: Tolerances = DEFAULT_TOL
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        if d.ndim != 1:
-            raise ValueError("metric diagonal must be a vector")
-        if np.any(d < -self.tol.psd_slack):
-            raise ValueError("metric entries are probabilities and cannot be negative")
-        d = np.clip(d, 0.0, None)
-        d.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-
-    @property
-    def total(self) -> float:
-        return float(self.diag.sum())
-
-
-def metric_diagonal(P: Povm, ensemble: Ensemble) -> MetricMatrix:
-    """Outcome probabilities of ``P`` under the ensemble barycenter."""
-    return MetricMatrix(P.probabilities(ensemble.barycenter), P.tol)
+    pi = P.probabilities(ensemble.barycenter)
+    if np.any(pi < -P.tol.psd_slack):
+        raise ValueError("metric entries are probabilities and cannot be negative")
+    pi = np.clip(pi, 0.0, None)
+    pi.setflags(write=False)
+    return pi
 
 
 @dataclass(frozen=True)
@@ -181,12 +172,6 @@ def processing_from_dual(D: DualFrame, X) -> ProcessingFunction:
     return ProcessingFunction(X, D.coords.conj().T @ x)
 
 
-def estimate(P: Povm, c: ProcessingFunction, rho) -> float:
-    """Expected value of the processed statistics, ``sum_i c_i Tr[rho P_i]``."""
-    probs = P.probabilities(rho)
-    return float(np.real(np.dot(c.coefficients, probs)))
-
-
 def statistical_error(P: Povm, c: ProcessingFunction, rho) -> float:
     """Per-measurement variance ``sum_i |c_i|^2 Tr[rho P_i] - <X>_rho^2``."""
     probs = P.probabilities(rho)
@@ -201,16 +186,14 @@ def ensemble_error(P: Povm, c: ProcessingFunction, ensemble: Ensemble) -> float:
     also the q-weighted average of the single-state errors.
     """
     pi = metric_diagonal(P, ensemble)
-    return float(
-        np.dot(np.abs(c.coefficients) ** 2, pi.diag) - ensemble.second_moment(c.target)
-    )
+    return float(np.dot(np.abs(c.coefficients) ** 2, pi) - ensemble.second_moment(c.target))
 
 
 def _optimal(P: Povm, ensemble: Ensemble):
     """Optimal duals' d^2 x N coordinates and barycenter probabilities, cached on P per ensemble."""
     tol = P.tol
     if ensemble not in P.by_ensemble:
-        pi = metric_diagonal(P, ensemble).diag
+        pi = metric_diagonal(P, ensemble)
         live = pi > tol.eig_zero
         U, s, Vh = P.svd
         if len(s) == len(P):  # independent elements: the dual is unique
@@ -220,14 +203,15 @@ def _optimal(P: Povm, ensemble: Ensemble):
             basis, A_L = U, A[:, live]
             if not live.all():
                 # B spans the part of the span off the dead elements
-                U_D, s_D, Vh_D, B = svd_and_null_basis(A[:, ~live].T, tol)
+                U_D, s_D, Vh_D = truncated_svd(A[:, ~live], tol)
+                B = orthogonal_complement(U_D)
                 basis, A_L = U @ B, B.T @ A_L
             root = np.sqrt(pi[live])
             Q, R = np.linalg.qr((A_L / root).T)
             duals = np.empty(P.design_matrix.shape)
             duals[:, live] = np.linalg.solve(R.T, basis.T).T @ Q.T / root
             if not live.all():
-                W_D = (U @ Vh_D.T / s_D) @ U_D.T  # (V_D^+)^dag
+                W_D = (U @ U_D / s_D) @ Vh_D  # (V_D^+)^dag
                 duals[:, ~live] = W_D - duals[:, live] @ (P.design_matrix[:, live].T @ W_D)
         duals.setflags(write=False)
         P.by_ensemble[ensemble] = (duals, pi)

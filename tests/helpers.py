@@ -130,7 +130,7 @@ def reference_optimal_dual(P, ensemble):
     every outcome live this is ``D_i = G^+ P_i / pi_i``.
     """
     tol = P.tol
-    pi = metric_diagonal(P, ensemble).diag
+    pi = metric_diagonal(P, ensemble)
     live = pi > tol.eig_zero
     V = P.design_matrix
     V_L, V_D = V[:, live], V[:, ~live]

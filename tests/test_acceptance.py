@@ -157,7 +157,7 @@ def test_dual_frame_identities():
             assert dual.resolution_residual() <= 1e-9
             for m in dual.elements:
                 assert np.linalg.norm(m - dagger(m)) <= 1e-9
-        pi = metric_diagonal(P, ensemble).diag
+        pi = metric_diagonal(P, ensemble)
         assert np.all(pi > 1e-12)
         traces = np.einsum("ikk->i", optimal.elements)
         assert np.max(np.abs(traces - 1.0)) <= 1e-9

@@ -17,8 +17,8 @@ from povmlab.hs import (
     dagger,
     from_coords,
     off_span,
+    orthogonal_complement,
     span_basis,
-    svd_and_null_basis,
     truncated_svd,
 )
 
@@ -104,7 +104,7 @@ class TestPseudoinverseAndSpans:
     def test_null_basis_completes_the_row_span(self):
         rng = np.random.default_rng(6)
         A = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 7))  # rank 2
-        K = svd_and_null_basis(A + 1e-13 * rng.normal(size=(4, 7)))[3]
+        K = orthogonal_complement(truncated_svd(A + 1e-13 * rng.normal(size=(4, 7)))[2].T)
         assert K.shape == (7, 5) and K.dtype == np.float64
         assert np.allclose(K.T @ K, np.eye(5), atol=1e-12)
         assert np.max(np.abs(A @ K)) < 1e-10
@@ -112,7 +112,7 @@ class TestPseudoinverseAndSpans:
         assert np.allclose(Vh @ K, 0.0, atol=1e-10)
         # the cutoff is relative to the matrix's own largest singular value
         noise = 1e-17 * rng.normal(size=(4, 7))
-        assert svd_and_null_basis(noise)[3].shape == (7, 3)
+        assert orthogonal_complement(truncated_svd(noise)[2].T).shape == (7, 3)
 
     def test_span_projector_is_projector_onto_span(self):
         rng = np.random.default_rng(5)

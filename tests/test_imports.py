@@ -8,9 +8,11 @@ package with the ``scipy.linalg`` and ``scipy.sparse`` its init imports.
 That one module object serves both orders of a povmlab LP and a later or
 earlier ``scipy.optimize`` import, and the first LPs of several threads.
 Sampling runs its threads through ``threading``, never
-``concurrent.futures``, whose import pulls in ``logging``.
+``concurrent.futures``, whose import pulls in ``logging``.  The package's
+``__all__`` lists exactly what its ``__init__`` imports, once each.
 """
 
+import ast
 import importlib.machinery
 import json
 import os
@@ -237,3 +239,14 @@ def test_both_lps_call_the_module_linprog(monkeypatch):
     result = postproc.find_joint_measurement(P, [Observable(plus), Observable(minus)])
     assert result.feasible
     assert len(calls) == 3  # one LP per observable
+
+
+def test_all_lists_every_import_once():
+    # a deleted function cannot leave a stale export, nor a new one go unlisted
+    names = povmlab.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(povmlab, name)] == []
+    tree = ast.parse(Path(povmlab.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(imported - set(names)) == []
