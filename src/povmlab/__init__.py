@@ -1,132 +1,85 @@
-"""povmlab: indirect estimation of quantum ensemble averages from POVM statistics."""
+"""povmlab: indirect estimation of quantum ensemble averages from POVM statistics.
 
-from .abspace import (
-    ABSpace,
-    VandermondeRecovery,
-    ab_space,
-    is_ab_infocomplete,
-    is_minimal_ab_infocomplete,
-    project_povm,
-    vandermonde_recovery,
-)
-from .hs import DEFAULT_TOL, Tolerances
-from .montecarlo import SampleRun, empirical_estimate, sample, sample_range
-from .postproc import (
-    BlurResult,
-    MarkovMatrix,
-    apply_post_processing,
-    blur_for_post_processing,
-    find_joint_measurement,
-    find_post_processing,
-    is_clean,
-    is_post_processing_of,
-    least_blur,
-    minimal_blur,
-    unbias,
-)
-from .povm import (
-    DualFrame,
-    NotCompleteError,
-    NotPositiveError,
-    Observable,
-    Povm,
-    alternate_dual,
-    canonical_dual,
-    is_infocomplete,
-    is_r_infocomplete,
-    spectral_povm,
-    symmetrize_dual,
-)
-from .processing import (
-    DegenerateMetricWarning,
-    Ensemble,
-    OutsideSpanError,
-    ProcessingFunction,
-    ensemble_error,
-    metric_diagonal,
-    min_error,
-    optimal_dual,
-    processing_from_dual,
-    statistical_error,
-)
-from .qubit import (
-    NoiseSummary,
-    bloch_coefficients,
-    bloch_povm,
-    error_bound,
-    noise_quantities,
-    optimal_four_outcome,
-    optimal_three_outcome,
-    sigma_pm,
-)
-from .standard import (
-    maximally_mixed_ensemble,
-    projective_povm,
-    sic_povm,
-    six_state_ensemble,
-    trine_povm,
-)
+Every public name below is loaded from its module on first access (PEP 562),
+so ``import povmlab`` and a command-line verb load only the modules they use.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "Tolerances",
-    "Povm",
-    "DualFrame",
-    "Observable",
-    "Ensemble",
-    "ProcessingFunction",
-    "MarkovMatrix",
-    "BlurResult",
-    "NoiseSummary",
-    "ABSpace",
-    "VandermondeRecovery",
-    "SampleRun",
-    "NotPositiveError",
-    "NotCompleteError",
-    "OutsideSpanError",
-    "DegenerateMetricWarning",
-    "canonical_dual",
-    "alternate_dual",
-    "symmetrize_dual",
-    "is_infocomplete",
-    "is_r_infocomplete",
-    "spectral_povm",
-    "processing_from_dual",
-    "statistical_error",
-    "ensemble_error",
-    "metric_diagonal",
-    "optimal_dual",
-    "min_error",
-    "apply_post_processing",
-    "find_post_processing",
-    "is_post_processing_of",
-    "least_blur",
-    "is_clean",
-    "minimal_blur",
-    "blur_for_post_processing",
-    "unbias",
-    "find_joint_measurement",
-    "ab_space",
-    "is_ab_infocomplete",
-    "is_minimal_ab_infocomplete",
-    "project_povm",
-    "vandermonde_recovery",
-    "sample",
-    "sample_range",
-    "empirical_estimate",
-    "bloch_coefficients",
-    "bloch_povm",
-    "error_bound",
-    "noise_quantities",
-    "optimal_three_outcome",
-    "optimal_four_outcome",
-    "sigma_pm",
-    "sic_povm",
-    "projective_povm",
-    "trine_povm",
-    "six_state_ensemble",
-    "maximally_mixed_ensemble",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "ABSpace": "abspace",
+    "VandermondeRecovery": "abspace",
+    "ab_space": "abspace",
+    "is_ab_infocomplete": "abspace",
+    "is_minimal_ab_infocomplete": "abspace",
+    "project_povm": "abspace",
+    "vandermonde_recovery": "abspace",
+    "DEFAULT_TOL": "hs",
+    "Tolerances": "hs",
+    "SampleRun": "montecarlo",
+    "empirical_estimate": "montecarlo",
+    "sample": "montecarlo",
+    "sample_range": "montecarlo",
+    "BlurResult": "postproc",
+    "MarkovMatrix": "postproc",
+    "apply_post_processing": "postproc",
+    "blur_for_post_processing": "postproc",
+    "find_joint_measurement": "postproc",
+    "find_post_processing": "postproc",
+    "is_clean": "postproc",
+    "is_post_processing_of": "postproc",
+    "least_blur": "postproc",
+    "minimal_blur": "postproc",
+    "unbias": "postproc",
+    "DualFrame": "povm",
+    "NotCompleteError": "povm",
+    "NotPositiveError": "povm",
+    "Observable": "povm",
+    "Povm": "povm",
+    "alternate_dual": "povm",
+    "canonical_dual": "povm",
+    "is_infocomplete": "povm",
+    "is_r_infocomplete": "povm",
+    "spectral_povm": "povm",
+    "symmetrize_dual": "povm",
+    "DegenerateMetricWarning": "processing",
+    "Ensemble": "processing",
+    "OutsideSpanError": "processing",
+    "ProcessingFunction": "processing",
+    "ensemble_error": "processing",
+    "metric_diagonal": "processing",
+    "min_error": "processing",
+    "optimal_dual": "processing",
+    "processing_from_dual": "processing",
+    "statistical_error": "processing",
+    "NoiseSummary": "qubit",
+    "bloch_coefficients": "qubit",
+    "bloch_povm": "qubit",
+    "error_bound": "qubit",
+    "noise_quantities": "qubit",
+    "optimal_four_outcome": "qubit",
+    "optimal_three_outcome": "qubit",
+    "sigma_pm": "qubit",
+    "maximally_mixed_ensemble": "standard",
+    "projective_povm": "standard",
+    "sic_povm": "standard",
+    "six_state_ensemble": "standard",
+    "trine_povm": "standard",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -13,6 +13,10 @@ CSV text of ``qubit sweep``) and its exit code, or raises ``CommandError``.
 it to ``--out`` or stdout. A ``CommandError`` that carries a document (an
 all-degenerate sweep) has it written before its one-line message.
 
+The module itself loads only ``hs`` and ``serialize`` (with ``povm``);
+each verb imports the library functions it calls, so a cold run loads
+only the modules its verb needs.
+
 Exit codes: 0 success, 1 file/parse error, 2 validation failure,
 3 negative verdict (the verdict JSON is still written), 4 solver failure
 (HiGHS stopped short of an optimal solution; nothing is written).
@@ -28,40 +32,12 @@ import argparse
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .abspace import ab_space, is_ab_infocomplete, is_minimal_ab_infocomplete
-from .hs import DEFAULT_TOL, Tolerances, as_operator
-from .montecarlo import _check_seed, empirical_estimate, sample
-from .postproc import (
-    SolverError,
-    blur_for_post_processing,
-    find_joint_measurement,
-    find_post_processing,
-)
-from .povm import (
-    Observable,
-    canonical_dual,
-    is_infocomplete,
-    is_r_infocomplete,
-    povm_report,
-)
-from .processing import (
-    Ensemble,
-    metric_diagonal,
-    min_error,
-    optimal_dual,
-    processing_from_dual,
-    statistical_error,
-)
-from .qubit import (
-    DegenerateNoiseError,
-    noise_quantities,
-    optimal_four_outcome,
-    optimal_three_outcome,
-)
+from .hs import DEFAULT_TOL, SolverError, Tolerances, _check_seed, as_operator
 from .serialize import (
     ParseError,
     SchemaError,
@@ -75,7 +51,10 @@ from .serialize import (
     povm_from_json,
     povm_to_json,
 )
-from .standard import ENSEMBLE_PRESETS, maximally_mixed_ensemble, six_state_ensemble
+
+if TYPE_CHECKING:
+    from .povm import Observable
+    from .processing import Ensemble
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -198,6 +177,8 @@ def _load_povm(filename: str, tol: Tolerances):
 
 
 def _load_ensemble(arg: str, dim: int, tol: Tolerances) -> Ensemble:
+    from .standard import ENSEMBLE_PRESETS, maximally_mixed_ensemble
+
     if arg in ENSEMBLE_PRESETS:
         if arg == "maximally-mixed-only":
             return maximally_mixed_ensemble(dim, tol=tol)
@@ -222,6 +203,8 @@ def _load_target(filename: str, tol: Tolerances) -> np.ndarray:
 
 
 def _load_observable(filename: str, tol: Tolerances) -> Observable:
+    from .povm import Observable
+
     def build(obj):
         if isinstance(obj, dict) and "operator" in obj:
             return observable_from_json(obj, tol=tol)
@@ -231,6 +214,8 @@ def _load_observable(filename: str, tol: Tolerances) -> Observable:
 
 
 def _load_state(filename: str, tol: Tolerances) -> np.ndarray:
+    from .processing import Ensemble
+
     def build(obj):
         rho = operator_from_json(obj)
         try:
@@ -250,6 +235,8 @@ def _format_float(x: float) -> str:
 # verbs
 
 def cmd_validate(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .povm import povm_report
+
     def build(obj):
         # parse the raw element list leniently: the point is to report problems
         elements_json = obj.get("elements") if isinstance(obj, dict) else None
@@ -274,11 +261,15 @@ def _dual_payload(P, D) -> dict:
 
 
 def cmd_dual(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .povm import canonical_dual
+
     P = _load_povm(args.povm, tol)
     return _dual_payload(P, canonical_dual(P)), EXIT_OK
 
 
 def cmd_optimal_dual(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .processing import metric_diagonal, optimal_dual
+
     P = _load_povm(args.povm, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
     return {**_dual_payload(P, optimal_dual(P, ensemble)),
@@ -286,6 +277,8 @@ def cmd_optimal_dual(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def cmd_min_error(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .processing import min_error
+
     P = _load_povm(args.povm, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
     X = _load_target(args.x, tol)
@@ -293,6 +286,8 @@ def cmd_min_error(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def cmd_infocheck(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .povm import is_infocomplete, is_r_infocomplete
+
     P = _load_povm(args.povm, tol)
     payload = {
         "dim": P.dim,
@@ -308,6 +303,8 @@ def cmd_infocheck(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def cmd_postproc_check(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .postproc import find_post_processing
+
     Q = _load_povm(args.q, tol)
     P = _load_povm(args.p, tol)
     search = find_post_processing(Q, P)
@@ -323,6 +320,8 @@ def cmd_postproc_check(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def cmd_postproc_blur(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .postproc import blur_for_post_processing
+
     P = _load_povm(args.p, tol)
     Q = _load_povm(args.q, tol)
     ensemble = _load_ensemble(args.ensemble, P.dim, tol)
@@ -337,6 +336,8 @@ def cmd_postproc_blur(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def cmd_postproc_joint(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .postproc import find_joint_measurement
+
     P = _load_povm(args.povm, tol)
     observables = [_load_observable(f, tol) for f in args.x]
     result = find_joint_measurement(P, observables)
@@ -351,6 +352,8 @@ def cmd_postproc_joint(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def cmd_abspace_build(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .abspace import ab_space
+
     A = _load_observable(args.A, tol)
     B = _load_observable(args.B, tol)
     space = ab_space(A, B)
@@ -361,6 +364,8 @@ def cmd_abspace_build(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def cmd_abspace_check(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .abspace import ab_space, is_ab_infocomplete, is_minimal_ab_infocomplete
+
     P = _load_povm(args.povm, tol)
     A = _load_observable(args.A, tol)
     B = _load_observable(args.B, tol)
@@ -374,12 +379,17 @@ def cmd_abspace_check(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def _optimal_family(family: str, theta: float, tol: Tolerances):
+    from .qubit import optimal_four_outcome, optimal_three_outcome
+
     if family == "3":
         return optimal_three_outcome(theta, tol)
     return optimal_four_outcome(theta, tol)
 
 
 def cmd_qubit_optimal(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .qubit import noise_quantities
+    from .standard import six_state_ensemble
+
     P = _optimal_family(args.family, args.theta, tol)
     summary = noise_quantities(P, six_state_ensemble(tol), args.theta)
     # a loadable POVM document: main fills "meta" in after the POVM's keys
@@ -412,6 +422,8 @@ def _parse_theta_range(text: str) -> np.ndarray:
 
 
 def cmd_qubit_sweep(args, tol: Tolerances, seed: int) -> tuple[str, int]:
+    from .qubit import DegenerateNoiseError, noise_quantities
+
     thetas = _parse_theta_range(args.thetas)
     families = ("3", "4") if args.family == "both" else (args.family,)
     ensemble = _load_ensemble(args.ensemble, 2, tol)
@@ -444,6 +456,10 @@ def cmd_qubit_sweep(args, tol: Tolerances, seed: int) -> tuple[str, int]:
 
 
 def cmd_simulate(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
+    from .montecarlo import empirical_estimate, sample
+    from .povm import canonical_dual
+    from .processing import optimal_dual, processing_from_dual, statistical_error
+
     P = _load_povm(args.povm, tol)
     rho = _load_state(args.state, tol)
     X = _load_target(args.x, tol)

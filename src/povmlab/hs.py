@@ -34,6 +34,7 @@ second argument's, because the eigenvalues are the observable's.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,6 +75,26 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+class SolverError(RuntimeError):
+    """HiGHS stopped short of an optimal solution; ``status`` is its model status."""
+
+    def __init__(self, status: str):
+        self.status = status
+        super().__init__(f"least-blur LP not solved: HiGHS model status {status}")
+
+
+def _check_seed(seed) -> int:
+    """The seed as a Philox key: an integer in [0, 2**128)."""
+    message = f"seed must be an integer in [0, 2**128), got {seed!r}"
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(message) from None
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(message)
+    return seed
 
 
 def as_operator(x) -> np.ndarray:

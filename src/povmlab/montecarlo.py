@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, as_operator
+from .hs import DEFAULT_TOL, Tolerances, _check_seed, as_operator
 from .povm import Povm
 from .processing import ProcessingFunction
 
@@ -99,18 +99,6 @@ def outcome_distribution(P: Povm, rho) -> np.ndarray:
 _BLOCK = 1 << 16
 # Largest cell table, in bits; the table grows with the range up to this.
 _MAX_CELL_BITS = 16
-
-
-def _check_seed(seed) -> int:
-    """The seed as a Philox key: an integer in [0, 2**128)."""
-    message = f"seed must be an integer in [0, 2**128), got {seed!r}"
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(message) from None
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(message)
-    return seed
 
 
 def _cpu_count() -> int:

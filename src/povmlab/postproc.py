@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, Tolerances, coords, from_coords, off_span
+from .hs import DEFAULT_TOL, SolverError, Tolerances, coords, from_coords, off_span
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
@@ -61,14 +61,6 @@ _LP_OPTIONS = {
 _SOLVER = threading.local()  # one HiGHS instance per thread, made on its first LP
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 _HIGHS_LOCK = threading.Lock()  # the first LPs of several threads load the core once
-
-
-class SolverError(RuntimeError):
-    """HiGHS stopped short of an optimal solution; ``status`` is its model status."""
-
-    def __init__(self, status: str):
-        self.status = status
-        super().__init__(f"least-blur LP not solved: HiGHS model status {status}")
 
 
 @dataclass

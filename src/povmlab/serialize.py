@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances, as_operator
-from .postproc import MarkovMatrix
 from .povm import Observable, Povm
-from .processing import Ensemble
+
+if TYPE_CHECKING:
+    from .postproc import MarkovMatrix
+    from .processing import Ensemble
 
 
 class SchemaError(ValueError):
@@ -165,6 +169,8 @@ def ensemble_to_json(E: Ensemble) -> dict:
 
 def ensemble_from_json(obj, tol: Tolerances = DEFAULT_TOL,
                        path: str = "ensemble") -> Ensemble:
+    from .processing import Ensemble
+
     states_json = _require(obj, "states", path)
     if not isinstance(states_json, list) or not states_json:
         raise SchemaError(f"{path}.states", "expected a nonempty array")
@@ -189,6 +195,8 @@ def markov_to_json(M: MarkovMatrix) -> dict:
 
 def markov_from_json(obj, tol: Tolerances = DEFAULT_TOL,
                      path: str = "markov") -> MarkovMatrix:
+    from .postproc import MarkovMatrix
+
     rows = _number(obj, "rows", path, integer=True)
     cols = _number(obj, "cols", path, integer=True)
     m = _real_matrix(_require(obj, "m", path), (rows, cols), f"{path}.m")
@@ -215,8 +223,67 @@ def load_json_file(filename: str):
 
 
 def dump_json(obj) -> str:
-    """Deterministic rendering: fixed key order, indent 2, trailing newline."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Deterministic rendering: fixed key order, indent 2, trailing newline.
+
+    The bytes of ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``.
+    ``indent`` makes the stdlib use its pure-Python encoder, so each list of
+    numbers, and each list of such lists, is rendered on one line by its C
+    encoder and laid out with ``str.replace``: no number's text holds ``", "``.
+    """
+    return _render(obj, "\n") + "\n"
+
+
+# one line, separators ", " and ": ", from the stdlib's C encoder
+_encode = json.JSONEncoder(allow_nan=False).encode
+_NUMBERS = {int, float}
+
+
+def _render(obj, newline: str) -> str:
+    """``obj`` as the stdlib's indent path lays it out at the indent ``newline`` ends with."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",".join(f"{inner}{_key(k)}: {_render(v, inner)}" for k, v in obj.items())
+        return "{" + items + newline + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _line(obj)
+    if not obj:
+        return "[]"
+    if _NUMBERS.issuperset(map(type, obj)):
+        return "[" + inner + _line(obj)[1:-1].replace(", ", "," + inner) + newline + "]"
+    if all(type(row) in (list, tuple) and row and _NUMBERS.issuperset(map(type, row))
+           for row in obj):
+        deeper = inner + "  "
+        rows = _line(obj)[2:-2].replace("], [", f"{inner}],{inner}[{deeper}")
+        return f"[{inner}[{deeper}" + rows.replace(", ", "," + deeper) + f"{inner}]{newline}]"
+    return "[" + ",".join(inner + _render(item, inner) for item in obj) + newline + "]"
+
+
+def _key(key) -> str:
+    """A member name as the stdlib writes it; a number, boolean or null key as its JSON text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _line(key)
+    return _encode(key)
+
+
+def _line(value) -> str:
+    """A scalar, a list of numbers or a list of such lists, on one line.
+
+    A non-finite float raises the stdlib indent path's message, which names
+    the value; the C encoder of Python 3.10 and 3.11 does not.
+    """
+    try:
+        return _encode(value)
+    except ValueError:
+        rows = value if isinstance(value, (list, tuple)) else [value]
+        bad = [x for row in rows for x in (row if isinstance(row, (list, tuple)) else [row])
+               if isinstance(x, float) and not math.isfinite(x)]
+        if not bad:
+            raise
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad[0]!r}") from None
 
 
 def save_json_file(filename: str, obj) -> None:

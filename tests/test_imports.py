@@ -9,10 +9,13 @@ That one module object serves both orders of a povmlab LP and a later or
 earlier ``scipy.optimize`` import, and the first LPs of several threads.
 Sampling runs its threads through ``threading``, never
 ``concurrent.futures``, whose import pulls in ``logging``.  The package's
-``__all__`` lists exactly what its ``__init__`` imports, once each.
+``__init__`` imports no submodule: ``__all__`` is read from its one
+name -> module table, each name is loaded on first access, and a verb
+loads only the modules it runs.
 """
 
 import ast
+import importlib
 import importlib.machinery
 import json
 import os
@@ -155,16 +158,22 @@ def run_fresh(script, *args):
 
 
 @pytest.fixture(scope="module")
-def loaded(tmp_path_factory):
+def files(tmp_path_factory):
+    """The SIC POVM, two observables, a state and an output path, as files."""
     tmp = tmp_path_factory.mktemp("imports")
-    files = []
+    paths = []
     for name, doc in [("sic.json", povm_to_json(sic_povm())),
                       ("a.json", observable_to_json(pauli_observable("x"))),
                       ("b.json", observable_to_json(pauli_observable("y"))),
                       ("state.json", operator_to_json(np.eye(2) / 2.0))]:
         save_json_file(str(tmp / name), doc)
-        files.append(str(tmp / name))
-    return run_fresh(SCRIPT, *files, str(tmp / "out.json"))
+        paths.append(str(tmp / name))
+    return [*paths, str(tmp / "out.json")]
+
+
+@pytest.fixture(scope="module")
+def loaded(files):
+    return run_fresh(SCRIPT, *files)
 
 
 def test_cli_verbs_load_no_scipy(loaded):
@@ -243,10 +252,53 @@ def test_both_lps_call_the_module_linprog(monkeypatch):
 
 def test_all_lists_every_import_once():
     # a deleted function cannot leave a stale export, nor a new one go unlisted
-    names = povmlab.__all__
-    assert len(names) == len(set(names))
-    assert [name for name in names if not hasattr(povmlab, name)] == []
     tree = ast.parse(Path(povmlab.__file__).read_text())
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert sorted(imported - set(names)) == []
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["_EXPORTS"])
+    names = [key.value for key in table.keys]
+    assert len(names) == len(set(names))  # a dict literal keeps a repeated key silently
+    assert [name for name in povmlab.__all__ if not hasattr(povmlab, name)] == []
+    assert sorted(povmlab.__all__) == sorted([*names, "__version__"])
+    assert set(povmlab.__all__) <= set(dir(povmlab))  # a lazy name is listed, loaded or not
+    for name, module in povmlab._EXPORTS.items():
+        assert getattr(povmlab, name) is getattr(
+            importlib.import_module(f"povmlab.{module}"), name), name
+
+
+# Runs in a fresh interpreter: the optional povmlab modules loaded after
+# importing the CLI, after three verbs that need none of them, and after
+# a post-processing check; then whether a star import binds every name.
+LAZY_SCRIPT = """
+import json, sys
+import povmlab.cli
+from povmlab.cli import main
+
+OPTIONAL = ["povmlab." + m for m in ("postproc", "montecarlo", "abspace", "qubit", "standard")]
+
+def optional_modules():
+    return [m for m in OPTIONAL if m in sys.modules]
+
+sic, out = sys.argv[1:3]
+after_import = optional_modules()
+codes = [main(["validate", sic, "--out", out]),
+         main(["infocheck", "--povm", sic, "--out", out]),
+         main(["dual", "--povm", sic, "--out", out])]
+after_verbs = optional_modules()
+codes.append(main(["postproc", "check", "--q", sic, "--p", sic, "--out", out]))
+after_check = optional_modules()
+from povmlab import *
+print(json.dumps({"codes": codes, "after_import": after_import, "after_verbs": after_verbs,
+                  "after_check": after_check,
+                  "unbound": [n for n in povmlab.__all__
+                              if globals().get(n, None) is not getattr(povmlab, n)]}))
+"""
+
+
+def test_cli_verbs_load_only_the_modules_they_run(files):
+    sic, out = files[0], files[-1]
+    got = run_fresh(LAZY_SCRIPT, sic, out)
+    assert got["codes"] == [0, 0, 0, 0]
+    assert got["after_import"] == []
+    assert got["after_verbs"] == []
+    assert "povmlab.postproc" in got["after_check"]
+    assert got["unbound"] == []

@@ -1,7 +1,11 @@
 """Round-trip and schema-validation tests for the JSON interchange layer."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_ensemble, random_hermitian, random_povm
@@ -38,8 +42,6 @@ class TestOperator:
     def test_exact_floats_survive(self):
         X = np.array([[1.0 / 3.0, 0.1 + 0.7j], [0.1 - 0.7j, np.pi]])
         text = dump_json(operator_to_json(X))
-        import json
-
         back = operator_from_json(json.loads(text))
         assert np.array_equal(back, X)  # bitwise, not approximate
 
@@ -200,5 +202,33 @@ class TestFiles:
         assert "4:" in str(err.value)
 
     def test_nan_rejected_on_dump(self):
-        with pytest.raises(ValueError):
-            dump_json({"x": float("nan")})
+        # the stdlib indent path's message, which names the value
+        for value in ["nan", "inf", "-inf"]:
+            with pytest.raises(ValueError) as err:
+                dump_json({"x": float(value)})
+            assert str(err.value) == f"Out of range float values are not JSON compliant: {value}"
+
+
+# numbers at formatting edges, and strings that hold the separators the
+# one-line encoding is split at
+NUMBERS = (st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 0.1, 1e22, -1e-7]))
+TEXTS = st.text() | st.sampled_from([", ", "], [", "[1, 2]", '"', "\\", "\n\t\x00\x1f", "é ∑ 日本"])
+SCALARS = NUMBERS | TEXTS | st.booleans() | st.none()
+
+
+def containers(children):
+    rows = st.lists(NUMBERS, max_size=4)
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(TEXTS, children, max_size=4) | rows
+            | st.lists(rows, max_size=4) | st.lists(rows.map(tuple), max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(SCALARS, containers, max_leaves=40))
+@example(["a, b", 1.0])  # no list that holds a string is split at ", "
+@example([[1.0, 2.0], ["], [", 3]])
+@example({"m": [[1, 2.5], [], [3]], "k": [[-0.0], (5e-324, 1e16)], "e": [{}, [], ()]})
+@example({7: [1], 2.5: {}, False: 0, None: "x"})  # keys the stdlib writes as strings
+def test_dump_json_is_the_stdlib_indent_rendering(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
