@@ -18,6 +18,7 @@ _EXPORTS = {
     "project_povm": "abspace",
     "vandermonde_recovery": "abspace",
     "DEFAULT_TOL": "hs",
+    "OutsideSpanError": "hs",
     "Tolerances": "hs",
     "SampleRun": "montecarlo",
     "empirical_estimate": "montecarlo",
@@ -32,7 +33,6 @@ _EXPORTS = {
     "is_clean": "postproc",
     "is_post_processing_of": "postproc",
     "least_blur": "postproc",
-    "minimal_blur": "postproc",
     "unbias": "postproc",
     "DualFrame": "povm",
     "NotCompleteError": "povm",
@@ -47,7 +47,6 @@ _EXPORTS = {
     "symmetrize_dual": "povm",
     "DegenerateMetricWarning": "processing",
     "Ensemble": "processing",
-    "OutsideSpanError": "processing",
     "ProcessingFunction": "processing",
     "ensemble_error": "processing",
     "metric_diagonal": "processing",

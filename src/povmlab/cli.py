@@ -324,8 +324,7 @@ def cmd_postproc_blur(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
     P = _load_povm(args.p, tol)
     Q = _load_povm(args.q, tol)
-    ensemble = _load_ensemble(args.ensemble, P.dim, tol)
-    blur = blur_for_post_processing(P, Q, ensemble)
+    blur = blur_for_post_processing(P, Q)
     return {
         "epsilon_star": blur.epsilon_star,
         "inflation": blur.inflation,
@@ -548,10 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p", required=True, help="source POVM JSON")
     pc.set_defaults(func=cmd_postproc_check)
     pb = psub.add_parser("blur", parents=[common],
-                         help="smallest uniform blur making Q reachable from P")
+                         help="smallest uniform blur making Q reachable from P, "
+                              "epsilon_star = 1 - the least blur (no ensemble)")
     pb.add_argument("--p", required=True, help="source POVM JSON")
     pb.add_argument("--q", required=True, help="target POVM JSON")
-    pb.add_argument("--ensemble", default="isotropic-six-state")
     pb.set_defaults(func=cmd_postproc_blur)
     pj = psub.add_parser("joint", parents=[common],
                          help="least blur of each observable from P, and their joint POVM")

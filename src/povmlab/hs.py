@@ -77,6 +77,18 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+class OutsideSpanError(ValueError):
+    """Target operator is not contained in the span of the POVM elements."""
+
+    def __init__(self, residual: float, what: str = "operator"):
+        self.residual = residual
+        super().__init__(
+            f"{what} lies outside the span of the POVM elements "
+            f"(projection residual {residual:.6e}); its expectation cannot be "
+            f"estimated from these statistics"
+        )
+
+
 class SolverError(RuntimeError):
     """HiGHS stopped short of an optimal solution; ``status`` is its model status."""
 

@@ -25,12 +25,12 @@ is a joint POVM of the blurred observables, and every visibility is
 positive exactly when P's span holds every spectral projector (for two
 observables A and B, when P is AB-infocomplete).  For qubits the least
 blur is Busch's unsharpness parameter (P. Busch, PRD 33, 2253 (1986)).
+The blur that makes Q reachable (:func:`blur_for_post_processing`) is the
+least blur too, with the noise weight ``eps* = 1 - lam`` that unbiasing
+undoes.
 
-The module also implements the elementary merge/permute/split maps,
-tests cleanness (maximality under the induced pseudo-order), and builds
-the blurring construction that turns sign-indefinite processing
-coefficients into genuine conditional probabilities at a quantifiable
-noise cost.
+The module also implements the elementary merge/permute/split maps and
+tests cleanness (maximality under the induced pseudo-order).
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import DEFAULT_TOL, SolverError, Tolerances, coords, from_coords, off_span
+from .hs import (DEFAULT_TOL, OutsideSpanError, SolverError, Tolerances, coords, from_coords,
+                 off_span)
 from .povm import Observable, Povm, spectral_povm
-from .processing import Ensemble, OutsideSpanError, _span_residual, optimal_dual
 
 #: Largest admissible synthesis residual (entrywise) for declaring that a
 #: candidate Markov matrix realizes the target POVM.
@@ -324,45 +324,28 @@ class BlurResult:
     outcome_values: np.ndarray | None
 
 
-def minimal_blur(c_min: float, n_outcomes: int) -> float:
-    """Smallest uniform-noise weight clearing negative coefficients.
-
-    For the most negative optimal-processing coefficient ``c_min`` (clamped
-    at zero) of an ``n_outcomes``-target, ``eps* = -M c~ / (1 - M c~)``
-    with ``c~ = min(0, c_min)`` and ``M = n_outcomes``.
-    """
-    c_bar = min(0.0, float(c_min))
-    return -n_outcomes * c_bar / (1.0 - n_outcomes * c_bar)
-
-
-def blur_for_post_processing(P: Povm, Q: Povm, ensemble: Ensemble) -> BlurResult:
+def blur_for_post_processing(P: Povm, Q: Povm, ensemble=None) -> BlurResult:
     """Blur ``Q`` just enough that it becomes a post-processing of ``P``.
 
-    The optimal dual of P under the ensemble provides coefficients
-    ``c[i, j] = Tr[D_i Q_j]`` whose rows sum to one.  Mixing every target
-    element with uniform noise, ``Q_j(eps) = (1-eps) Q_j + eps/M``, makes
-    all coefficients nonnegative at ``eps* = minimal_blur(...)``; the
-    resulting conditional probabilities realize the blurred target
-    exactly, at the price of inflating statistical errors by
-    ``1/(1-eps*)^2`` after unbiasing.  The blurred POVM and its Markov
-    matrix are built at ``P.tol``.
+    Mixing every target element with uniform noise,
+    ``Q_j(eps) = (1-eps) Q_j + eps/M``, makes Q reachable from P exactly
+    from ``eps* = 1 - lam`` on, for the least blur ``lam`` of Q over P
+    (:func:`least_blur`), whose Markov map ``m`` realizes the blurred
+    target.  ``coefficients[i, j] = (m(j|i) - eps*/M)/lam`` are a
+    processing of Q, ``sum_i c[i, j] P_i = Q_j``.  Unbiasing divides by
+    ``lam``, which inflates statistical errors by ``1/lam^2``.  When some
+    ``Q_j`` lies off P's span (``lam = 0``) no blur helps, and
+    :class:`OutsideSpanError` names the first such j.  The blurred POVM and
+    its Markov matrix are built at ``P.tol``.  ``ensemble`` is ignored, as
+    the least blur needs none; it stays for callers that pass it
+    positionally.
     """
-    tol = P.tol
-    if P.dim != Q.dim:
-        raise ValueError("POVMs must act on the same space")
-    residuals = _span_residual(P, Q.design_matrix)
-    outside = np.flatnonzero(residuals > tol.lin_solve)
-    if outside.size:
-        j = int(outside[0])
+    lam, m, _ = _least_blur(P, Q)
+    if lam == 0.0:
+        residuals = np.linalg.norm(off_span(P.svd[0], Q.design_matrix), axis=0)
+        j = int(np.flatnonzero(residuals > P.tol.lin_solve)[0])
         raise OutsideSpanError(residuals[j], f"target element {j}")
-    c = optimal_dual(P, ensemble).coords.T @ Q.design_matrix
-    M = len(Q)
-    eps = minimal_blur(float(c.min()), M)
-    markov_entries = (1.0 - eps) * c.T + eps / M  # rows: target outcome j
-    blurred = Povm(
-        [(1.0 - eps) * q + (eps / M) * np.eye(Q.dim) for q in Q.elements],
-        tol=tol,
-    )
+    eps, M = 1.0 - lam, len(Q)
     outcome_values = None
     if Q.labels is not None:
         try:
@@ -370,11 +353,11 @@ def blur_for_post_processing(P: Povm, Q: Povm, ensemble: Ensemble) -> BlurResult
         except (TypeError, ValueError):
             outcome_values = None
     return BlurResult(
-        epsilon_star=float(eps),
-        blurred=blurred,
-        markov=MarkovMatrix(markov_entries, tol=tol),
-        inflation=1.0 / (1.0 - eps) ** 2,
-        coefficients=c,
+        epsilon_star=eps,
+        blurred=Povm(lam * Q.elements + (eps / M) * np.eye(Q.dim), tol=P.tol),
+        markov=MarkovMatrix(m, tol=P.tol),
+        inflation=1.0 / lam**2,
+        coefficients=((m - eps / M) / lam).T,
         outcome_values=outcome_values,
     )
 

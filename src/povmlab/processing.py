@@ -31,6 +31,7 @@ import numpy as np
 
 from .hs import (
     DEFAULT_TOL,
+    OutsideSpanError,
     Tolerances,
     as_operator,
     coords,
@@ -39,18 +40,6 @@ from .hs import (
     truncated_svd,
 )
 from .povm import DualFrame, Povm, _element_rules
-
-
-class OutsideSpanError(ValueError):
-    """Target operator is not contained in the span of the POVM elements."""
-
-    def __init__(self, residual: float, what: str = "operator"):
-        self.residual = residual
-        super().__init__(
-            f"{what} lies outside the span of the POVM elements "
-            f"(projection residual {residual:.6e}); its expectation cannot be "
-            f"estimated from these statistics"
-        )
 
 
 class DegenerateMetricWarning(UserWarning):
@@ -149,18 +138,13 @@ class ProcessingFunction:
         object.__setattr__(self, "coefficients", c)
 
 
-def _span_residual(P: Povm, V: np.ndarray):
-    """Distance from the span of P of the coordinate vector ``V``, or of each column of ``V``."""
-    return np.linalg.norm(off_span(P.svd[0], V), axis=0)
-
-
 def _target(P: Povm, X):
     """``X`` as an operator and its HS coordinates, checked to be a target P can estimate."""
     X = as_operator(X)
     if X.shape[0] != P.dim:
         raise ValueError(f"target dimension {X.shape[0]} != POVM dimension {P.dim}")
     x = coords(X)
-    residual = _span_residual(P, x)
+    residual = np.linalg.norm(off_span(P.svd[0], x))
     if residual > P.tol.lin_solve:
         raise OutsideSpanError(residual, "target observable")
     return X, x

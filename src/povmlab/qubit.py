@@ -24,11 +24,8 @@ import numpy as np
 from .hs import DEFAULT_TOL, Tolerances
 from .povm import Povm
 from .processing import Ensemble
+from .standard import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ID = np.eye(2, dtype=complex)
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
@@ -53,7 +50,7 @@ def bloch_coefficients(P: Povm) -> np.ndarray:
     if P.dim != 2:
         raise ValueError("Bloch coordinates exist for qubit POVMs only")
     return np.array([
-        [float(np.real(np.trace(m @ basis))) / 2.0 for basis in (_ID,) + _PAULIS]
+        [float(np.real(np.trace(m @ basis))) / 2.0 for basis in (I2,) + _PAULIS]
         for m in P.elements
     ])
 
@@ -61,7 +58,7 @@ def bloch_coefficients(P: Povm) -> np.ndarray:
 def bloch_povm(rows, tol: Tolerances = DEFAULT_TOL) -> Povm:
     """The validated qubit POVM with elements ``a 1 + b sx + g sy + d sz``, one per row."""
     return Povm(
-        [a * _ID + b * SIGMA_X + g * SIGMA_Y + d * SIGMA_Z for a, b, g, d in rows],
+        [a * I2 + b * SIGMA_X + g * SIGMA_Y + d * SIGMA_Z for a, b, g, d in rows],
         tol=tol,
     )
 
@@ -133,7 +130,7 @@ def noise_quantities(P: Povm, ensemble: Ensemble, theta: float) -> NoiseSummary:
         not apply then (use the general minimum-error routine instead).
     """
     tol = P.tol
-    if float(np.linalg.norm(ensemble.barycenter - 0.5 * _ID)) > tol.lin_solve:
+    if float(np.linalg.norm(ensemble.barycenter - 0.5 * I2)) > tol.lin_solve:
         raise NotIsotropicError(
             "noise quantities assume an isotropic ensemble (barycenter 1/2)"
         )

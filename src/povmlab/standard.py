@@ -7,8 +7,10 @@ import numpy as np
 from .hs import DEFAULT_TOL, Tolerances
 from .povm import Observable, Povm, spectral_povm
 from .processing import Ensemble
-from .qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 # Regular tetrahedron on the Bloch sphere with the first vertex at the north

@@ -219,7 +219,7 @@ def test_optimal_dual_optimality():
 def test_blur_pipeline():
     P = sic_povm()
     target = pauli_projective("z")
-    blur = blur_for_post_processing(P, target, six_state_ensemble())
+    blur = blur_for_post_processing(P, target)
     assert blur.epsilon_star > 0.0
     assert abs(blur.epsilon_star - 2.0 / 3.0) <= 1e-12
 

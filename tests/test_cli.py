@@ -369,11 +369,7 @@ class TestPostproc:
         assert payload["visibility"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_blur(self, capsys, sic_file, zproj_file):
-        code, payload = run_json(
-            capsys,
-            ["postproc", "blur", "--p", sic_file, "--q", zproj_file,
-             "--ensemble", "isotropic-six-state"],
-        )
+        code, payload = run_json(capsys, ["postproc", "blur", "--p", sic_file, "--q", zproj_file])
         assert code == 0
         assert payload["epsilon_star"] == pytest.approx(2.0 / 3.0, abs=1e-10)
         assert payload["inflation"] == pytest.approx(9.0, abs=1e-8)
@@ -866,8 +862,7 @@ VERB_ARGV = {
                   "--x", "{operator}"],
     "infocheck": ["infocheck", "--povm", "{povm}", "--r", "{operator}"],
     "postproc check": ["postproc", "check", "--q", "{povm2}", "--p", "{povm}"],
-    "postproc blur": ["postproc", "blur", "--p", "{povm}", "--q", "{povm2}",
-                      "--ensemble", "{ensemble}"],
+    "postproc blur": ["postproc", "blur", "--p", "{povm}", "--q", "{povm2}"],
     "postproc joint": ["postproc", "joint", "--povm", "{povm}", "--x", "{observable}"],
     "abspace build": ["abspace", "build", "--A", "{observable}", "--B", "{operator}"],
     "abspace check": ["abspace", "check", "--povm", "{povm}", "--A", "{observable}",

@@ -266,19 +266,21 @@ def test_all_lists_every_import_once():
 
 
 # Runs in a fresh interpreter: the optional povmlab modules loaded after
-# importing the CLI, after three verbs that need none of them, and after
-# a post-processing check; then whether a star import binds every name.
+# importing the CLI, after three verbs that need none of them, after a
+# post-processing check, and after the two verbs that resolve an ensemble
+# preset; then whether a star import binds every name.
 LAZY_SCRIPT = """
 import json, sys
 import povmlab.cli
 from povmlab.cli import main
 
-OPTIONAL = ["povmlab." + m for m in ("postproc", "montecarlo", "abspace", "qubit", "standard")]
+OPTIONAL = ["povmlab." + m
+            for m in ("postproc", "processing", "montecarlo", "abspace", "qubit", "standard")]
 
 def optional_modules():
     return [m for m in OPTIONAL if m in sys.modules]
 
-sic, out = sys.argv[1:3]
+sic, a, out = sys.argv[1:4]
 after_import = optional_modules()
 codes = [main(["validate", sic, "--out", out]),
          main(["infocheck", "--povm", sic, "--out", out]),
@@ -286,19 +288,24 @@ codes = [main(["validate", sic, "--out", out]),
 after_verbs = optional_modules()
 codes.append(main(["postproc", "check", "--q", sic, "--p", sic, "--out", out]))
 after_check = optional_modules()
+codes += [main(["optimal-dual", "--povm", sic, "--ensemble", "six-state", "--out", out]),
+          main(["min-error", "--povm", sic, "--ensemble", "six-state", "--x", a, "--out", out])]
+after_ensemble = optional_modules()
 from povmlab import *
 print(json.dumps({"codes": codes, "after_import": after_import, "after_verbs": after_verbs,
-                  "after_check": after_check,
+                  "after_check": after_check, "after_ensemble": after_ensemble,
                   "unbound": [n for n in povmlab.__all__
                               if globals().get(n, None) is not getattr(povmlab, n)]}))
 """
 
 
 def test_cli_verbs_load_only_the_modules_they_run(files):
-    sic, out = files[0], files[-1]
-    got = run_fresh(LAZY_SCRIPT, sic, out)
-    assert got["codes"] == [0, 0, 0, 0]
+    sic, a, out = files[0], files[1], files[-1]
+    got = run_fresh(LAZY_SCRIPT, sic, a, out)
+    assert got["codes"] == [0] * 6
     assert got["after_import"] == []
     assert got["after_verbs"] == []
-    assert "povmlab.postproc" in got["after_check"]
+    assert got["after_check"] == ["povmlab.postproc"]  # OutsideSpanError lives in hs
+    # the Pauli matrices of the presets live in standard, not in qubit
+    assert got["after_ensemble"] == ["povmlab.postproc", "povmlab.processing", "povmlab.standard"]
     assert got["unbound"] == []

@@ -12,8 +12,8 @@ from hypothesis import given
 from numpy.testing import assert_allclose
 
 from povmlab import postproc
-from povmlab.hs import Tolerances, coords
-from povmlab.povm import Observable, Povm, spectral_povm
+from povmlab.hs import OutsideSpanError, Tolerances, coords
+from povmlab.povm import Observable, Povm, canonical_dual, spectral_povm
 from povmlab.postproc import (
     FEASIBILITY_RESIDUAL,
     MarkovMatrix,
@@ -24,20 +24,17 @@ from povmlab.postproc import (
     is_clean,
     is_post_processing_of,
     least_blur,
-    minimal_blur,
     t1_identify,
     t2_permute,
     t3_split,
     unbias,
 )
-from povmlab.processing import OutsideSpanError
 from povmlab.qubit import optimal_four_outcome, sigma_pm
 from povmlab.standard import (
     pauli_observable,
     pauli_projective,
     projective_povm,
     sic_povm,
-    six_state_ensemble,
     trine_povm,
 )
 
@@ -46,7 +43,6 @@ from helpers import (
     dense,
     dense_rows,
     ill_conditioned_minimal_povm,
-    random_ensemble,
     random_povm,
     scipy_linprog,
 )
@@ -433,28 +429,13 @@ class TestIsClean:
         assert not is_clean(Povm([np.eye(2)]))
 
     def test_noisy_povm_not_clean(self):
-        blur = blur_for_post_processing(
-            sic_povm(), projective_povm("z"), six_state_ensemble()
-        )
+        blur = blur_for_post_processing(sic_povm(), projective_povm("z"))
         assert not is_clean(blur.blurred)
-
-
-class TestMinimalBlur:
-    def test_values(self):
-        assert minimal_blur(-0.1, 2) == pytest.approx(1.0 / 6.0, abs=1e-15)
-        assert minimal_blur(-0.25, 4) == pytest.approx(0.5, abs=1e-15)
-        assert minimal_blur(-1.0, 2) == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-    @pytest.mark.parametrize("c_min", [0.0, 0.3, 2.0])
-    def test_nonnegative_coefficients_need_no_blur(self, c_min):
-        assert minimal_blur(c_min, 5) == 0.0
 
 
 class TestBlur:
     def test_projective_from_sic_fixture(self):
-        blur = blur_for_post_processing(
-            sic_povm(), projective_povm("z"), six_state_ensemble()
-        )
+        blur = blur_for_post_processing(sic_povm(), projective_povm("z"))
         assert blur.epsilon_star == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert blur.inflation == pytest.approx(9.0, abs=1e-10)
         assert_allclose(
@@ -470,7 +451,7 @@ class TestBlur:
 
     def test_blurred_elements_and_synthesis(self):
         P = sic_povm()
-        blur = blur_for_post_processing(P, projective_povm("z"), six_state_ensemble())
+        blur = blur_for_post_processing(P, projective_povm("z"))
         SZ = np.diag([1.0, -1.0])
         assert_allclose(blur.blurred.elements[0], (3 * I2 + SZ) / 6.0, atol=1e-12)
         assert_allclose(blur.blurred.elements[1], (3 * I2 - SZ) / 6.0, atol=1e-12)
@@ -479,9 +460,7 @@ class TestBlur:
             assert_allclose(a, b, atol=1e-10)
 
     def test_spectral_target_orders_by_eigenvalue(self):
-        blur = blur_for_post_processing(
-            sic_povm(), pauli_projective("z"), six_state_ensemble()
-        )
+        blur = blur_for_post_processing(sic_povm(), pauli_projective("z"))
         assert_allclose(blur.outcome_values, [-1.0, 1.0])
         third = 1.0 / 3.0
         assert_allclose(
@@ -494,34 +473,48 @@ class TestBlur:
         P = sic_povm()
         m = random_markov(2, 4, np.random.default_rng(23))
         Q = apply_post_processing(P, m)
-        blur = blur_for_post_processing(P, Q, six_state_ensemble())
+        blur = blur_for_post_processing(P, Q)
         assert blur.epsilon_star == pytest.approx(0.0, abs=1e-10)
         assert blur.inflation == pytest.approx(1.0, abs=1e-9)
         assert_allclose(blur.markov.m, m.m, atol=1e-8)
 
     def test_ill_conditioned_source(self):
-        # column i of the Markov matrix sums to (1 - eps) Tr[D_i] + eps, so
-        # the optimal dual's trace error must stay inside lin_solve
+        # the least blur's map is clipped and renormalized, so it must still
+        # synthesize the blurred target from a badly conditioned source
         P = ill_conditioned_minimal_povm()
         rng = np.random.default_rng(10)
-        blur = blur_for_post_processing(P, random_povm(3, 3, rng), random_ensemble(3, 3, rng))
+        blur = blur_for_post_processing(P, random_povm(3, 3, rng))
         realized = apply_post_processing(P, blur.markov)
         for a, b in zip(realized.elements, blur.blurred.elements):
             assert_allclose(a, b, atol=FEASIBILITY_RESIDUAL)
 
     def test_target_outside_span_rejected(self):
-        with pytest.raises(OutsideSpanError):
-            blur_for_post_processing(
-                trine_povm(), pauli_projective("z"), six_state_ensemble()
-            )
+        # both projectors of z leave the plane of the trine: the first is named
+        with pytest.raises(OutsideSpanError, match=r"^target element 0 lies outside"):
+            blur_for_post_processing(trine_povm(), pauli_projective("z"))
+
+    def test_independent_source_runs_no_lp(self, monkeypatch):
+        # over linearly independent elements the ratio test is the closed form
+        # lam = 1/(1 - M c) of the most negative canonical coefficient c
+        def no_lp(*args):
+            raise AssertionError("an LP ran")
+
+        monkeypatch.setattr(postproc, "linprog", no_lp)
+        rng = np.random.default_rng(31)
+        for d in (2, 3):
+            P = random_povm(d, d * d, rng)
+            assert P.span_rank == len(P)
+            Q = random_povm(d, 3, rng)
+            blur = blur_for_post_processing(P, Q)
+            c = canonical_dual(P).coords.T @ Q.design_matrix
+            lam = 1.0 / (1.0 - 3 * min(c.min(), 0.0))
+            assert blur.epsilon_star == pytest.approx(1.0 - lam, abs=1e-12)
 
 
 class TestUnbias:
     @staticmethod
     def _z_blur():
-        return blur_for_post_processing(
-            sic_povm(), pauli_projective("z"), six_state_ensemble()
-        )
+        return blur_for_post_processing(sic_povm(), pauli_projective("z"))
 
     def test_probabilities_round_trip(self):
         blur = self._z_blur()
@@ -554,16 +547,14 @@ class TestUnbias:
     def test_spectrum_size_mismatch_rejected(self):
         P = sic_povm()
         m = random_markov(3, 4, np.random.default_rng(29))
-        blur = blur_for_post_processing(
-            P, apply_post_processing(P, m), six_state_ensemble()
-        )
+        blur = blur_for_post_processing(P, apply_post_processing(P, m))
         with pytest.raises(ValueError, match="spectrum size"):
             unbias(blur, np.full(3, 1.0 / 3.0), observable=pauli_observable("z"))
 
     def test_unlabeled_target_rejects_observable_path(self):
         SX = np.array([[0.0, 1.0], [1.0, 0.0]])
         Q = Povm([0.5 * (I2 + SX), 0.5 * (I2 - SX)])  # no outcome labels
-        blur = blur_for_post_processing(sic_povm(), Q, six_state_ensemble())
+        blur = blur_for_post_processing(sic_povm(), Q)
         with pytest.raises(ValueError, match="eigenvalues as labels"):
             unbias(blur, np.array([0.5, 0.5]), observable=pauli_observable("x"))
 
@@ -577,7 +568,7 @@ class TestUnbias:
         # at eigenvalue 0 only the absolute tolerance applies; the label is 1e-8 off
         X = np.diag([0.0, 1.0])
         Q = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[0.0, 1.0])
-        blur = blur_for_post_processing(sic_povm(), Q, six_state_ensemble())
+        blur = blur_for_post_processing(sic_povm(), Q)
         blur = dataclasses.replace(blur, outcome_values=np.array([1e-8, 1.0]))
         observed = np.array([0.5, 0.5])
         with pytest.raises(ValueError, match="eigenvalues as labels"):
@@ -590,9 +581,7 @@ class TestImperfectMeasurement:
     """P measures X imperfectly when it is a post-processing of X's spectral POVM."""
 
     def test_blurred_spectral_povm_reads_out_observable(self):
-        blur = blur_for_post_processing(
-            sic_povm(), pauli_projective("z"), six_state_ensemble()
-        )
+        blur = blur_for_post_processing(sic_povm(), pauli_projective("z"))
         assert is_post_processing_of(blur.blurred, spectral_povm(pauli_observable("z")))
 
     def test_incompatible_axis(self):

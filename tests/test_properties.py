@@ -301,7 +301,7 @@ def test_blur_then_unbias_recovers_target_probabilities(d, seed, m):
     rng = np.random.default_rng(seed)
     P = random_povm(d, d * d + int(rng.integers(0, d + 1)), rng)
     Q = random_povm(d, m, rng)
-    blur = blur_for_post_processing(P, Q, random_ensemble(d, 3, rng))
+    blur = blur_for_post_processing(P, Q)
     rho = random_state(d, rng)
     recovered = unbias(blur, blur.markov.m @ P.probabilities(rho))
     assert np.allclose(recovered, Q.probabilities(rho), rtol=0.0, atol=1e-8)
@@ -378,8 +378,8 @@ def test_post_processing_agrees_with_the_full_minimax_lp(case):
 
 
 @PROPERTY_SETTINGS
-@given(lp_cases(), st.integers(0, 2 ** 32 - 1))
-def test_joint_measurement_agrees_with_the_full_lp(case, seed):
+@given(lp_cases())
+def test_joint_measurement_agrees_with_the_full_lp(case):
     P, Q, observables, target = case
     A, B = observables
     result = find_joint_measurement(P, observables)
@@ -394,20 +394,51 @@ def test_joint_measurement_agrees_with_the_full_lp(case, seed):
         blurred = lam * X.projectors + (1.0 - lam) / X.spectrum_size * np.eye(P.dim)
         assert np.max(np.abs(marginal - blurred)) <= 1e-9
 
-    # any blur that makes Q reachable bounds the least one; with independent
-    # elements the optimal dual's coefficients are the only ones, and it is exact
+
+@PROPERTY_SETTINGS
+@given(lp_cases())
+def test_blur_is_the_least_blur(case):
+    P, Q, _, target = case
     lam = least_blur(P, Q)[0]
     if target == "markov":
         assert lam >= 1.0 - 1e-9
-    rng = np.random.default_rng(seed)
     try:
-        blur = blur_for_post_processing(P, Q, random_ensemble(P.dim, 3, rng))
+        blur = blur_for_post_processing(P, Q)
     except OutsideSpanError:
         assert lam == 0.0
         return
-    assert lam >= 1.0 - blur.epsilon_star - 1e-9
-    if P.span_rank == len(P):
-        assert abs(lam - (1.0 - blur.epsilon_star)) <= 1e-9
+    # 1 - (1 - lam) rounds away from lam when lam < 1/2, so eps* is compared as computed
+    assert blur.epsilon_star == 1.0 - lam
+    realized = np.tensordot(blur.markov.m, P.elements, axes=(1, 0))
+    assert np.max(np.abs(realized - blur.blurred.elements)) <= FEASIBILITY_RESIDUAL
+    # the coefficients are a processing of Q itself
+    assert np.max(np.abs(np.tensordot(blur.coefficients.T, P.elements, axes=(1, 0))
+                         - Q.elements)) <= 1e-9
+
+
+def in_span_povm(Q, n, rng):
+    """A random n-outcome POVM projected onto Q's span, mixed with enough 1/n to stay positive."""
+    U = Q.svd[0]
+    T = np.array([from_coords(U @ (U.T @ coords(E))) for E in random_povm(Q.dim, n, rng).elements])
+    low = np.linalg.eigvalsh(T)[:, 0]
+    s = min(1.0, 1e-6 + np.max(np.maximum(-low, 0.0) / (1.0 / n - low)))
+    return Povm((1.0 - s) * T + (s / n) * np.eye(Q.dim))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_processing_never_lowers_the_blur(d, seed, reachable):
+    # if Q = m P, a map m' that takes Q to a blurred T takes P there through
+    # m' m, so T's least blur over P is at least its least blur over Q
+    rng = np.random.default_rng(seed)
+    P = random_povm(d, int(rng.integers(2, d * d + d + 1)), rng)
+    Q = apply_post_processing(P, random_markov(int(rng.integers(2, d * d + 2)), len(P), rng))
+    n = int(rng.integers(2, 5))
+    T = (apply_post_processing(Q, random_markov(n, len(Q), rng)) if reachable
+         else in_span_povm(Q, n, rng))
+    assert least_blur(P, T)[0] >= least_blur(Q, T)[0] - 1e-9
+    assert (blur_for_post_processing(P, T).epsilon_star
+            <= blur_for_post_processing(Q, T).epsilon_star + 1e-9)
 
 
 @PROPERTY_SETTINGS
