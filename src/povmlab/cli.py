@@ -17,7 +17,8 @@ The module itself loads only ``hs`` and ``serialize`` (with ``povm``);
 each verb imports the library functions it calls, so a cold run loads
 only the modules its verb needs.
 
-Exit codes: 0 success, 1 file/parse error, 2 validation failure,
+Exit codes: 0 success, 1 file/parse error (an argument error too, in one
+line), 2 validation failure,
 3 negative verdict (the verdict JSON is still written), 4 solver failure
 (HiGHS stopped short of an optimal solution; nothing is written).
 
@@ -486,6 +487,17 @@ def cmd_simulate(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``parser_class`` its subparsers, that fail in one line.
+
+    argparse prints a usage block and exits 2, the code of a validation
+    failure; here an argument error is a parse failure like any other.
+    """
+
+    def error(self, message):
+        raise CommandError(EXIT_PARSE, f"error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for field in _TOL_FIELDS:
@@ -501,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write the primary output here instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="povmlab",
         description="Indirect estimation with POVMs: duals, errors, post-processing.",
     )
@@ -609,11 +621,11 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # formatting, not showing, is replaced: a recorder such as
     # ``warnings.catch_warnings(record=True)`` still receives every warning
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
+        args = build_parser().parse_args(argv)
         tol, seed = _resolve_options(args)
         failure = None
         try:

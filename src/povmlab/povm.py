@@ -1,17 +1,18 @@
 """POVMs, frame operators, dual frames and informational completeness.
 
 A POVM with outcomes ``P_1 .. P_N`` is stored as a stacked ``(N, d, d)``
-complex array.  Viewed as HS vectors the outcomes form a frame for their
-span: the columns of the real d^2 x N design matrix ``V`` of their
-coordinates (:func:`hs.coords`).  One truncated SVD of ``V``, cached on
-the POVM, gives the span rank, the orthonormal span basis that the span
-tests measure against, the span projector and the canonical dual
-``(V^+)^dag``.  Its right factor, completed by a QR factorization, gives
-an orthonormal basis of the null space of ``V``: the directions in which
-the coefficients of any other dual differ from the canonical ones.  The
-shifted duals built from an arbitrary operator list complete the linear
-machinery used by the estimation routines.  Dual frames are held in the
-same coordinates.
+complex array, its positivity screened by one batched Cholesky
+factorization (:func:`_element_rules`).  Viewed as HS vectors the outcomes
+form a frame for their span: the columns of the real d^2 x N design matrix
+``V`` of their coordinates (:func:`hs.coords`).  One truncated SVD of
+``V``, cached on the POVM, gives the span rank, the orthonormal span basis
+that the span tests measure against, the span projector and the canonical
+dual ``(V^+)^dag``.  Its right factor, completed by a QR factorization,
+gives an orthonormal basis of the null space of ``V``: the directions in
+which the coefficients of any other dual differ from the canonical ones.
+The shifted duals built from an arbitrary operator list complete the
+linear machinery used by the estimation routines.  Dual frames are held in
+the same coordinates.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class Povm:
         self.elements = mats
         self.labels = labels
         self.tol = tol
-        # Ensemble -> (optimal dual coordinates, outcome probabilities), filled
-        # by ``processing``; an entry lives no longer than its ensemble
+        # Ensemble -> (optimal dual coordinates, None until built, and outcome
+        # probabilities), filled by ``processing``; an entry dies with its ensemble
         self.by_ensemble = weakref.WeakKeyDictionary()
 
     @property
@@ -211,12 +212,23 @@ def _element_rules(mats: np.ndarray, tol: Tolerances):
     and then positive, least eigenvalue of ``(m + m^dag)/2`` at least
     ``-tol.psd_slack``.  Returns the deviations, the least eigenvalues and,
     per element, the code of the first rule it breaks (0 when it keeps both).
+
+    One batched Cholesky factorization of ``(m + m^dag)/2 + tol.psd_slack``
+    exists exactly when every element is positive; then no eigenvalue is
+    computed, and the least eigenvalues are ``None``.  The two tests differ
+    only for a least eigenvalue within its rounding error, about
+    ``d eps ||m||``, of ``-tol.psd_slack``, where either verdict is noise.
     """
     adjoints = np.conj(np.transpose(mats, (0, 2, 1)))
     deviations = np.linalg.norm(mats - adjoints, axis=(1, 2))
-    lowest = np.linalg.eigvalsh(0.5 * (mats + adjoints))[:, 0]
+    herm = 0.5 * (mats + adjoints)
+    try:
+        np.linalg.cholesky(herm + tol.psd_slack * np.eye(mats.shape[1]))
+        lowest = None
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(herm)[:, 0]
     broken = np.where(deviations > tol.lin_solve, _NOT_SELF_ADJOINT,
-                      np.where(lowest < -tol.psd_slack, _NOT_POSITIVE, 0))
+                      np.where(lowest is None or lowest >= -tol.psd_slack, 0, _NOT_POSITIVE))
     return deviations, lowest, broken
 
 

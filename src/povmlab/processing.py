@@ -7,18 +7,18 @@ this module builds them, evaluates single-state and ensemble-averaged
 statistical errors, and computes the dual frame that minimizes the
 ensemble error together with the corresponding minimum.
 
-The ensemble-optimal dual shifts the canonical coefficients along the
-null space of the design matrix V to minimize ``sum_i pi_i |c_i|^2``,
-with ``pi_i`` the barycenter probability of outcome i.  It is computed in
-the span, from the truncated SVD of V that the POVM caches and one thin
-QR factorization, and is the canonical dual when the elements are
-linearly independent.  It is cached on the POVM per ensemble, and
-``min_error`` reads its coefficients from that cache.  Outcomes with
-``pi_i <= P.tol.eig_zero`` cost nothing: the live outcomes are weighted
-off the span of the dead ones, the dead duals complete the resolution, and
-a :class:`DegenerateMetricWarning` is raised.  That span comes from a
-truncated SVD of the dead columns, completed by QR as ``Povm.null_basis``
-completes the POVM's.
+The ensemble-optimal dual shifts the canonical coefficients along the null
+space of the design matrix V to minimize ``sum_i pi_i |c_i|^2``, with
+``pi_i`` the barycenter probability of outcome i.  It is computed in the
+span, from the truncated SVD of V that the POVM caches and one thin QR
+factorization, and is the canonical dual when the elements are linearly
+independent.  The barycenter probabilities, and then the duals, are cached
+per ensemble on ``P.by_ensemble``, where every function reads them.
+Outcomes with ``pi_i <= P.tol.eig_zero`` cost nothing: the live outcomes
+are weighted off the span of the dead ones, the dead duals complete the
+resolution, and a :class:`DegenerateMetricWarning` is raised.  That span
+comes from a truncated SVD of the dead columns, completed by QR as
+``Povm.null_basis`` completes the POVM's.
 """
 
 from __future__ import annotations
@@ -110,13 +110,16 @@ def metric_diagonal(P: Povm, ensemble: Ensemble) -> np.ndarray:
 
     The diagonal of the metric the optimal dual minimizes, as a read-only
     vector.  Entries below ``-P.tol.psd_slack`` are rejected; smaller
-    negatives are clipped to zero.
+    negatives are clipped to zero.  Cached per ensemble on ``P.by_ensemble``.
     """
+    if ensemble in P.by_ensemble:
+        return P.by_ensemble[ensemble][1]
     pi = P.probabilities(ensemble.barycenter)
     if np.any(pi < -P.tol.psd_slack):
         raise ValueError("metric entries are probabilities and cannot be negative")
     pi = np.clip(pi, 0.0, None)
     pi.setflags(write=False)
+    P.by_ensemble[ensemble] = (None, pi)
     return pi
 
 
@@ -176,8 +179,9 @@ def ensemble_error(P: Povm, c: ProcessingFunction, ensemble: Ensemble) -> float:
 def _optimal(P: Povm, ensemble: Ensemble):
     """Optimal duals' d^2 x N coordinates and barycenter probabilities, cached on P per ensemble."""
     tol = P.tol
-    if ensemble not in P.by_ensemble:
-        pi = metric_diagonal(P, ensemble)
+    pi = metric_diagonal(P, ensemble)
+    duals = P.by_ensemble[ensemble][0]
+    if duals is None:
         live = pi > tol.eig_zero
         U, s, Vh = P.svd
         if len(s) == len(P):  # independent elements: the dual is unique
@@ -199,7 +203,6 @@ def _optimal(P: Povm, ensemble: Ensemble):
                 duals[:, ~live] = W_D - duals[:, live] @ (P.design_matrix[:, live].T @ W_D)
         duals.setflags(write=False)
         P.by_ensemble[ensemble] = (duals, pi)
-    duals, pi = P.by_ensemble[ensemble]
     dead = int(np.count_nonzero(pi <= tol.eig_zero))
     if dead:
         warnings.warn(

@@ -935,6 +935,36 @@ class TestOneExitPath:
         assert err == f"povmlab: --thetas count must be at most {cli.MAX_SWEEP_ANGLES}\n"
 
 
+class TestArgumentErrors:
+    """An unknown, missing or malformed argument ends in one line and the parse code 1."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["validate"], ["postproc"], ["qubit", "sweep"],
+        ["postproc", "blur", "--p", "p.json"],
+        ["qubit", "optimal", "--theta", "abc"],
+        ["qubit", "optimal", "--theta", "1", "--family", "5"],
+        ["dual", "--povm", "p.json", "--seed", "1.5"],
+        ["dual", "--povm", "p.json", "--tol-eig-zero"],
+    ])
+    def test_one_line(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("povmlab: error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    def test_unknown_option(self, capsys, verb):
+        code, out, err = run(capsys, VERB_ARGV[verb] + ["--bogus", "x"])
+        assert (code, out) == (1, "")
+        assert err.startswith("povmlab: error: unrecognized arguments: --bogus")
+        assert err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["postproc", "blur", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: povmlab postproc blur")
+
+
 _OTHER_DIM = object()  # the node at the same path in the qutrit document
 _MUTATIONS = [True, False, 10 ** 400, -(10 ** 400), float("nan"), float("inf"),
               float("-inf"), [], {}, [[]], [[1.0]], [1.0, 0.0], [[1, 0, 0], [0, 1, 0]],

@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from povmlab.hs import Tolerances
+from povmlab.hs import Tolerances, from_coords
 from povmlab.postproc import find_post_processing
 from povmlab.povm import Povm, canonical_dual
 from povmlab.processing import (
@@ -251,6 +251,36 @@ class TestOptimalDual:
         del E
         gc.collect()
         assert len(P.by_ensemble) == 0
+
+    def test_probabilities_cached_before_the_duals(self):
+        rng = np.random.default_rng(13)
+        P = random_povm(3, 12, rng)
+        E = random_ensemble(3, 2, rng)
+        c = processing_from_dual(canonical_dual(P), random_hermitian(3, rng))
+        before = ensemble_error(P, c, E)
+        pi = metric_diagonal(P, E)
+        duals, cached = P.by_ensemble[E]
+        assert duals is None and cached is pi and not pi.flags.writeable
+        assert metric_diagonal(P, E) is pi
+        optimal_dual(P, E)
+        assert P.by_ensemble[E][1] is pi and metric_diagonal(P, E) is pi
+        assert ensemble_error(P, c, E) == before
+        # a POVM without the cache computes the same bits
+        assert ensemble_error(Povm(P.elements), c, E) == before
+
+    def test_min_error_computes_the_probabilities_once(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        P = random_povm(3, 12, rng)
+        E = random_ensemble(3, 2, rng)
+        calls = []
+        probabilities = P.probabilities
+        monkeypatch.setattr(P, "probabilities", lambda rho: calls.append(rho) or probabilities(rho))
+        for _ in range(3):
+            X = P.svd[0] @ rng.normal(size=P.span_rank)
+            c = processing_from_dual(optimal_dual(P, E), from_coords(X))
+            min_error(P, E, from_coords(X))
+            ensemble_error(P, c, E)
+        assert len(calls) == 1
 
     def test_ill_conditioned_frame(self):
         P = ill_conditioned_minimal_povm()

@@ -442,6 +442,31 @@ def test_processing_never_lowers_the_blur(d, seed, reachable):
 
 
 @PROPERTY_SETTINGS
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_processing_never_lowers_min_error(d, seed, split):
+    # if Q = m P, a processing c of X for Q gives P the processing
+    # c'_i = sum_j m(j|i) c_j, which by convexity costs no more.  A P that
+    # splits each outcome of Q in unequal parts ties with Q, while its
+    # canonical dual, which ignores the probabilities, costs more.
+    rng = np.random.default_rng(seed)
+    if split:
+        R = random_povm(d, int(rng.integers(2, d * d + 1)), rng)
+        parts = int(rng.integers(2, 4))
+        w = rng.dirichlet(np.ones(parts), size=len(R))
+        P = Povm((w[:, :, None, None] * R.elements[:, None]).reshape(-1, d, d))
+        m = MarkovMatrix(np.repeat(np.eye(len(R)), parts, axis=1))
+    else:
+        P = random_povm(d, int(rng.integers(2, d * d + d + 1)), rng)
+        m = random_markov(int(rng.integers(2, d * d + 2)), len(P), rng)
+    Q = apply_post_processing(P, m)
+    E = random_ensemble(d, int(rng.integers(1, 5)), rng)
+    X = from_coords(Q.span_projector @ coords(random_hermitian(d, rng)))
+    X = 0.5 * (X + X.conj().T)
+    bound = min_error(Q, E, X)
+    assert min_error(P, E, X) <= bound + 1e-9 * max(1.0, abs(bound))
+
+
+@PROPERTY_SETTINGS
 @given(st.integers(4, 8), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_least_blurs_obey_the_busch_bound(n, rank_one, seed):
     # unsharp qubit observables 1/2 (1 +- lam_a a.sigma) and 1/2 (1 +- lam_b b.sigma)
@@ -688,3 +713,54 @@ def test_povm_report_and_ensemble_apply_one_element_rule(elements):
     except ValueError as exc:
         raised = str(exc)
     assert raised == expected
+
+
+@st.composite
+def edge_stacks(draw):
+    """Hermitian stacks, d 2-12, element norms 0.1-10, some least eigenvalues at the rule's edge.
+
+    Each element's eigenvalues are drawn in ``[0, scale]``.  An ``edge_in`` or
+    ``edge_out`` element has its least one set to ``-psd_slack * (1 -+ 0.01)``,
+    far outside the rounding error of its construction, and a ``negative``
+    one well below it.
+    """
+    d = draw(st.integers(2, 12))
+    kinds = draw(st.lists(st.sampled_from(["inside", "edge_in", "edge_out", "negative"]),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    slack = DEFAULT_TOL.psd_slack
+    stack = []
+    for kind in kinds:
+        scale = 10.0 ** rng.uniform(-1.0, 1.0)
+        lam = scale * np.sort(rng.uniform(0.0, 1.0, d))
+        lam[-1] = scale
+        lam[0] = {"inside": lam[0], "edge_in": -0.99 * slack, "edge_out": -1.01 * slack,
+                  "negative": -1e-3 * scale}[kind]
+        U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        stack.append((U * lam) @ U.conj().T)
+    return np.array(stack)
+
+
+@PROPERTY_SETTINGS
+@given(edge_stacks())
+def test_positivity_screen_matches_the_least_eigenvalues(stack):
+    # the Cholesky screen gives every validator the verdict, the first index
+    # and the least eigenvalue that the eigenvalues alone give
+    lowest = np.linalg.eigvalsh(0.5 * (stack + np.conj(np.transpose(stack, (0, 2, 1)))))[:, 0]
+    negative = lowest < -DEFAULT_TOL.psd_slack
+    bad = np.flatnonzero(negative)
+    with pytest.raises((NotPositiveError, NotCompleteError)) as exc:
+        Povm(stack)
+    if bad.size:
+        assert (exc.value.index, exc.value.min_eigenvalue) == (bad[0], lowest[bad[0]])
+    else:
+        assert exc.type is NotCompleteError
+    issues = [(issue["index"], issue["min_eigenvalue"]) for issue in povm_report(stack)["issues"]]
+    assert issues == [(i, lowest[i]) for i in bad]
+    # an ensemble checks unit trace last, element by element
+    traces = np.real(np.trace(stack, axis1=1, axis2=2))
+    j = np.flatnonzero(negative | (np.abs(traces - 1.0) > DEFAULT_TOL.lin_solve))[0]
+    with pytest.raises(ValueError) as exc:
+        Ensemble(np.full(len(stack), 1.0 / len(stack)), stack)
+    assert str(exc.value) == (f"state {j} is not positive semidefinite" if negative[j]
+                              else f"state {j} does not have unit trace")
