@@ -24,7 +24,7 @@ _EXPORTS = {
     "empirical_estimate": "montecarlo",
     "sample": "montecarlo",
     "sample_range": "montecarlo",
-    "BlurResult": "postproc",
+    "LeastBlur": "postproc",
     "MarkovMatrix": "postproc",
     "apply_post_processing": "postproc",
     "blur_for_post_processing": "postproc",

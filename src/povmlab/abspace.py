@@ -136,6 +136,8 @@ def is_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
     When true, the statistics of P determine every moment of A and of B,
     hence the full spectral probability distributions of both.
     """
+    if S.a.dim != P.dim:
+        raise ValueError(f"operator dimension {S.a.dim} != POVM dimension {P.dim}")
     return float(np.linalg.norm(off_span(P.svd[0], S.columns))) <= P.tol.lin_solve
 
 

@@ -314,9 +314,8 @@ def cmd_postproc_check(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
         "verdict": "feasible" if search.feasible else "infeasible",
         "visibility": search.visibility,
         "residual": search.residual,
-        "markov": markov_to_json(search.markov) if search.markov is not None else None,
-        "witness": (None if search.witness is None
-                    else [operator_to_json(Y) for Y in search.witness]),
+        "markov": markov_to_json(search.markov) if search.feasible else None,
+        "witness": None if search.feasible else [operator_to_json(Y) for Y in search.witness],
     }, EXIT_OK if search.feasible else EXIT_NEGATIVE
 
 

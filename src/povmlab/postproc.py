@@ -5,7 +5,9 @@ for a column-stochastic matrix ``m`` (columns indexed by the input
 outcome i).  Every question of this module about that relation is one
 least blur (:func:`least_blur`): the largest ``lam`` for which the
 uniformly blurred target ``lam Q_j + (1 - lam)/M`` is a post-processing
-of P, with a Markov map that realizes it and a witness that bounds it.
+of P.  One :class:`LeastBlur` holds it together with a Markov map that
+realizes it, a witness that bounds it and the map's residual; the check,
+the blur and every joint-measurement certificate are that one object.
 It runs over the null space of P's design matrix: ``lam = 0`` with no LP
 when Q leaves P's span, a ratio test when P's elements are linearly
 independent, and otherwise one LP, solved through its dual by HiGHS's
@@ -18,16 +20,15 @@ post-processing of P exactly when ``lam = 1``
 (:func:`find_post_processing`); otherwise the witness, operators ``Y_j``
 anyone can check without an LP, proves it (the robustness form of the
 guessing-game witness, P. Skrzypczyk & N. Linden, PRL 122, 140403
-(2019)).  Joint measurement
-(:func:`find_joint_measurement`) takes the least blur of each
-observable's spectral POVM; the product of their Markov maps applied to P
-is a joint POVM of the blurred observables, and every visibility is
-positive exactly when P's span holds every spectral projector (for two
-observables A and B, when P is AB-infocomplete).  For qubits the least
-blur is Busch's unsharpness parameter (P. Busch, PRD 33, 2253 (1986)).
-The blur that makes Q reachable (:func:`blur_for_post_processing`) is the
-least blur too, with the noise weight ``eps* = 1 - lam`` that unbiasing
-undoes.
+(2019)).  Joint measurement (:func:`find_joint_measurement`) takes the
+least blur of each observable's spectral POVM; the product of their
+Markov maps applied to P is a joint POVM of the blurred observables, and
+every visibility is positive exactly when P's span holds every spectral
+projector (for two observables A and B, when P is AB-infocomplete).  For
+qubits the least blur is Busch's unsharpness parameter (P. Busch, PRD 33,
+2253 (1986)).  The blur that makes Q reachable
+(:func:`blur_for_post_processing`) is the least blur too, with the noise
+weight ``eps* = 1 - lam`` that unbiasing undoes.
 
 The module also implements the elementary merge/permute/split maps and
 tests cleanness (maximality under the induced pseudo-order).
@@ -247,50 +248,155 @@ def t3_split(P: Povm, l: int, p: float) -> Povm:
     return apply_post_processing(P, MarkovMatrix(m, tol=P.tol))
 
 
-@dataclass(frozen=True)
-class PostProcessingSearch:
-    """Outcome of the post-processing search.
+@dataclass(frozen=True, eq=False)
+class LeastBlur:
+    """The least blur of a target Q over P (:func:`least_blur`), its map and its witness.
 
-    ``visibility`` is the least blur of the target (:func:`least_blur`).
-    ``witness`` holds the operators ``Y_j`` (an ``(M, d, d)`` array, one per
-    target outcome) that certify an infeasible verdict; it is None when
-    the target is feasible.
+    ``visibility`` is the largest ``lam`` in [0, 1] for which
+    ``lam Q_j + (1 - lam)/M 1`` is a post-processing of P, and ``markov``
+    (built at ``P.tol``) realizes it.  ``residual`` is that map's largest
+    synthesis miss against Q itself, ``|V m^T - W|`` (V and W the design
+    matrices of P and Q); it is ``(1 - lam) max_j |w_j - e/M|`` up to
+    rounding, with ``e`` the coordinates of the identity.  Q is a
+    post-processing of P, with that map, when the residual is at most
+    :data:`FEASIBILITY_RESIDUAL` (``feasible``).
+
+    ``witness`` holds self-adjoint ``Y_j`` (an ``(M, d, d)`` array, one per
+    target outcome) with ``sum_j Tr[Y_j (Q_j - 1/M)] = 1`` whenever
+    ``lam < 1``, whose bound ``sum_i max_j Tr[Y_j P_i] - sum_j Tr[Y_j]/M``
+    equals ``lam``.  Anyone can check, without an LP, that every
+    post-processing of P reaching ``l Q_j + (1 - l)/M 1`` has ``l`` at most
+    that bound, so a bound below 1 certifies that Q is none.  This is the
+    robustness form of the guessing-game witness (P. Skrzypczyk &
+    N. Linden, PRL 122, 140403 (2019); M. Oszmaniec & T. Biswas, Quantum 3,
+    133 (2019)).
+
+    Read as a blur, ``epsilon_star = 1 - lam`` is the least weight of
+    uniform noise, ``Q_j(eps) = (1 - eps) Q_j + eps/M``, that makes Q
+    reachable from P, and ``blurred`` is that POVM, at ``P.tol``.  For
+    ``lam > 0``, ``coefficients[i, j] = (m(j|i) - eps*/M)/lam`` are a
+    processing of Q, ``sum_i c[i, j] P_i = Q_j``, and unbiasing divides by
+    ``lam``, which inflates statistical errors by ``inflation = 1/lam^2``.
+    ``outcome_values`` are Q's labels as numbers, or None when Q carries no
+    numeric labels; they keep unbiasing aligned outcome-wise.
     """
 
-    feasible: bool
-    markov: MarkovMatrix | None
-    residual: float
-    witness: np.ndarray | None
+    target: Povm
     visibility: float
+    markov: MarkovMatrix
+    witness: np.ndarray
+    residual: float
+
+    @property
+    def feasible(self) -> bool:
+        return self.residual <= FEASIBILITY_RESIDUAL
+
+    @property
+    def epsilon_star(self) -> float:
+        return 1.0 - self.visibility
+
+    @property
+    def inflation(self) -> float:
+        return 1.0 / self.visibility**2
+
+    @property
+    def blurred(self) -> Povm:
+        Q, noise = self.target, self.epsilon_star / len(self.target)
+        return Povm(self.visibility * Q.elements + noise * np.eye(Q.dim), tol=self.markov.tol)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return ((self.markov.m - self.epsilon_star / len(self.target)) / self.visibility).T
+
+    @property
+    def outcome_values(self) -> np.ndarray | None:
+        try:
+            return np.array([float(lab) for lab in self.target.labels])
+        except (TypeError, ValueError):  # no labels, or one that is not a number
+            return None
 
 
-def find_post_processing(Q: Povm, P: Povm) -> PostProcessingSearch:
+def least_blur(P: Povm, Q: Povm) -> LeastBlur:
+    """The largest ``lam`` in [0, 1] with ``lam Q_j + (1 - lam)/M 1`` a post-processing of P.
+
+    Returned as a :class:`LeastBlur`, with a Markov matrix ``m`` that
+    realizes it, ``sum_i m(j|i) P_i = lam Q_j + (1 - lam)/M 1`` for the M
+    outcomes of Q, and a witness that bounds it.  Every such ``m`` is
+    ``m_j = 1/M + lam a_j + K z_j``, with ``a_j = V^+ (w_j - e/M)`` read
+    from P's cached canonical dual (``w_j`` and ``e`` the coordinates of
+    ``Q_j`` and of the identity) and ``K = P.null_basis``.  When some
+    ``Q_j`` lies off P's span only the uniform map ``lam = 0`` exists, and
+    no LP runs.  When P's elements are linearly independent (K empty), a
+    ratio test gives ``lam = min(1, min over a < 0 of (1/M) / -a)``.
+    Otherwise one LP runs, the dual of "maximize ``lam`` subject to
+    ``m >= 0`` and ``sum_j z_j = 0``": minimize
+    ``sum_j sum_i mu_ji / M + beta`` over ``mu >= 0`` (one per entry of m),
+    ``beta >= 0`` (for ``lam <= 1``) and a free ``nu`` (k entries, for the
+    column sums), subject to ``K^T mu_j = nu`` and
+    ``sum_j a_j . mu_j - beta <= -1``.  Its optimum is ``lam``, the
+    marginals of the ``K^T mu_j = nu`` rows are ``-z_j``, and ``mu``, moved
+    into V's row space, gives the witness.  ``m`` is returned clipped at
+    zero with its columns renormalized.
+    """
+    if Q.dim != P.dim:
+        raise ValueError("POVMs must act on the same space")
+    W, M, N = Q.design_matrix, len(Q), len(P)
+    uniform = np.full((M, N), 1.0 / M)
+    U, s, Vh = P.svd
+    off = off_span(U, W)
+    if np.any(np.linalg.norm(off, axis=0) > P.tol.lin_solve):
+        # Tr[Y_j P_i] = 0 = Tr[Y_j], so the bound is 0
+        lam, m, y = 0.0, uniform, off.T / np.sum(off * off)
+    else:
+        a = (W.T - coords(np.eye(P.dim)) / M) @ P.canonical_coords  # row j is a_j
+        K = P.null_basis
+        k = K.shape[1]
+        if k:
+            n = M * N
+            # column mu_ji holds a_ji in row 0 and K[i, :] in rows 1 + jk .. 1 + (j + 1)k,
+            # column beta -1 in row 0, and column nu_c -1 in row 1 + jk + c for every j
+            value = np.empty((M, N, 1 + k))
+            value[..., 0], value[..., 1:] = a, K
+            index = np.zeros((M, N, 1 + k), np.int32)
+            index[..., 1:] = 1 + k * np.arange(M)[:, None, None] + np.arange(k)
+            end = n * (1 + k) + 1
+            row_upper = np.concatenate([[-1.0], np.zeros(M * k)])  # row 0 is the one inequality
+            res = linprog(np.concatenate([np.full(n, 1.0 / M), [1.0], np.zeros(k)]),
+                          _sign_bounds(n + 1, k),
+                          np.concatenate([np.arange(0, end, 1 + k),
+                                          np.arange(end, end + M * k + 1, M)], dtype=np.int32),
+                          np.concatenate([index.ravel(), [0], index[:, 0, 1:].T.ravel()],
+                                         dtype=np.int32),
+                          np.concatenate([value.ravel(), np.full(1 + M * k, -1.0)]),
+                          np.where(row_upper < 0.0, -np.inf, 0.0), row_upper)
+            # mu = 0, beta = 1 is feasible and the cost is >= 0, yet HiGHS may stop
+            if not res.success:
+                raise SolverError(res.message)
+            lam = float(min(max(res.fun, 0.0), 1.0))
+            m = uniform + lam * a - res.marginals[1:].reshape(M, k) @ K.T
+            mu = res.x[:n].reshape(M, N) - res.x[n + 1:] @ K.T  # mu_j - K nu, in V's row space
+        else:
+            j, i = np.unravel_index(np.argmin(a), a.shape)
+            lam = float(-1.0 / (M * a[j, i])) if M * a[j, i] < -1.0 else 1.0
+            m = uniform + lam * a
+            mu = np.zeros((M, N))
+            if lam < 1.0:
+                mu[j, i] = -1.0 / a[j, i]
+        m, y = _stochastic(m), -((mu @ Vh.T) / s) @ U.T
+    residual = float(np.max(np.abs(P.design_matrix @ m.T - W)))
+    return LeastBlur(Q, lam, MarkovMatrix(m, tol=P.tol), from_coords(y), residual)
+
+
+def find_post_processing(Q: Povm, P: Povm) -> LeastBlur:
     """Search for a Markov matrix ``m`` with ``Q_j = sum_i m(j|i) P_i``.
 
-    Q is a post-processing of P exactly when its least blur over P
-    (:func:`least_blur`) is 1, so the search is one least blur: no LP when
-    Q leaves P's span or P's elements are linearly independent, one LP
-    otherwise.  ``residual`` is the largest synthesis miss ``|V m^T - W|``
-    (V and W the design matrices of P and Q) of the least blur's map ``m``;
-    it is ``(1 - lam) max_j |w_j - e/M|`` up to rounding, for the
-    visibility ``lam`` and ``e`` the coordinates of the identity.  The
-    target is feasible, with that map, when the residual is at most
-    :data:`FEASIBILITY_RESIDUAL`.
-
-    Otherwise the least blur's witness is returned: self-adjoint ``Y_j``
-    with ``sum_j Tr[Y_j (Q_j - 1/M)] = 1`` whose bound
-    ``sum_i max_j Tr[Y_j P_i] - sum_j Tr[Y_j]/M`` equals the visibility.
-    Anyone can check, without an LP, that every post-processing of P
-    reaching ``l Q_j + (1 - l)/M 1`` has ``l`` at most that bound, so a
-    bound below 1 certifies that Q is none.  This is the robustness form of
-    the guessing-game witness (P. Skrzypczyk & N. Linden, PRL 122, 140403
-    (2019); M. Oszmaniec & T. Biswas, Quantum 3, 133 (2019)).
+    Q is a post-processing of P exactly when its least blur over P is 1, so
+    the search is the least blur (:func:`least_blur`): no LP when Q leaves
+    P's span or P's elements are linearly independent, one LP otherwise.
+    Its ``feasible`` is the verdict, its ``markov`` the map when Q is
+    reachable, and its ``witness`` the proof when Q is not.
     """
-    lam, m, y = _least_blur(P, Q)
-    residual = float(np.max(np.abs(P.design_matrix @ m.T - Q.design_matrix)))
-    if residual <= FEASIBILITY_RESIDUAL:
-        return PostProcessingSearch(True, MarkovMatrix(m, tol=P.tol), residual, None, lam)
-    return PostProcessingSearch(False, None, residual, from_coords(y), lam)
+    return least_blur(P, Q)
 
 
 def is_post_processing_of(Q: Povm, P: Povm) -> bool:
@@ -310,59 +416,25 @@ def is_clean(P: Povm) -> bool:
     return bool(np.all(np.count_nonzero(lam > cutoff, axis=1) <= 1))
 
 
-@dataclass(frozen=True)
-class BlurResult:
-    """Uniform blurring that makes a target measurement classically reachable."""
-
-    epsilon_star: float
-    blurred: Povm
-    markov: MarkovMatrix
-    inflation: float
-    coefficients: np.ndarray
-    #: numeric value attached to each target outcome (None when the target
-    #: POVM carries no numeric labels); keeps unbiasing aligned outcome-wise
-    outcome_values: np.ndarray | None
-
-
-def blur_for_post_processing(P: Povm, Q: Povm, ensemble=None) -> BlurResult:
+def blur_for_post_processing(P: Povm, Q: Povm, ensemble=None) -> LeastBlur:
     """Blur ``Q`` just enough that it becomes a post-processing of ``P``.
 
-    Mixing every target element with uniform noise,
-    ``Q_j(eps) = (1-eps) Q_j + eps/M``, makes Q reachable from P exactly
-    from ``eps* = 1 - lam`` on, for the least blur ``lam`` of Q over P
-    (:func:`least_blur`), whose Markov map ``m`` realizes the blurred
-    target.  ``coefficients[i, j] = (m(j|i) - eps*/M)/lam`` are a
-    processing of Q, ``sum_i c[i, j] P_i = Q_j``.  Unbiasing divides by
-    ``lam``, which inflates statistical errors by ``1/lam^2``.  When some
-    ``Q_j`` lies off P's span (``lam = 0``) no blur helps, and
-    :class:`OutsideSpanError` names the first such j.  The blurred POVM and
-    its Markov matrix are built at ``P.tol``.  ``ensemble`` is ignored, as
-    the least blur needs none; it stays for callers that pass it
-    positionally.
+    That blur is the least blur of Q over P (:func:`least_blur`), read
+    through its ``epsilon_star``, ``blurred``, ``coefficients`` and
+    ``inflation``.  When some ``Q_j`` lies off P's span (``lam = 0``) no
+    blur helps, and :class:`OutsideSpanError` names the first such j.
+    ``ensemble`` is ignored, as the least blur needs none; it stays for
+    callers that pass it positionally.
     """
-    lam, m, _ = _least_blur(P, Q)
-    if lam == 0.0:
+    blur = least_blur(P, Q)
+    if blur.visibility == 0.0:
         residuals = np.linalg.norm(off_span(P.svd[0], Q.design_matrix), axis=0)
         j = int(np.flatnonzero(residuals > P.tol.lin_solve)[0])
         raise OutsideSpanError(residuals[j], f"target element {j}")
-    eps, M = 1.0 - lam, len(Q)
-    outcome_values = None
-    if Q.labels is not None:
-        try:
-            outcome_values = np.array([float(lab) for lab in Q.labels])
-        except (TypeError, ValueError):
-            outcome_values = None
-    return BlurResult(
-        epsilon_star=eps,
-        blurred=Povm(lam * Q.elements + (eps / M) * np.eye(Q.dim), tol=P.tol),
-        markov=MarkovMatrix(m, tol=P.tol),
-        inflation=1.0 / lam**2,
-        coefficients=((m - eps / M) / lam).T,
-        outcome_values=outcome_values,
-    )
+    return blur
 
 
-def unbias(blur: BlurResult, observed, observable: Observable | None = None):
+def unbias(blur: LeastBlur, observed, observable: Observable | None = None):
     """Undo the blur on observed statistics.
 
     Given outcome frequencies (or exact probabilities) of the blurred
@@ -385,8 +457,8 @@ def unbias(blur: BlurResult, observed, observable: Observable | None = None):
         if observable.spectrum_size != M:
             raise ValueError("observable spectrum size does not match the blurred target")
         # outcome order of the blur target need not match the observable's
-        # eigenvalue order, so use the per-outcome values recorded when the
-        # blur was built (spectral POVMs label outcomes by eigenvalue)
+        # eigenvalue order, so use the target's own outcome labels
+        # (spectral POVMs label outcomes by eigenvalue)
         x = blur.outcome_values
         if x is None or not np.allclose(
             np.sort(x), np.sort(observable.eigenvalues), atol=observable.tol.lin_solve
@@ -411,102 +483,13 @@ def unbias(blur: BlurResult, observed, observable: Observable | None = None):
     return recovered
 
 
-def _least_blur(P: Povm, Q: Povm):
-    """:func:`least_blur`'s ``lam`` and map (an array), and a witness ``y`` bounding ``lam``.
-
-    ``y`` holds the HS coordinates ``y_j`` (rows) of self-adjoint ``Y_j``
-    with ``sum_j Tr[Y_j (Q_j - 1/M)] = 1`` whenever ``lam < 1``.  Every
-    post-processing of P that reaches ``l Q_j + (1 - l)/M 1`` has
-    ``l <= sum_i max_j Tr[Y_j P_i] - sum_j Tr[Y_j]/M``, and for ``y`` that
-    bound is ``lam``.
-    """
-    if Q.dim != P.dim:
-        raise ValueError("POVMs must act on the same space")
-    W, M, N = Q.design_matrix, len(Q), len(P)
-    uniform = np.full((M, N), 1.0 / M)
-    U, s, Vh = P.svd
-    off = off_span(U, W)
-    if np.any(np.linalg.norm(off, axis=0) > P.tol.lin_solve):
-        # Tr[Y_j P_i] = 0 = Tr[Y_j], so the bound is 0
-        return 0.0, uniform, off.T / np.sum(off * off)
-    a = (W.T - coords(np.eye(P.dim)) / M) @ P.canonical_coords  # row j is a_j
-    K = P.null_basis
-    k = K.shape[1]
-    if k:
-        n = M * N
-        # column mu_ji holds a_ji in row 0 and K[i, :] in rows 1 + jk .. 1 + (j + 1)k,
-        # column beta -1 in row 0, and column nu_c -1 in row 1 + jk + c for every j
-        value = np.empty((M, N, 1 + k))
-        value[..., 0], value[..., 1:] = a, K
-        index = np.zeros((M, N, 1 + k), np.int32)
-        index[..., 1:] = 1 + k * np.arange(M)[:, None, None] + np.arange(k)
-        end = n * (1 + k) + 1
-        row_upper = np.concatenate([[-1.0], np.zeros(M * k)])  # row 0 is the one inequality
-        res = linprog(np.concatenate([np.full(n, 1.0 / M), [1.0], np.zeros(k)]),
-                      _sign_bounds(n + 1, k),
-                      np.concatenate([np.arange(0, end, 1 + k), np.arange(end, end + M * k + 1, M)],
-                                     dtype=np.int32),
-                      np.concatenate([index.ravel(), [0], index[:, 0, 1:].T.ravel()], dtype=np.int32),
-                      np.concatenate([value.ravel(), np.full(1 + M * k, -1.0)]),
-                      np.where(row_upper < 0.0, -np.inf, 0.0), row_upper)
-        if not res.success:  # mu = 0, beta = 1 is feasible and the cost is >= 0, yet HiGHS may stop
-            raise SolverError(res.message)
-        lam = float(min(max(res.fun, 0.0), 1.0))
-        m = uniform + lam * a - res.marginals[1:].reshape(M, k) @ K.T
-        mu = res.x[:n].reshape(M, N) - res.x[n + 1:] @ K.T  # mu_j - K nu, in V's row space
-    else:
-        j, i = np.unravel_index(np.argmin(a), a.shape)
-        lam = float(-1.0 / (M * a[j, i])) if M * a[j, i] < -1.0 else 1.0
-        m = uniform + lam * a
-        mu = np.zeros((M, N))
-        if lam < 1.0:
-            mu[j, i] = -1.0 / a[j, i]
-    return lam, _stochastic(m), -((mu @ Vh.T) / s) @ U.T
-
-
-def least_blur(P: Povm, Q: Povm) -> tuple[float, MarkovMatrix]:
-    """The largest ``lam`` in [0, 1] with ``lam Q_j + (1 - lam)/M 1`` a post-processing of P.
-
-    Returned with a Markov matrix ``m`` that realizes it:
-    ``sum_i m(j|i) P_i = lam Q_j + (1 - lam)/M 1`` for the M outcomes of Q.
-    Every such ``m`` is ``m_j = 1/M + lam a_j + K z_j``, with
-    ``a_j = V^+ (w_j - e/M)`` read from P's cached canonical dual (``w_j``
-    and ``e`` the coordinates of ``Q_j`` and of the identity) and
-    ``K = P.null_basis``.  When some ``Q_j`` lies off P's span only the
-    uniform map ``lam = 0`` exists, and no LP runs.  When P's elements are
-    linearly independent (K empty), a ratio test gives
-    ``lam = min(1, min over a < 0 of (1/M) / -a)``.  Otherwise one LP runs,
-    the dual of "maximize ``lam`` subject to ``m >= 0`` and
-    ``sum_j z_j = 0``": minimize ``sum_j sum_i mu_ji / M + beta`` over
-    ``mu >= 0`` (one per entry of m), ``beta >= 0`` (for ``lam <= 1``) and a
-    free ``nu`` (k entries, for the column sums), subject to
-    ``K^T mu_j = nu`` and ``sum_j a_j . mu_j - beta <= -1``.  Its optimum
-    is ``lam``, and the marginals of the ``K^T mu_j = nu`` rows are
-    ``-z_j``.  ``m`` is returned clipped at zero with its columns
-    renormalized.
-    """
-    lam, m, _ = _least_blur(P, Q)
-    return lam, MarkovMatrix(m, tol=P.tol)
-
-
-@dataclass(frozen=True)
-class JointCertificate:
-    """Markov map from P onto the least-blurred spectral POVM of one observable.
-
-    ``markov`` sends P's statistics to ``visibility X_h + (1 - visibility)/s 1``
-    for the s spectral projectors ``X_h``; see :func:`least_blur`.
-    """
-
-    markov: MarkovMatrix
-    visibility: float
-
-
 @dataclass(frozen=True)
 class JointMeasurementResult:
-    """Per-observable certificates and the product POVM built from their maps.
+    """Per-observable least blurs and the product POVM built from their maps.
 
-    ``joint`` has one outcome per tuple ``(h_1, h_2, ...)`` of the
-    observables' outcomes, in row-major order.
+    ``certificates`` holds one :class:`LeastBlur` per observable, of its
+    spectral POVM over P.  ``joint`` has one outcome per tuple
+    ``(h_1, h_2, ...)`` of the observables' outcomes, in row-major order.
     """
 
     feasible: bool
@@ -530,8 +513,8 @@ def find_joint_measurement(P: Povm, observables) -> JointMeasurementResult:
     for idx, X in enumerate(observables):
         if X.dim != P.dim:
             raise ValueError(f"observable {idx} dimension mismatch")
-        visibility, markov = least_blur(P, spectral_povm(X))
-        certificates.append(JointCertificate(markov, visibility))
+        certificates.append(least_blur(P, spectral_povm(X)))
+        markov = certificates[-1].markov
         product = (product[:, None] * markov.m).reshape(len(product) * markov.rows, len(P))
     joint = Povm(np.tensordot(product, P.elements, axes=(1, 0)), tol=P.tol,
                  validate=False, drop_zero=False)

@@ -17,6 +17,7 @@ the same coordinates.
 
 from __future__ import annotations
 
+import math
 import warnings
 import weakref
 from collections import Counter
@@ -339,6 +340,8 @@ def is_r_infocomplete(P: Povm, operators) -> bool:
     equals ``||Q Pi_P - Q||`` for ``Q`` the projector onto ``Span(operators)``.
     """
     U_R = span_basis(operators, P.tol)
+    if len(U_R) != P.dim ** 2:
+        raise ValueError(f"operator dimension {math.isqrt(len(U_R))} != POVM dimension {P.dim}")
     return float(np.linalg.norm(off_span(P.svd[0], U_R))) <= P.tol.lin_solve
 
 

@@ -5,7 +5,9 @@ outcome statistics estimates ``<X> = Tr[rho X]`` whenever
 ``sum_i c_i P_i = X``.  Coefficients of that kind come from dual frames;
 this module builds them, evaluates single-state and ensemble-averaged
 statistical errors, and computes the dual frame that minimizes the
-ensemble error together with the corresponding minimum.
+ensemble error together with the corresponding minimum.  A target need
+not be self-adjoint: its estimate is then complex, and every error is the
+variance ``E|c|^2 - |<X>|^2`` of a complex estimator.
 
 The ensemble-optimal dual shifts the canonical coefficients along the null
 space of the design matrix V to minimize ``sum_i pi_i |c_i|^2``, with
@@ -99,10 +101,10 @@ class Ensemble:
         return avg
 
     def second_moment(self, X) -> float:
-        """Ensemble average of ``Tr[rho_j X]^2`` (not the square of the mean)."""
+        """Ensemble average of ``|Tr[rho_j X]|^2``, the modulus for a non-self-adjoint X."""
         X = as_operator(X)
-        vals = np.real(np.einsum("jab,ba->j", self.states, X))
-        return float(np.dot(self.weights, vals ** 2))
+        vals = np.einsum("jab,ba->j", self.states, X)
+        return float(np.dot(self.weights, np.abs(vals) ** 2))
 
 
 def metric_diagonal(P: Povm, ensemble: Ensemble) -> np.ndarray:
@@ -160,16 +162,16 @@ def processing_from_dual(D: DualFrame, X) -> ProcessingFunction:
 
 
 def statistical_error(P: Povm, c: ProcessingFunction, rho) -> float:
-    """Per-measurement variance ``sum_i |c_i|^2 Tr[rho P_i] - <X>_rho^2``."""
+    """Per-measurement variance ``sum_i |c_i|^2 Tr[rho P_i] - |<X>_rho|^2``."""
     probs = P.probabilities(rho)
-    mean = float(np.real(np.trace(as_operator(rho) @ c.target)))
-    return float(np.dot(np.abs(c.coefficients) ** 2, probs) - mean ** 2)
+    mean = np.trace(as_operator(rho) @ c.target)
+    return float(np.dot(np.abs(c.coefficients) ** 2, probs) - abs(mean) ** 2)
 
 
 def ensemble_error(P: Povm, c: ProcessingFunction, ensemble: Ensemble) -> float:
     """Ensemble-averaged statistical error.
 
-    Equals ``sum_i |c_i|^2 Tr[rho_E P_i] - avg_j <X>_{rho_j}^2``, which is
+    Equals ``sum_i |c_i|^2 Tr[rho_E P_i] - avg_j |<X>_{rho_j}|^2``, which is
     also the q-weighted average of the single-state errors.
     """
     pi = metric_diagonal(P, ensemble)
@@ -244,11 +246,11 @@ def min_error(P: Povm, ensemble: Ensemble, X) -> float:
     """Minimum ensemble error over all processing functions for target X.
 
     The ensemble error of the optimal dual, ``sum_i pi_i |<D_i|X>|^2 -
-    avg_j <X>_{rho_j}^2``: the canonical coefficients of X shifted along
+    avg_j |<X>_{rho_j}|^2``: the canonical coefficients of X shifted along
     the null space of V, with the duals taken from the per-ensemble cache of
     :func:`optimal_dual`, so each further target costs one N x d^2 product.
     When every outcome has positive probability this is
-    ``<X| G^+ |X> - avg_j <X>_{rho_j}^2``.  Zero-probability outcomes cost
+    ``<X| G^+ |X> - avg_j |<X>_{rho_j}|^2``.  Zero-probability outcomes cost
     nothing, so their coefficients are left free, as in
     :func:`optimal_dual`, with the same warning.
     """

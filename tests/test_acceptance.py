@@ -395,7 +395,7 @@ def test_least_blurs_saturate_the_busch_bound():
     # |lam_+ a_+ + lam_- a_-| + |lam_+ a_+ - lam_- a_-| <= 2 for jointly
     # measurable unsharp qubit observables (P. Busch, PRD 33, 2253 (1986))
     def busch_sum(P, theta):
-        lam_plus, lam_minus = (least_blur(P, spectral_povm(Observable(X)))[0]
+        lam_plus, lam_minus = (least_blur(P, spectral_povm(Observable(X))).visibility
                                for X in sigma_pm(theta))
         plus = lam_plus * np.array([np.cos(theta), np.sin(theta)])
         minus = lam_minus * np.array([np.cos(theta), -np.sin(theta)])

@@ -308,6 +308,14 @@ class TestMinError:
         assert out == ""
         assert err == "povmlab: target dimension 3 != POVM dimension 2\n"
 
+    def test_non_self_adjoint_target(self, capsys, sic_file, tmp_path):
+        # the SIC's optimal coefficients of |0><1| under the six-state ensemble
+        # cost sum_i pi_i |c_i|^2 = 3/2, less avg_j |<0|rho_j|1>|^2 = 1/6
+        splus = write(tmp_path, "splus.json", operator_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])))
+        code, payload = run_json(capsys, ["min-error", "--povm", sic_file, "--x", splus])
+        assert code == 0
+        assert payload["min_error"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+
 
 class TestInfocheck:
     def test_infocomplete(self, capsys, sic_file):
@@ -328,6 +336,13 @@ class TestInfocheck:
         )
         assert code == 0
         assert payload["r_infocomplete"] and not payload["infocomplete"]
+
+    def test_operator_of_another_dimension(self, capsys, sic_file, tmp_path):
+        x3 = write(tmp_path, "x3.json", operator_to_json(np.diag([1.0, 0.0, -1.0])))
+        code, out, err = run(capsys, ["infocheck", "--povm", sic_file, "--r", x3])
+        assert code == 2
+        assert out == ""
+        assert err == "povmlab: operator dimension 3 != POVM dimension 2\n"
 
 
 class TestPostproc:
@@ -458,6 +473,14 @@ class TestAbspace:
         )
         assert code == 3
         assert not payload["ab_infocomplete"]
+
+    def test_check_observables_of_another_dimension(self, capsys, tmp_path, sic_file):
+        a = write(tmp_path, "a3.json", observable_to_json(Observable(np.diag([1.0, 0.0, -1.0]))))
+        b = write(tmp_path, "b3.json", observable_to_json(Observable(np.diag([0.0, 1.0, 2.0]))))
+        code, out, err = run(capsys, ["abspace", "check", "--povm", sic_file, "--A", a, "--B", b])
+        assert code == 2
+        assert out == ""
+        assert err == "povmlab: operator dimension 3 != POVM dimension 2\n"
 
 
 class TestQubit:

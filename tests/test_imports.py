@@ -80,7 +80,7 @@ from povmlab.povm import Observable, spectral_povm
 from povmlab.qubit import optimal_four_outcome, sigma_pm
 
 P, Q = optimal_four_outcome(0.6), spectral_povm(Observable(sigma_pm(0.6)[0]))
-runs = {"povmlab": lambda: postproc.least_blur(P, Q)[0],
+runs = {"povmlab": lambda: postproc.least_blur(P, Q).visibility,
         "scipy": lambda: reference_least_blur(P, Q)}
 lam = {name: runs[name]() for name in sys.argv[1].split(",")}
 from scipy.optimize._highspy import _core, _highs_wrapper
@@ -104,7 +104,7 @@ barrier, lams, errors = threading.Barrier(4), [], []
 def first_lp():
     barrier.wait()
     try:
-        lams.append(repr(postproc.least_blur(P, Q)[0]))
+        lams.append(repr(postproc.least_blur(P, Q).visibility))
     except Exception as exc:
         errors.append(repr(exc))
 
@@ -119,7 +119,7 @@ try:
 finally:
     sys.setswitchinterval(interval)
 print(json.dumps({"alive": sum(t.is_alive() for t in threads), "errors": errors, "lams": lams,
-                  "sequential": repr(postproc.least_blur(P, Q)[0]),
+                  "sequential": repr(postproc.least_blur(P, Q).visibility),
                   "one_core": postproc._highs_core() is sys.modules["%s"]}))
 """ % CORE
 
@@ -198,7 +198,7 @@ def test_either_import_order_shares_one_core():
     first, second = (run_fresh(ORDER_SCRIPT, order) for order in ["povmlab,scipy", "scipy,povmlab"])
     assert first["one_core"] and second["one_core"]
     assert first["lam"] == second["lam"] == repr(postproc.least_blur(
-        optimal_four_outcome(0.6), spectral_povm(Observable(sigma_pm(0.6)[0])))[0])
+        optimal_four_outcome(0.6), spectral_povm(Observable(sigma_pm(0.6)[0]))).visibility)
     assert first["reference"] == second["reference"]
     assert abs(float(first["lam"]) - first["reference"]) <= 1e-9
 

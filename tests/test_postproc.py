@@ -192,7 +192,9 @@ class TestFindPostProcessing:
         # nonnegative column-stochastic matrix comes closer than 1/3
         search = find_post_processing(projective_povm("z"), sic_povm())
         assert not search.feasible
-        assert search.markov is None
+        # the map reaches the blurred target, not the target
+        realized = apply_post_processing(sic_povm(), search.markov)
+        assert_allclose(realized.elements, search.blurred.elements, rtol=0.0, atol=1e-12)
         assert abs(search.residual - 1.0 / 3.0) < 1e-6
 
     def test_reflexive(self):
@@ -367,7 +369,7 @@ class TestReusedSolver:
     def _least_blur():
         # six qubit outcomes leave a null space of two, so the least blur runs an LP
         P = random_povm(2, 6, np.random.default_rng(8))
-        return postproc._least_blur(P, projective_povm("z"))
+        return postproc.least_blur(P, projective_povm("z"))
 
     def test_failed_solves_leave_no_trace(self):
         before = self._least_blur()
@@ -375,8 +377,9 @@ class TestReusedSolver:
                                  ([-1.0, 1.0], dict(A_ub=[[0.0, 1.0]], b_ub=[1.0]), "Unbounded")]:
             assert postproc.linprog(cost, (0.0, np.inf), *dense_rows(**lp)).message == status
         after = self._least_blur()
-        assert before[0] == after[0]
-        assert np.array_equal(before[1], after[1]) and np.array_equal(before[2], after[2])
+        assert before.visibility == after.visibility
+        assert np.array_equal(before.markov.m, after.markov.m)
+        assert np.array_equal(before.witness, after.witness)
 
     def test_rejected_arrays_raise(self):
         # row index 5 of a one-row LP
@@ -390,7 +393,7 @@ class TestReusedSolver:
         povms = [random_povm(d, n, np.random.default_rng(seed))
                  for seed, (d, n) in enumerate([(2, 6), (3, 14), (2, 7), (3, 12)])]
         targets = [Povm([np.diag(e) for e in np.eye(P.dim)]) for P in povms]
-        sequential = [postproc._least_blur(P, Q) for P, Q in zip(povms, targets)]
+        sequential = [postproc.least_blur(P, Q) for P, Q in zip(povms, targets)]
         n_threads = (os.cpu_count() or 1) + 2  # more threads than cores
         barrier = threading.Barrier(n_threads)
         results = [None] * n_threads
@@ -398,7 +401,7 @@ class TestReusedSolver:
         def solve(t):
             barrier.wait(timeout=60)
             case = [(povms[(t + r) % 4], targets[(t + r) % 4]) for r in range(12)]
-            results[t] = [postproc._least_blur(P, Q) for P, Q in case]
+            results[t] = [postproc.least_blur(P, Q) for P, Q in case]
 
         threads = [threading.Thread(target=solve, args=(t,)) for t in range(n_threads)]
         interval = sys.getswitchinterval()
@@ -413,9 +416,11 @@ class TestReusedSolver:
         assert not any(t.is_alive() for t in threads)
         for t, got in enumerate(results):
             assert got is not None and len(got) == 12
-            for r, (lam, m, y) in enumerate(got):
-                ref_lam, ref_m, ref_y = sequential[(t + r) % 4]
-                assert lam == ref_lam and np.array_equal(m, ref_m) and np.array_equal(y, ref_y)
+            for r, blur in enumerate(got):
+                ref = sequential[(t + r) % 4]
+                assert blur.visibility == ref.visibility
+                assert np.array_equal(blur.markov.m, ref.markov.m)
+                assert np.array_equal(blur.witness, ref.witness)
 
 
 class TestIsClean:
@@ -536,7 +541,7 @@ class TestUnbias:
         assert_allclose(recovered, [1.0, 0.0], atol=1e-12)
 
     def test_blur_weight_of_one_rejected(self):
-        blur = dataclasses.replace(self._z_blur(), epsilon_star=1.0)
+        blur = dataclasses.replace(self._z_blur(), visibility=0.0)  # epsilon_star = 1
         with pytest.raises(ValueError, match="blur weight"):
             unbias(blur, np.array([0.5, 0.5]))
 
@@ -569,7 +574,7 @@ class TestUnbias:
         X = np.diag([0.0, 1.0])
         Q = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=[0.0, 1.0])
         blur = blur_for_post_processing(sic_povm(), Q)
-        blur = dataclasses.replace(blur, outcome_values=np.array([1e-8, 1.0]))
+        blur = dataclasses.replace(blur, target=Povm(Q.elements, labels=[1e-8, 1.0]))
         observed = np.array([0.5, 0.5])
         with pytest.raises(ValueError, match="eigenvalues as labels"):
             unbias(blur, observed, observable=Observable(X))
@@ -613,7 +618,8 @@ class TestLeastBlur:
 
         monkeypatch.setattr(postproc, "linprog", no_lp)
         # the SIC's z coefficients are (2, 0, 0, 0) and (-1, 1, 1, 1)
-        lam, markov = least_blur(sic_povm(), projective_povm("z"))
+        blur = least_blur(sic_povm(), projective_povm("z"))
+        lam, markov = blur.visibility, blur.markov
         assert lam == pytest.approx(1.0 / 3.0, abs=1e-12)
         third = 1.0 / 3.0
         assert_allclose(markov.m, [[1, third, third, third], [0, 2 * third, 2 * third, 2 * third]],
@@ -624,7 +630,8 @@ class TestLeastBlur:
             raise AssertionError("linprog called")
 
         monkeypatch.setattr(postproc, "linprog", no_lp)
-        lam, markov = least_blur(trine_povm(), projective_povm("z"))
+        blur = least_blur(trine_povm(), projective_povm("z"))
+        lam, markov = blur.visibility, blur.markov
         assert lam == 0.0
         assert_allclose(markov.m, np.full((2, 3), 0.5), rtol=0.0, atol=0.0)
 
@@ -632,7 +639,8 @@ class TestLeastBlur:
         P = random_povm(2, 6, np.random.default_rng(31))
         m = random_markov(3, 6, np.random.default_rng(32))
         Q = apply_post_processing(P, m)
-        lam, markov = least_blur(P, Q)
+        blur = least_blur(P, Q)
+        lam, markov = blur.visibility, blur.markov
         assert lam == pytest.approx(1.0, abs=1e-9)
         realized = apply_post_processing(P, markov)
         assert_allclose(realized.elements, Q.elements, rtol=0.0, atol=1e-8)
@@ -640,7 +648,8 @@ class TestLeastBlur:
     def test_blurred_target_is_synthesized(self):
         P = random_povm(3, 12, np.random.default_rng(33))
         Q = Povm(np.eye(3)[:, :, None] * np.eye(3)[:, None, :])  # the qutrit basis
-        lam, markov = least_blur(P, Q)
+        blur = least_blur(P, Q)
+        lam, markov = blur.visibility, blur.markov
         assert 0.0 < lam < 1.0
         realized = apply_post_processing(P, markov).elements
         assert_allclose(realized, lam * Q.elements + (1.0 - lam) / 3.0 * np.eye(3),

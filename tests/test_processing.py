@@ -29,6 +29,7 @@ from povmlab.standard import (
 
 from helpers import (
     SX,
+    SY,
     SZ,
     ill_conditioned_minimal_povm,
     kernel_state,
@@ -165,6 +166,13 @@ class TestStatisticalError:
         c = processing_from_dual(canonical_dual(P), SZ)
         assert statistical_error(P, c, np.eye(2) / 2) == pytest.approx(3.0)
 
+    def test_non_self_adjoint_target_subtracts_the_modulus(self):
+        # <X> = (0.3 - 0.6i)/2 for X = |0><1|: the variance of the complex
+        # estimate is sum_i |c_i|^2 p_i = 3/2 less |<X>|^2 = 0.1125
+        rho = (np.eye(2) + 0.3 * SX + 0.6 * SY) / 2
+        c = processing_from_dual(canonical_dual(sic_povm()), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert statistical_error(sic_povm(), c, rho) == pytest.approx(1.3875, abs=1e-12)
+
 
 class TestEnsembleError:
     def test_projective_six_state(self):
@@ -187,6 +195,22 @@ class TestEnsembleError:
             q * statistical_error(P, c, rho) for q, rho in zip(E.weights, E.states)
         )
         assert ensemble_error(P, c, E) == pytest.approx(pointwise, abs=1e-9)
+
+    def test_non_self_adjoint_target_is_the_mean_variance(self):
+        # each state's error is the variance E|c|^2 - |E c|^2 of the complex
+        # estimate over its outcome distribution, and the ensemble error their mean
+        rng = np.random.default_rng(4)
+        P = random_povm(3, 12, rng)
+        E = random_ensemble(3, 4, rng)
+        X = random_hermitian(3, rng) + 1j * random_hermitian(3, rng)
+        c = processing_from_dual(canonical_dual(P), X)
+        variances = []
+        for rho in E.states:
+            p = P.probabilities(rho)
+            variance = np.dot(np.abs(c.coefficients) ** 2, p) - abs(np.dot(c.coefficients, p)) ** 2
+            assert statistical_error(P, c, rho) == pytest.approx(variance, abs=1e-12)
+            variances.append(variance)
+        assert ensemble_error(P, c, E) == pytest.approx(np.dot(E.weights, variances), abs=1e-12)
 
 
 class TestOptimalDual:

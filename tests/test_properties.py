@@ -20,6 +20,7 @@ from povmlab.abspace import (
     independent_powers,
     is_ab_infocomplete,
     is_minimal_ab_infocomplete,
+    project_povm,
 )
 from povmlab.hs import DEFAULT_TOL, coords, from_coords
 from povmlab.montecarlo import sample, sample_range
@@ -395,18 +396,29 @@ def test_joint_measurement_agrees_with_the_full_lp(case):
         assert np.max(np.abs(marginal - blurred)) <= 1e-9
 
 
+def assert_same_least_blur(got, want):
+    assert got.visibility == want.visibility and got.residual == want.residual
+    assert same_bits(got.markov.m, want.markov.m) and same_bits(got.witness, want.witness)
+
+
 @PROPERTY_SETTINGS
 @given(lp_cases())
 def test_blur_is_the_least_blur(case):
-    P, Q, _, target = case
-    lam = least_blur(P, Q)[0]
+    P, Q, observables, target = case
+    least = least_blur(P, Q)
+    lam = least.visibility
     if target == "markov":
         assert lam >= 1.0 - 1e-9
+    # the check, the blur and every joint certificate are the one least blur, bit for bit
+    for X, cert in zip(observables, find_joint_measurement(P, observables).certificates):
+        assert_same_least_blur(cert, least_blur(P, spectral_povm(X)))
+    assert_same_least_blur(find_post_processing(Q, P), least)
     try:
         blur = blur_for_post_processing(P, Q)
     except OutsideSpanError:
         assert lam == 0.0
         return
+    assert_same_least_blur(blur, least)
     # 1 - (1 - lam) rounds away from lam when lam < 1/2, so eps* is compared as computed
     assert blur.epsilon_star == 1.0 - lam
     realized = np.tensordot(blur.markov.m, P.elements, axes=(1, 0))
@@ -436,7 +448,7 @@ def test_processing_never_lowers_the_blur(d, seed, reachable):
     n = int(rng.integers(2, 5))
     T = (apply_post_processing(Q, random_markov(n, len(Q), rng)) if reachable
          else in_span_povm(Q, n, rng))
-    assert least_blur(P, T)[0] >= least_blur(Q, T)[0] - 1e-9
+    assert least_blur(P, T).visibility >= least_blur(Q, T).visibility - 1e-9
     assert (blur_for_post_processing(P, T).epsilon_star
             <= blur_for_post_processing(Q, T).epsilon_star + 1e-9)
 
@@ -475,10 +487,26 @@ def test_least_blurs_obey_the_busch_bound(n, rank_one, seed):
     rng = np.random.default_rng(seed)
     P = random_povm(2, n, rng, rank_one=rank_one)
     a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
-    lam_a, lam_b = (least_blur(P, spectral_povm(Observable(v[0] * SX + v[1] * SY + v[2] * SZ)))[0]
-                    for v in (a, b))
+    lam_a, lam_b = (least_blur(P, spectral_povm(Observable(v[0] * SX + v[1] * SY + v[2] * SZ)))
+                    .visibility for v in (a, b))
     busch = np.linalg.norm(lam_a * a + lam_b * b) + np.linalg.norm(lam_a * a - lam_b * b)
     assert busch <= 2.0 + 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(4, 8), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_planar_projection_is_never_noisier(n, rank_one, seed):
+    # the paper's headline: no qubit POVM beats the sx-sy bound on sigma_+-,
+    # and projecting one onto the sx-sy plane keeps it a POVM that does no worse
+    rng = np.random.default_rng(seed)
+    P = random_povm(2, n, rng, rank_one=rank_one)
+    E = six_state_ensemble()
+    planar = project_povm(P, ab_space(Observable(SX), Observable(SY))).povm
+    for theta in rng.uniform(0.1, np.pi / 2 - 0.1, size=3):
+        total = sum(min_error(P, E, X) for X in sigma_pm(theta))
+        bound = error_bound(theta, 1.0 / 3.0)
+        assert total >= bound - 1e-9 * bound
+        assert noise_quantities(planar, E, theta).total_error <= total + 1e-9 * total
 
 
 @PROPERTY_SETTINGS
@@ -490,11 +518,10 @@ def test_witness_value_equals_the_residual(case):
     # blur, and the least blur's map misses Q by (1 - lam) max_j |w_j - e/M|
     P, Q, _, _ = case
     search = find_post_processing(Q, P)
-    if search.feasible:
-        assert search.witness is None
-        return
     Y, M = search.witness, len(Q)
     assert Y.shape == (M,) + Q.elements.shape[1:]
+    if search.feasible:
+        return
     uniform = np.eye(P.dim) / M
     assert abs(np.einsum("jab,jba->", Y, Q.elements - uniform).real - 1.0) <= 1e-9
     on_inputs = np.einsum("jab,iba->ji", Y, P.elements).real

@@ -1,5 +1,8 @@
 """Planar qubit noise quantities, the joint-error bound, and its achieving families."""
 
+from fractions import Fraction
+from math import atan2
+
 import numpy as np
 import pytest
 
@@ -189,3 +192,48 @@ class TestSymmetrization:
             assert s1.B == pytest.approx(s0.B, abs=1e-12)
             assert s1.Gamma == pytest.approx(s0.Gamma, abs=1e-12)
             assert s1.total_error <= s0.total_error + 1e-12
+
+
+def exact_four_outcome(c, s):
+    """The four-outcome optimum at ``cos theta = c``, ``sin theta = s``, in exact arithmetic.
+
+    Returns p, B, Gamma, Delta and the total error of sigma_+- under the
+    six-state ensemble, from the Bloch rows ``(alpha, beta, gamma)`` of
+    ``(p/2)(1 +- sx)`` and ``((1 - p)/2)(1 +- sy)`` by the planar reduction.
+    """
+    p = c / (c + s)
+    rows = [(p / 2, p / 2, 0), (p / 2, -p / 2, 0), ((1 - p) / 2, 0, (1 - p) / 2),
+            ((1 - p) / 2, 0, -(1 - p) / 2)]
+    B = 2 * sum(b * b / a for a, b, _ in rows)
+    Gamma = 2 * sum(g * g / a for a, _, g in rows)
+    Delta = -2 * sum(b * g / a for a, b, g in rows)
+    # <sigma_+->^2 = (c x +- s y)^2 averaged over the Bloch vectors +-x, +-y, +-z
+    axes = [(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0), (0, 0)]
+    m_plus = sum((c * x + s * y) ** 2 for x, y in axes) / 6
+    m_minus = sum((c * x - s * y) ** 2 for x, y in axes) / 6
+    Dtm = B * Gamma - Delta ** 2
+    cross = 2 * c * s
+    errors = [(2 / Dtm) * (c * c * Gamma + s * s * B + sign * cross * Delta) - m
+              for sign, m in ((1, m_plus), (-1, m_minus))]
+    return p, B, Gamma, Delta, sum(errors), 2 * (1 + cross - (m_plus + m_minus) / 2)
+
+
+@pytest.mark.parametrize("c, s, p, total", [
+    (Fraction(4, 5), Fraction(3, 5), Fraction(4, 7), Fraction(244, 75)),
+    (Fraction(5, 13), Fraction(12, 13), Fraction(5, 17), Fraction(1396, 507)),
+    (Fraction(8, 17), Fraction(15, 17), Fraction(8, 23), Fraction(2596, 867)),
+], ids=["4/5", "5/13", "8/17"])
+def test_four_outcome_optimum_in_exact_arithmetic(c, s, p, total):
+    # at a Pythagorean angle every quantity is rational: a reference for the
+    # bound's acceptance line that uses no floating point
+    got_p, B, Gamma, Delta, got_total, bound = exact_four_outcome(c, s)
+    assert (got_p, B, Gamma, Delta) == (p, 2 * p, 2 * (1 - p), 0)
+    assert got_total == bound == total
+    theta = atan2(float(s), float(c))
+    P, E = optimal_four_outcome(theta), six_state_ensemble()
+    summary = noise_quantities(P, E, theta)
+    for value, exact in [(summary.B, B), (summary.Gamma, Gamma), (summary.total_error, total),
+                         (summary.bound, total),
+                         (sum(min_error(P, E, X) for X in sigma_pm(theta)), total)]:
+        assert abs(value - float(exact)) <= 4e-15 * float(exact)
+    assert abs(summary.Delta) <= 4e-15
