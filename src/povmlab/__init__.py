@@ -35,6 +35,7 @@ _EXPORTS = {
     "least_blur": "postproc",
     "unbias": "postproc",
     "DualFrame": "povm",
+    "Ensemble": "povm",
     "NotCompleteError": "povm",
     "NotPositiveError": "povm",
     "Observable": "povm",
@@ -46,7 +47,6 @@ _EXPORTS = {
     "spectral_povm": "povm",
     "symmetrize_dual": "povm",
     "DegenerateMetricWarning": "processing",
-    "Ensemble": "processing",
     "ProcessingFunction": "processing",
     "ensemble_error": "processing",
     "metric_diagonal": "processing",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hs import coords, from_coords, off_span
-from .povm import Observable, Povm, _element_rules
+from .povm import Observable, Povm, _element_rules, is_r_infocomplete
 
 
 class IllConditionedWarning(UserWarning):
@@ -133,12 +133,11 @@ def ab_space(A: Observable, B: Observable) -> ABSpace:
 def is_ab_infocomplete(P: Povm, S: ABSpace) -> bool:
     """Does the span of P contain the whole power subspace?
 
-    When true, the statistics of P determine every moment of A and of B,
-    hence the full spectral probability distributions of both.
+    That is :func:`povm.is_r_infocomplete` with ``R = Span{A^n, B^n}``.  When
+    true, the statistics of P determine every moment of A and of B, hence
+    the full spectral probability distributions of both.
     """
-    if S.a.dim != P.dim:
-        raise ValueError(f"operator dimension {S.a.dim} != POVM dimension {P.dim}")
-    return float(np.linalg.norm(off_span(P.svd[0], S.columns))) <= P.tol.lin_solve
+    return is_r_infocomplete(P, S.basis)
 
 
 def is_minimal_ab_infocomplete(P: Povm, S: ABSpace) -> bool:

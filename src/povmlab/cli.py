@@ -13,9 +13,9 @@ CSV text of ``qubit sweep``) and its exit code, or raises ``CommandError``.
 it to ``--out`` or stdout. A ``CommandError`` that carries a document (an
 all-degenerate sweep) has it written before its one-line message.
 
-The module itself loads only ``hs`` and ``serialize`` (with ``povm``);
-each verb imports the library functions it calls, so a cold run loads
-only the modules its verb needs.
+The module itself loads only ``hs``, ``povm`` and ``serialize``;
+each verb imports the functions it calls from any other module, so a
+cold run loads only the modules its verb needs.
 
 Exit codes: 0 success, 1 file/parse error (an argument error too, in one
 line), 2 validation failure,
@@ -33,12 +33,14 @@ import argparse
 import os
 import sys
 import warnings
-from typing import TYPE_CHECKING
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .hs import DEFAULT_TOL, SolverError, Tolerances, _check_seed, as_operator
+from .povm import (Ensemble, Observable, canonical_dual, is_infocomplete, is_r_infocomplete,
+                   povm_report)
 from .serialize import (
     ParseError,
     SchemaError,
@@ -53,17 +55,13 @@ from .serialize import (
     povm_to_json,
 )
 
-if TYPE_CHECKING:
-    from .povm import Observable
-    from .processing import Ensemble
-
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_NEGATIVE = 3
 EXIT_SOLVER = 4
 
-_TOL_FIELDS = ("eig_zero", "psd_slack", "lin_solve", "cluster")
+_TOL_FIELDS = tuple(f.name for f in fields(Tolerances))
 MAX_SWEEP_ANGLES = 10 ** 5  # --thetas count; checked before any angle is made
 
 
@@ -204,8 +202,6 @@ def _load_target(filename: str, tol: Tolerances) -> np.ndarray:
 
 
 def _load_observable(filename: str, tol: Tolerances) -> Observable:
-    from .povm import Observable
-
     def build(obj):
         if isinstance(obj, dict) and "operator" in obj:
             return observable_from_json(obj, tol=tol)
@@ -215,8 +211,6 @@ def _load_observable(filename: str, tol: Tolerances) -> Observable:
 
 
 def _load_state(filename: str, tol: Tolerances) -> np.ndarray:
-    from .processing import Ensemble
-
     def build(obj):
         rho = operator_from_json(obj)
         try:
@@ -236,8 +230,6 @@ def _format_float(x: float) -> str:
 # verbs
 
 def cmd_validate(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
-    from .povm import povm_report
-
     def build(obj):
         # parse the raw element list leniently: the point is to report problems
         elements_json = obj.get("elements") if isinstance(obj, dict) else None
@@ -262,8 +254,6 @@ def _dual_payload(P, D) -> dict:
 
 
 def cmd_dual(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
-    from .povm import canonical_dual
-
     P = _load_povm(args.povm, tol)
     return _dual_payload(P, canonical_dual(P)), EXIT_OK
 
@@ -287,8 +277,6 @@ def cmd_min_error(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
 
 
 def cmd_infocheck(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
-    from .povm import is_infocomplete, is_r_infocomplete
-
     P = _load_povm(args.povm, tol)
     payload = {
         "dim": P.dim,
@@ -456,7 +444,6 @@ def cmd_qubit_sweep(args, tol: Tolerances, seed: int) -> tuple[str, int]:
 
 def cmd_simulate(args, tol: Tolerances, seed: int) -> tuple[dict, int]:
     from .montecarlo import empirical_estimate, sample
-    from .povm import canonical_dual
     from .processing import optimal_dual, processing_from_dual, statistical_error
 
     P = _load_povm(args.povm, tol)

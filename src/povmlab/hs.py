@@ -35,7 +35,7 @@ second argument's, because the eigenvalues are the observable's.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -68,7 +68,7 @@ class Tolerances:
     cluster: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("eig_zero", "psd_slack", "lin_solve", "cluster"):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if not (value > 0.0 and np.isfinite(value)):
                 raise ValueError(f"tolerance {name!r} must be positive and finite, got {value!r}")

@@ -276,7 +276,8 @@ class LeastBlur:
     reachable from P, and ``blurred`` is that POVM, at ``P.tol``.  For
     ``lam > 0``, ``coefficients[i, j] = (m(j|i) - eps*/M)/lam`` are a
     processing of Q, ``sum_i c[i, j] P_i = Q_j``, and unbiasing divides by
-    ``lam``, which inflates statistical errors by ``inflation = 1/lam^2``.
+    ``lam``, which inflates statistical errors by ``inflation = 1/lam^2``;
+    at ``lam = 0`` both raise ``ValueError``.
     ``outcome_values`` are Q's labels as numbers, or None when Q carries no
     numeric labels; they keep unbiasing aligned outcome-wise.
     """
@@ -297,7 +298,7 @@ class LeastBlur:
 
     @property
     def inflation(self) -> float:
-        return 1.0 / self.visibility**2
+        return 1.0 / self._unbiasable()**2
 
     @property
     def blurred(self) -> Povm:
@@ -306,7 +307,14 @@ class LeastBlur:
 
     @property
     def coefficients(self) -> np.ndarray:
-        return ((self.markov.m - self.epsilon_star / len(self.target)) / self.visibility).T
+        return ((self.markov.m - self.epsilon_star / len(self.target)) / self._unbiasable()).T
+
+    def _unbiasable(self) -> float:
+        """The visibility, which the unbiasing divides by, checked to be positive."""
+        if not self.visibility > 0.0:
+            raise ValueError(f"visibility {self.visibility!r} leaves nothing to unbias; "
+                             "it must be above 0")
+        return self.visibility
 
     @property
     def outcome_values(self) -> np.ndarray | None:

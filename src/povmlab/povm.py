@@ -1,4 +1,4 @@
-"""POVMs, frame operators, dual frames and informational completeness.
+"""POVMs, state ensembles, frame operators, dual frames and informational completeness.
 
 A POVM with outcomes ``P_1 .. P_N`` is stored as a stacked ``(N, d, d)``
 complex array, its positivity screened by one batched Cholesky
@@ -12,7 +12,9 @@ gives an orthonormal basis of the null space of ``V``: the directions in
 which the coefficients of any other dual differ from the canonical ones.
 The shifted duals built from an arbitrary operator list complete the
 linear machinery used by the estimation routines.  Dual frames are held in
-the same coordinates.
+the same coordinates.  :class:`Ensemble`, the weighted states that are the
+other input of an estimate, lives here too, its states checked by the
+element rules; ``processing`` builds ensemble errors and optimal duals on it.
 """
 
 from __future__ import annotations
@@ -397,3 +399,62 @@ def spectral_povm(X: Observable) -> Povm:
         labels=[float(x) for x in X.eigenvalues],
         tol=X.tol,
     )
+
+
+class Ensemble:
+    """Weighted set of density matrices with cached barycenter.
+
+    Parameters
+    ----------
+    weights:
+        Positive weights summing to one.
+    states:
+        Density matrices (self-adjoint, PSD, unit trace), one per weight.
+    """
+
+    def __init__(self, weights, states, tol: Tolerances = DEFAULT_TOL):
+        q = np.asarray(weights, dtype=float)
+        mats = np.stack([as_operator(s) for s in states])
+        if q.ndim != 1 or len(q) != mats.shape[0]:
+            raise ValueError("one weight per state required")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("weights must be finite")
+        if np.any(q <= 0.0):
+            raise ValueError("weights must be strictly positive")
+        if abs(q.sum() - 1.0) > tol.lin_solve:
+            raise ValueError(f"weights must sum to 1 (got {q.sum()!r})")
+        broken = _element_rules(mats, tol)[2]
+        traces = np.real(np.trace(mats, axis1=1, axis2=2))
+        # the states' own rule, unit trace, is checked after the two element rules
+        broken[(broken == 0) & (np.abs(traces - 1.0) > tol.lin_solve)] = 3
+        offending = np.flatnonzero(broken)
+        if offending.size:
+            j = offending[0]
+            problem = ("is not self-adjoint", "is not positive semidefinite",
+                       "does not have unit trace")[broken[j] - 1]
+            raise ValueError(f"state {j} {problem}")
+        q.setflags(write=False)
+        mats.setflags(write=False)
+        self.weights = q
+        self.states = mats
+        self.tol = tol
+
+    @property
+    def dim(self) -> int:
+        return self.states.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    @cached_property
+    def barycenter(self) -> np.ndarray:
+        """The average state ``sum_j q_j rho_j``."""
+        avg = np.tensordot(self.weights, self.states, axes=(0, 0))
+        avg.setflags(write=False)
+        return avg
+
+    def second_moment(self, X) -> float:
+        """Ensemble average of ``|Tr[rho_j X]|^2``, the modulus for a non-self-adjoint X."""
+        X = as_operator(X)
+        vals = np.einsum("jab,ba->j", self.states, X)
+        return float(np.dot(self.weights, np.abs(vals) ** 2))

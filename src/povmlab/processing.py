@@ -5,9 +5,11 @@ outcome statistics estimates ``<X> = Tr[rho X]`` whenever
 ``sum_i c_i P_i = X``.  Coefficients of that kind come from dual frames;
 this module builds them, evaluates single-state and ensemble-averaged
 statistical errors, and computes the dual frame that minimizes the
-ensemble error together with the corresponding minimum.  A target need
-not be self-adjoint: its estimate is then complex, and every error is the
-variance ``E|c|^2 - |<X>|^2`` of a complex estimator.
+ensemble error together with the corresponding minimum.  The ensemble is
+an input, like the POVM: :class:`povm.Ensemble` lives beside ``Povm`` and
+is imported here under the same name.  A target need not be self-adjoint:
+its estimate is then complex, and every error is the variance
+``E|c|^2 - |<X>|^2`` of a complex estimator.
 
 The ensemble-optimal dual shifts the canonical coefficients along the null
 space of the design matrix V to minimize ``sum_i pi_i |c_i|^2``, with
@@ -27,84 +29,22 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .hs import (
-    DEFAULT_TOL,
     OutsideSpanError,
-    Tolerances,
     as_operator,
     coords,
     off_span,
     orthogonal_complement,
     truncated_svd,
 )
-from .povm import DualFrame, Povm, _element_rules
+from .povm import DualFrame, Ensemble, Povm
 
 
 class DegenerateMetricWarning(UserWarning):
     """Some outcome has probability zero under the ensemble barycenter."""
-
-
-class Ensemble:
-    """Weighted set of density matrices with cached barycenter.
-
-    Parameters
-    ----------
-    weights:
-        Positive weights summing to one.
-    states:
-        Density matrices (self-adjoint, PSD, unit trace), one per weight.
-    """
-
-    def __init__(self, weights, states, tol: Tolerances = DEFAULT_TOL):
-        q = np.asarray(weights, dtype=float)
-        mats = np.stack([as_operator(s) for s in states])
-        if q.ndim != 1 or len(q) != mats.shape[0]:
-            raise ValueError("one weight per state required")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("weights must be finite")
-        if np.any(q <= 0.0):
-            raise ValueError("weights must be strictly positive")
-        if abs(q.sum() - 1.0) > tol.lin_solve:
-            raise ValueError(f"weights must sum to 1 (got {q.sum()!r})")
-        broken = _element_rules(mats, tol)[2]
-        traces = np.real(np.trace(mats, axis1=1, axis2=2))
-        # the states' own rule, unit trace, is checked after the two element rules
-        broken[(broken == 0) & (np.abs(traces - 1.0) > tol.lin_solve)] = 3
-        offending = np.flatnonzero(broken)
-        if offending.size:
-            j = offending[0]
-            problem = ("is not self-adjoint", "is not positive semidefinite",
-                       "does not have unit trace")[broken[j] - 1]
-            raise ValueError(f"state {j} {problem}")
-        q.setflags(write=False)
-        mats.setflags(write=False)
-        self.weights = q
-        self.states = mats
-        self.tol = tol
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    @cached_property
-    def barycenter(self) -> np.ndarray:
-        """The average state ``sum_j q_j rho_j``."""
-        avg = np.tensordot(self.weights, self.states, axes=(0, 0))
-        avg.setflags(write=False)
-        return avg
-
-    def second_moment(self, X) -> float:
-        """Ensemble average of ``|Tr[rho_j X]|^2``, the modulus for a non-self-adjoint X."""
-        X = as_operator(X)
-        vals = np.einsum("jab,ba->j", self.states, X)
-        return float(np.dot(self.weights, np.abs(vals) ** 2))
 
 
 def metric_diagonal(P: Povm, ensemble: Ensemble) -> np.ndarray:

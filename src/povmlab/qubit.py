@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances
-from .povm import Povm
-from .processing import Ensemble
+from .povm import Ensemble, Povm
 from .standard import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)

@@ -16,11 +16,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances, as_operator
-from .povm import Observable, Povm
+from .povm import Ensemble, Observable, Povm
 
 if TYPE_CHECKING:
     from .postproc import MarkovMatrix
-    from .processing import Ensemble
 
 
 class SchemaError(ValueError):
@@ -169,8 +168,6 @@ def ensemble_to_json(E: Ensemble) -> dict:
 
 def ensemble_from_json(obj, tol: Tolerances = DEFAULT_TOL,
                        path: str = "ensemble") -> Ensemble:
-    from .processing import Ensemble
-
     states_json = _require(obj, "states", path)
     if not isinstance(states_json, list) or not states_json:
         raise SchemaError(f"{path}.states", "expected a nonempty array")

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hs import DEFAULT_TOL, Tolerances
-from .povm import Observable, Povm, spectral_povm
-from .processing import Ensemble
+from .povm import Ensemble, Observable, Povm, spectral_povm
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

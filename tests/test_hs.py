@@ -145,3 +145,9 @@ class TestTolerances:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Tolerances(eig_zero=0.0, psd_slack=1e-10, lin_solve=1e-9, cluster=1e-8)
+
+    @pytest.mark.parametrize("name", ["eig_zero", "psd_slack", "lin_solve", "cluster"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_every_field_rejects_a_bad_value(self, name, value):
+        with pytest.raises(ValueError, match=f"^tolerance '{name}' must be positive and finite"):
+            Tolerances(**{name: value})

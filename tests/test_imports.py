@@ -309,3 +309,31 @@ def test_cli_verbs_load_only_the_modules_they_run(files):
     # the Pauli matrices of the presets live in standard, not in qubit
     assert got["after_ensemble"] == ["povmlab.postproc", "povmlab.processing", "povmlab.standard"]
     assert got["unbound"] == []
+
+
+# Runs in a fresh interpreter: the povmlab modules loaded after the two
+# qubit verbs, which read an ensemble but form no dual.
+QUBIT_SCRIPT = """
+import json, sys
+from povmlab.cli import main
+
+out = sys.argv[1]
+codes = [main(["qubit", "optimal", "--theta", "0.7", "--out", out]),
+         main(["qubit", "sweep", "--thetas", "0.3:1.2:3", "--out", out])]
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.startswith("povmlab."))}))
+"""
+
+
+def test_qubit_verbs_load_no_processing(files):
+    got = run_fresh(QUBIT_SCRIPT, files[-1])
+    assert got["codes"] == [0, 0]
+    # Ensemble lives in povm, beside Povm, so only estimating code loads processing
+    assert got["loaded"] == ["povmlab.cli", "povmlab.hs", "povmlab.povm", "povmlab.qubit",
+                             "povmlab.serialize", "povmlab.standard"]
+
+
+def test_ensemble_is_one_class():
+    from povmlab import povm, processing
+
+    assert povmlab.Ensemble is povm.Ensemble is processing.Ensemble

@@ -5,6 +5,7 @@ import inspect
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -634,6 +635,18 @@ class TestLeastBlur:
         lam, markov = blur.visibility, blur.markov
         assert lam == 0.0
         assert_allclose(markov.m, np.full((2, 3), 0.5), rtol=0.0, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["inflation", "coefficients"])
+    def test_zero_visibility_leaves_nothing_to_unbias(self, name):
+        # the target is off the trine's span, so its least blur is 0
+        search = find_post_processing(projective_povm("z"), trine_povm())
+        assert search.visibility == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by zero on the way
+            with pytest.raises(ValueError) as raised:
+                getattr(search, name)
+        assert str(raised.value) == "visibility 0.0 leaves nothing to unbias; it must be above 0"
+        assert_allclose(search.blurred.elements, [I2 / 2, I2 / 2], rtol=0.0, atol=0.0)
 
     def test_reachable_target_is_not_blurred(self):
         P = random_povm(2, 6, np.random.default_rng(31))
